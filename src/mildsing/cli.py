@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -242,24 +242,24 @@ def build_nonlinearity(cfg: RunConfig, mesh: Mesh, coeff: Coefficient,
         raise ConfigError(section, "g", str(exc)) from None
 
 
+# ``SolverConfig`` annotations are strings (postponed evaluation): cast by name
+_SOLVER_CASTS = {"float": float, "int": int, "int | None": int}
+
+
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
-    base = SolverConfig()
+    """``SolverConfig`` from the ``[solver]`` section: one key per dataclass field."""
+    casts = {f.name: _SOLVER_CASTS[f.type] for f in fields(SolverConfig)}
     kw = {}
-    for name, caster in [
-        ("inner_tol", float), ("inner_tol_abs", float), ("max_inner", int),
-        ("outer_tol", float), ("outer_tol_abs", float), ("max_levels", int),
-        ("n_start", float), ("theta0", float), ("slope_damping", float),
-        ("cg_tol", float),
-    ]:
-        raw = cfg.get("solver", name, None)
-        if raw is not None:
-            try:
-                kw[name] = caster(raw)
-            except ValueError:
-                raise ConfigError("solver", name, f"not a number: {raw!r}") from None
-            if name.endswith("tol") and not kw[name] > 0:
-                raise ConfigError("solver", name, f"tolerance must be > 0, got {kw[name]!r}")
-    return replace(base, **kw)
+    for name, raw in cfg.sections.get("solver", {}).items():
+        if name not in casts:
+            raise ConfigError("solver", name, f"unknown key (choose from {', '.join(casts)})")
+        try:
+            kw[name] = casts[name](raw)
+        except ValueError:
+            raise ConfigError("solver", name, f"not a number: {raw!r}") from None
+        if name.endswith("tol") and not kw[name] > 0:
+            raise ConfigError("solver", name, f"tolerance must be > 0, got {kw[name]!r}")
+    return SolverConfig(**kw)
 
 
 def _epsilon_list(cfg: RunConfig) -> list[float]:

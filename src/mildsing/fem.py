@@ -4,11 +4,20 @@ Stiffness and mass matrices use exact quadrature (P1 gradients are constant
 per element).  Dirichlet conditions are imposed by row/column elimination,
 which keeps the operator SPD and hole-node values exactly zero.  The linear
 solver is Jacobi-preconditioned conjugate gradients: deterministic and
-dependency-free.
+dependency-free.  ``solve_cg`` is the tested oracle behind every linear solve
+in the package: the Picard iteration and the eigenpair call it.
+
+Every CG reduction (dot products and 2-norms), and the inner products of the
+eigenpair iteration, are single-threaded: they go through ``_dot``, an
+``einsum`` with a fixed summation order.  BLAS ``ddot`` threads itself on
+long vectors (from about 129**2 entries in OpenBLAS); at these sizes that
+costs more CPU time than it saves wall time, and it makes the last digits of
+every result depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -184,6 +193,11 @@ def assemble_mass(mesh: Mesh, lumped: bool = False) -> SparseOperator:
     return SparseOperator(_restrict(mass_csr(mesh), free), free, mesh)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` in one thread, independent of the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 @dataclass
 class CGStats:
     iterations: int
@@ -204,21 +218,21 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
     rhs = np.asarray(rhs, dtype=float)
     if maxit is None:
         maxit = max(100, int(50.0 * np.sqrt(n)) + 1)
-    bnorm = float(np.linalg.norm(rhs))
+    bnorm = math.sqrt(_dot(rhs, rhs))
     if bnorm == 0.0:
         return np.zeros(n), CGStats(0, 0.0, True)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = rhs - A @ x
-    res = float(np.linalg.norm(r))
+    res = math.sqrt(_dot(r, r))
     if res <= tol * bnorm:
         return x, CGStats(0, res / bnorm, True)
     dinv = 1.0 / A.diagonal()
     z = dinv * r
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     for it in range(1, maxit + 1):
         Ap = A @ p
-        pAp = float(p @ Ap)
+        pAp = _dot(p, Ap)
         if pAp <= 0.0:
             raise IndefiniteOperatorError(
                 f"nonpositive curvature {pAp!r} at CG iteration {it}"
@@ -226,11 +240,11 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
         a = rz / pAp
         x += a * p
         r -= a * Ap
-        res = float(np.linalg.norm(r))
+        res = math.sqrt(_dot(r, r))
         if res <= tol * bnorm:
             return x, CGStats(it, res / bnorm, True)
         z = dinv * r
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise ConvergenceError(
@@ -275,14 +289,14 @@ def first_eigenpair(K: SparseOperator, M: SparseOperator, tol: float = 1e-10,
     """
     _check_symmetric(K.matrix)
     x = np.ones(K.n)
-    x /= np.sqrt(float(x @ (M.matrix @ x)))
-    lam = float(x @ (K.matrix @ x))
+    x /= math.sqrt(_dot(x, M.matrix @ x))
+    lam = _dot(x, K.matrix @ x)
     history = [lam]
     y = x / lam
     for _ in range(maxit):
         y, _ = solve_cg(K, M.matrix @ x, tol=1e-12, x0=y)
-        y /= np.sqrt(float(y @ (M.matrix @ y)))
-        lam_new = float(y @ (K.matrix @ y))
+        y /= math.sqrt(_dot(y, M.matrix @ y))
+        lam_new = _dot(y, K.matrix @ y)
         history.append(lam_new)
         done = abs(lam_new - lam) <= tol * abs(lam_new)
         x, lam = y, lam_new

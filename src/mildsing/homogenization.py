@@ -313,7 +313,7 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
         energy_eps = energy_product(FieldFunction(mesh, tilde.values), coeff)
         corrector = None
         eh1_corr = float("nan")
-        if coeff.is_symmetric:
+        if coeff.is_symmetric and spec.strategy == "resolved":
             corrector = corrector_field(mesh_eps, spec)
             eh1_corr = h1_seminorm(
                 FieldFunction(mesh, tilde.values - corrector.values * limit.u.values)

@@ -7,6 +7,13 @@ solved by a damped Picard iteration
 
 with nodal (vertex) quadrature ``m`` for the load, so the possibly singular
 ``F`` is only ever evaluated at nodes and the cap keeps every value finite.
+The Picard step is inexact: each CG solve of ``K v = b(u)`` starts from the
+current iterate ``x`` and stops once its residual is at most
+``max(cg_tol, _FORCING |b - K x| / |b|) |b|``, i.e. once it has reduced the
+step's own residual by the forcing term ``_FORCING = 1e-2``
+(Dembo, Eisenstat & Steihaug 1982).  Early steps, far from the fixed point,
+get cheap solves; near the fixed point the tolerance tightens with the
+residual down to ``cg_tol``, so the converged iterate is the same.
 Levels follow a doubling schedule with warm starts; the outer iteration
 stops when consecutive levels are Cauchy in the H1 seminorm.  The optional
 ``mu`` adds a zeroth-order absorption ``mu u`` (lumped), which is the limit
@@ -25,6 +32,7 @@ from .fem import (
     Coefficient,
     ConvergenceError,
     SparseOperator,
+    _dot,
     assemble_stiffness,
     energy_product,
     lumped_mass,
@@ -45,6 +53,10 @@ __all__ = [
     "ZeroSetReport",
     "levelset_energy_certificate",
 ]
+
+#: forcing term of the inexact Picard step: each CG solve reduces the step's
+#: own residual ``|b - K x|`` by this factor (floored at ``cg_tol``)
+_FORCING = 1e-2
 
 
 @dataclass(frozen=True)
@@ -179,8 +191,13 @@ def solve_level(mesh: Mesh, coeff: Coefficient, F: Nonlinearity, n: float,
     for k in range(1, cfg.max_inner + 1):
         u_full[free] = x
         rhs = truncated_rhs(F, FieldFunction(mesh, u_full.copy()), n)
-        v, cg = solve_cg(sys_.op, mlf * rhs.values[free], tol=cfg.cg_tol,
-                         maxit=cfg.cg_maxit, x0=x)
+        b = mlf * rhs.values[free]
+        tol = cfg.cg_tol
+        b2 = _dot(b, b)
+        if b2 > 0.0:
+            r = b - sys_.op.matvec(x)
+            tol = max(cfg.cg_tol, _FORCING * np.sqrt(_dot(r, r) / b2))
+        v, cg = solve_cg(sys_.op, b, tol=tol, maxit=cfg.cg_maxit, x0=x)
         cg_total += cg.iterations
         d = v - x
         dvals[free] = d
@@ -201,7 +218,7 @@ def solve_level(mesh: Mesh, coeff: Coefficient, F: Nonlinearity, n: float,
         if res <= cfg.inner_tol * unorm + cfg.inner_tol_abs:
             converged = True
             break
-        oscillatory = d_prev is not None and float(d @ d_prev) < 0.0
+        oscillatory = d_prev is not None and _dot(d, d_prev) < 0.0
         if cfg.slope_damping > 0.0:
             # weights already stabilize stiff nodes; only back off on gross
             # divergence or a sign-flipping near-neutral mode, and never

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from mildsing.cli import main, parse_config, run, suite
+import mildsing
+from mildsing.cli import build_solver_config, main, parse_config, run, suite
 
 SOLVE_CONFIG = """\
 [experiment]
@@ -88,6 +92,19 @@ def test_missing_data_file_is_config_error(tmp_path):
     assert run(path, out_dir=tmp_path / "o") == 2
 
 
+def test_unknown_solver_key_is_config_error(tmp_path, capsys):
+    path = write(tmp_path, "typo.ini", SOLVE_CONFIG + "\n[solver]\nmax_iner = 1\n")
+    assert run(path, out_dir=tmp_path / "o") == 2
+    assert "max_iner" in capsys.readouterr().err
+
+
+def test_every_solver_field_is_parsed():
+    cfg = parse_config(SOLVE_CONFIG + "\n[solver]\ncg_maxit = 7\nmax_inner = 9\n")
+    scfg = build_solver_config(cfg)
+    assert scfg.cg_maxit == 7
+    assert scfg.max_inner == 9
+
+
 def test_solve_run_outputs_are_deterministic(tmp_path):
     path = write(tmp_path, "solve.ini", SOLVE_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -98,6 +115,24 @@ def test_solve_run_outputs_are_deterministic(tmp_path):
     r2 = json.loads((out2 / "results.jsonl").read_text())
     r1.pop("artifacts"), r2.pop("artifacts")  # contain the differing out dirs
     assert r1 == r2
+
+
+def test_solve_run_output_independent_of_blas_threads(tmp_path):
+    # 129^2 vectors are long enough for OpenBLAS to thread its dot product;
+    # the CSV must not depend on how many threads it uses
+    path = write(tmp_path, "solve129.ini", SOLVE_CONFIG.replace(
+        "dim = 1\nnx = 129", "nx = 129\nny = 129"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mildsing.__file__)))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"out{len(outs)}"
+        subprocess.run([sys.executable, "-m", "mildsing.cli", "run", "--config", str(path),
+                        "--out", str(out)], env={**base, **extra}, check=True, timeout=300)
+        outs.append((out / "solution.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_nonuniqueness_run_records_distinct_solutions(tmp_path):

@@ -228,3 +228,20 @@ def test_homogenization_threaded_matches_serial():
     threaded = ms.homogenization_experiment(mesh, A, F, specs, threads=2)
     assert serial.metrics["eL2"] == threaded.metrics["eL2"]
     assert serial.metrics["finest_defect"] == threaded.metrics["finest_defect"]
+
+
+def test_collapsed_sweep_has_no_corrector():
+    # collapsed holes have no annulus to ramp across: the sweep runs and
+    # leaves the corrector column empty, and the corrector experiment
+    # refuses the outcome instead of inventing a profile
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 33, 33)
+    A = ms.Coefficient.identity(mesh)
+    F = nonlinearity(mesh, PowerLaw(0.5), f=1.0)
+    specs = [PerforationSpec(epsilon=e, target_mu=50.0, strategy="collapsed")
+             for e in (0.125, 0.0625)]
+    out = ms.homogenization_experiment(mesh, A, F, specs)
+    assert len(out.detail.entries) == 2
+    assert all(e.corrector is None and math.isnan(e.row["eH1_corr"])
+               for e in out.detail.entries)
+    with pytest.raises(ValueError, match="resolved"):
+        ms.corrector_experiment(out)

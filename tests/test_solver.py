@@ -165,3 +165,18 @@ def test_solver_nonconvergence_raises(unit_square_9):
     cfg = ms.SolverConfig(max_inner=2)
     with pytest.raises(ms.ConvergenceError):
         ms.solve_singular(unit_square_9, A, F, cfg)
+
+
+@pytest.mark.parametrize("g", [PowerLaw(0.5), ms.OscillatingPower(1.0)], ids=["power", "oscillating"])
+def test_inexact_picard_matches_exact_inner_solves(monkeypatch, g):
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 33, 33)
+    A = ms.Coefficient.identity(mesh)
+    F = nonlinearity(mesh, g, f=1.0)
+    cfg = ms.SolverConfig()
+    inexact = ms.solve_singular(mesh, A, F, cfg)
+    monkeypatch.setattr("mildsing.solver._FORCING", 0.0)  # every CG solve to cg_tol
+    exact = ms.solve_singular(mesh, A, F, cfg)
+    gap = ms.h1_seminorm(inexact.u - exact.u)
+    assert gap <= 10.0 * (cfg.outer_tol * ms.h1_seminorm(exact.u) + cfg.outer_tol_abs)
+    cg = [sum(st.cg_iterations for st in rep.level_stats) for rep in (inexact, exact)]
+    assert cg[0] < cg[1]
