@@ -190,7 +190,10 @@ def _field_value(cfg: RunConfig, mesh: Mesh, section: str, key: str, default: st
         path = os.path.join(base, rel)
         if not os.path.exists(path):
             raise ConfigError(section, key, f"referenced data file does not exist: {path}")
-        return read_field_csv(mesh, path).values
+        try:
+            return read_field_csv(mesh, path).values
+        except ValueError as exc:
+            raise ConfigError(section, key, f"bad data file {path}: {exc}") from None
     try:
         return float(raw)
     except ValueError:

@@ -128,17 +128,11 @@ class SparseOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
     def scatter(self, x_free: np.ndarray) -> np.ndarray:
         """Embed a free-node vector into the full nodal vector (zeros elsewhere)."""
         full = np.zeros(self.mesh.n_nodes)
         full[self.free] = x_free
         return full
-
-    def restrict(self, values: np.ndarray) -> np.ndarray:
-        return values[self.free]
 
 
 def stiffness_csr(mesh: Mesh, coeff: Coefficient) -> sp.csr_matrix:
@@ -206,10 +200,14 @@ class CGStats:
 
 
 def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
-             maxit: int | None = None, x0: np.ndarray | None = None) -> tuple[np.ndarray, CGStats]:
+             maxit: int | None = None, x0: np.ndarray | None = None,
+             forcing: float = 0.0) -> tuple[np.ndarray, CGStats]:
     """Jacobi-preconditioned CG on the free-node system.
 
-    Returns ``x`` with ``|op x - rhs| <= tol * |rhs|``.  Raises
+    Returns ``x`` with ``|op x - rhs| <= max(tol |rhs|, forcing |r0|)``,
+    where ``r0 = rhs - op x0`` is the residual of the starting guess: a
+    ``forcing`` in ``(0, 1)`` ends the solve once it has cut its own initial
+    residual by that factor (an inexact inner solve).  Raises
     ``ConvergenceError`` after ``maxit`` (default ``50 * sqrt(n)``) and
     ``IndefiniteOperatorError`` on negative curvature.  Deterministic.
     """
@@ -224,7 +222,8 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = rhs - A @ x
     res = math.sqrt(_dot(r, r))
-    if res <= tol * bnorm:
+    stop = max(tol * bnorm, forcing * res)
+    if res <= stop:
         return x, CGStats(0, res / bnorm, True)
     dinv = 1.0 / A.diagonal()
     z = dinv * r
@@ -241,7 +240,7 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
         x += a * p
         r -= a * Ap
         res = math.sqrt(_dot(r, r))
-        if res <= tol * bnorm:
+        if res <= stop:
             return x, CGStats(it, res / bnorm, True)
         z = dinv * r
         rz_new = _dot(r, z)

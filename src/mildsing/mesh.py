@@ -326,9 +326,6 @@ class FieldFunction:
         cols = [mesh.nodes[:, d] for d in range(mesh.dim)]
         return cls(mesh, np.asarray(fn(*cols), dtype=float) + np.zeros(mesh.n_nodes))
 
-    def with_values(self, values: np.ndarray) -> "FieldFunction":
-        return FieldFunction(self.mesh, np.asarray(values, dtype=float))
-
     def __add__(self, other: "FieldFunction") -> "FieldFunction":
         return FieldFunction(self.mesh, self.values + other.values)
 
@@ -406,15 +403,17 @@ def write_field_csv(path, field: FieldFunction | Mesh, values: np.ndarray | None
 def read_field_csv(mesh: Mesh, path) -> FieldFunction:
     """Read a field written by ``write_field_csv`` back onto ``mesh``."""
     values = np.zeros(mesh.n_nodes)
-    seen = 0
+    seen = np.zeros(mesh.n_nodes, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             i = int(row["index"])
             if not 0 <= i < mesh.n_nodes:
                 raise ValueError(f"node index {i} out of range for mesh with {mesh.n_nodes} nodes")
+            if seen[i]:
+                raise ValueError(f"node index {i} appears more than once in the field file")
             values[i] = float(row["value"])
-            seen += 1
-    if seen != mesh.n_nodes:
-        raise ValueError(f"field file has {seen} rows, mesh has {mesh.n_nodes} nodes")
+            seen[i] = True
+    if not seen.all():
+        raise ValueError(f"field file has {int(seen.sum())} rows, mesh has {mesh.n_nodes} nodes")
     return FieldFunction(mesh, values)

@@ -7,9 +7,14 @@ solved by a damped Picard iteration
 
 with nodal (vertex) quadrature ``m`` for the load, so the possibly singular
 ``F`` is only ever evaluated at nodes and the cap keeps every value finite.
+The step damping is per node, ``theta w_i`` with slope weights
+``w_i = 1 / (1 + _SLOPE_DAMPING m_i |dF/ds| / K_ii)``, and one adaptive
+``theta`` that starts at ``_THETA0``.  Step and iterate sizes are H1
+seminorms ``sqrt(v' L v)``, with ``L`` the identity stiffness over the free
+nodes, assembled once per system.
 The Picard step is inexact: each CG solve of ``K v = b(u)`` starts from the
 current iterate ``x`` and stops once its residual is at most
-``max(cg_tol, _FORCING |b - K x| / |b|) |b|``, i.e. once it has reduced the
+``max(cg_tol |b|, _FORCING |b - K x|)``, i.e. once it has reduced the
 step's own residual by the forcing term ``_FORCING = 1e-2``
 (Dembo, Eisenstat & Steihaug 1982).  Early steps, far from the fixed point,
 get cheap solves; near the fixed point the tolerance tightens with the
@@ -22,6 +27,7 @@ operator produced by shrinking perforations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +63,10 @@ __all__ = [
 #: forcing term of the inexact Picard step: each CG solve reduces the step's
 #: own residual ``|b - K x|`` by this factor (floored at ``cg_tol``)
 _FORCING = 1e-2
+#: ``c0`` of the slope weights ``1 / (1 + c0 m_i |dF/ds| / K_ii)``
+_SLOPE_DAMPING = 2.0
+#: initial Picard damping factor; also the step cap while stiff nodes remain
+_THETA0 = 0.5
 
 
 @dataclass(frozen=True)
@@ -75,8 +85,6 @@ class SolverConfig:
     outer_tol_abs: float = 1e-10
     max_levels: int = 24
     n_start: float = 1.0
-    theta0: float = 0.5
-    slope_damping: float = 2.0
     cg_tol: float = 1e-11
     cg_maxit: int | None = None
 
@@ -113,11 +121,19 @@ class SolveReport:
 
 @dataclass
 class _System:
-    """Assembled operator shared across levels of one solve."""
+    """Assembled operator shared across levels of one solve.
+
+    ``lap`` is the identity-coefficient stiffness over the free nodes:
+    ``sqrt(v' lap v)`` is the H1 seminorm of a free-node vector.
+    """
 
     op: SparseOperator
     ml: np.ndarray
     mu: float
+    lap: sp.csr_matrix
+
+    def h1(self, v: np.ndarray) -> float:
+        return math.sqrt(_dot(v, self.lap @ v))
 
 
 def _build_system(mesh: Mesh, coeff: Coefficient, mu: float) -> _System:
@@ -128,20 +144,24 @@ def _build_system(mesh: Mesh, coeff: Coefficient, mu: float) -> _System:
         op = SparseOperator(mat, K.free, mesh)
     else:
         op = K
-    return _System(op, ml, mu)
+    lap = assemble_stiffness(mesh, Coefficient.identity(mesh)).matrix
+    return _System(op, ml, mu, lap)
+
+
+def _capped(F: Nonlinearity, s: np.ndarray, n: float) -> np.ndarray:
+    """Nodal ``min(F(x, s), n)`` for ``s >= 0``."""
+    return np.minimum(F.evaluate(s), float(n))
 
 
 def truncated_rhs(F: Nonlinearity, u: FieldFunction, n: float) -> FieldFunction:
     """Nodal ``min(F(x, max(u, 0)), n)``: finite by construction, even at ``u = 0``."""
     if not n >= 1.0:
         raise ValueError(f"truncation level must be >= 1, got {n!r}")
-    vals = np.minimum(F.evaluate(np.maximum(u.values, 0.0)), float(n))
-    return FieldFunction(u.mesh, vals)
+    return FieldFunction(u.mesh, _capped(F, np.maximum(u.values, 0.0), n))
 
 
-def _slope_weights(F: Nonlinearity, u_full: np.ndarray, n: float, sys_: _System,
-                   c0: float) -> np.ndarray:
-    """Per-node damping weights ``1 / (1 + c0 m_i |dF/ds| / K_ii)``.
+def _slope_weights(F: Nonlinearity, s: np.ndarray, n: float, sys_: _System) -> np.ndarray:
+    """Per-node damping weights ``1 / (1 + _SLOPE_DAMPING m_i |dF/ds| / K_ii)`` at ``s >= 0``.
 
     Oscillating nonlinearities carry slopes of either sign that dwarf the
     local operator stiffness in the thin band where the solution is small;
@@ -152,13 +172,12 @@ def _slope_weights(F: Nonlinearity, u_full: np.ndarray, n: float, sys_: _System,
     by differences small enough to resolve the oscillation scale ``s**2``.
     """
     free = sys_.op.free
-    s = np.maximum(u_full, 0.0)
     eps = np.minimum(1e-3 * np.maximum(s, 1e-8), 0.02 * s * s) + 1e-14
-    up = np.minimum(F.evaluate(s + eps), n)
-    dn = np.minimum(F.evaluate(np.maximum(s - eps, 0.0)), n)
+    up = _capped(F, s + eps, n)
+    dn = _capped(F, np.maximum(s - eps, 0.0), n)
     slope = np.abs(up - dn)[free] / (2.0 * eps[free])
     kdiag = sys_.op.matrix.diagonal()
-    return 1.0 / (1.0 + c0 * sys_.ml[free] * slope / kdiag)
+    return 1.0 / (1.0 + _SLOPE_DAMPING * sys_.ml[free] * slope / kdiag)
 
 
 def solve_level(mesh: Mesh, coeff: Coefficient, F: Nonlinearity, n: float,
@@ -175,82 +194,54 @@ def solve_level(mesh: Mesh, coeff: Coefficient, F: Nonlinearity, n: float,
     free = sys_.op.free
     mlf = sys_.ml[free]
 
-    u_full = np.zeros(mesh.n_nodes)
-    if u0 is not None:
-        u_full[free] = u0.values[free]
-    x = u_full[free].copy()
+    x = np.zeros(free.size) if u0 is None else u0.values[free].copy()
+    u_full = np.zeros(mesh.n_nodes)  # F is evaluated at every node
 
-    theta = cfg.theta0
+    theta = _THETA0
     res_prev = np.inf
     res = np.inf
     cg_total = 0
     k = 0
     converged = False
-    dvals = np.zeros(mesh.n_nodes)
     d_prev = None
     for k in range(1, cfg.max_inner + 1):
         u_full[free] = x
-        rhs = truncated_rhs(F, FieldFunction(mesh, u_full.copy()), n)
-        b = mlf * rhs.values[free]
-        tol = cfg.cg_tol
-        b2 = _dot(b, b)
-        if b2 > 0.0:
-            r = b - sys_.op.matvec(x)
-            tol = max(cfg.cg_tol, _FORCING * np.sqrt(_dot(r, r) / b2))
-        v, cg = solve_cg(sys_.op, b, tol=tol, maxit=cfg.cg_maxit, x0=x)
+        s = np.maximum(u_full, 0.0)
+        b = mlf * _capped(F, s, n)[free]
+        v, cg = solve_cg(sys_.op, b, tol=cfg.cg_tol, maxit=cfg.cg_maxit, x0=x,
+                         forcing=_FORCING)
         cg_total += cg.iterations
         d = v - x
-        dvals[free] = d
-        res = h1_seminorm(dvals, mesh)
-        theta_cap = 1.0
-        if cfg.slope_damping > 0.0:
-            u_full[free] = x
-            w = _slope_weights(F, u_full, n, sys_, cfg.slope_damping)
-            if float(w.min(initial=1.0)) < 0.9:
-                # stiff nodes present: full steps eject them from the
-                # attracting branches they settle into at moderate damping
-                theta_cap = cfg.theta0
-            x = x + theta * (w * d)
-        else:
-            x = x + theta * d
-        u_full[free] = x
-        unorm = h1_seminorm(u_full, mesh)
-        if res <= cfg.inner_tol * unorm + cfg.inner_tol_abs:
+        res = sys_.h1(d)
+        w = _slope_weights(F, s, n, sys_)
+        # stiff nodes present: full steps eject them from the attracting
+        # branches they settle into at moderate damping
+        theta_cap = _THETA0 if float(w.min(initial=1.0)) < 0.9 else 1.0
+        x = x + theta * (w * d)
+        if res <= cfg.inner_tol * sys_.h1(x) + cfg.inner_tol_abs:
             converged = True
             break
         oscillatory = d_prev is not None and _dot(d, d_prev) < 0.0
-        if cfg.slope_damping > 0.0:
-            # weights already stabilize stiff nodes; only back off on gross
-            # divergence or a sign-flipping near-neutral mode, and never
-            # freeze (the capture of oscillatory nodes needs sustained steps)
-            if res > 1.5 * res_prev:
-                theta = max(0.5 * theta, 0.1 * cfg.theta0)
-            elif res > 0.97 * res_prev and oscillatory:
-                theta = max(0.5 * theta, 0.5 * cfg.theta0)
-            else:
-                theta = min(1.2 * theta, theta_cap)
+        # weights already stabilize stiff nodes; only back off on gross
+        # divergence or a sign-flipping near-neutral mode, and never
+        # freeze (the capture of oscillatory nodes needs sustained steps)
+        if res > 1.5 * res_prev:
+            theta = max(0.5 * theta, 0.1 * _THETA0)
+        elif res > 0.97 * res_prev and oscillatory:
+            theta = max(0.5 * theta, 0.5 * _THETA0)
         else:
-            if res > res_prev:
-                theta = max(0.5 * theta, 1e-3)
-            elif res > 0.97 * res_prev and oscillatory:
-                # near-neutral sign-flipping mode (marginal at gamma = 1):
-                # damping is the remedy, growth would stall the iteration
-                theta = max(0.5 * theta, 1e-3)
-            else:
-                theta = min(1.2 * theta, theta_cap)
+            theta = min(1.2 * theta, theta_cap)
         res_prev = res
         d_prev = d
 
-    out = np.zeros(mesh.n_nodes)
-    out[free] = x
     stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
                        theta=theta, cg_iterations=cg_total)
-    return FieldFunction(mesh, out), stats
+    return FieldFunction(mesh, sys_.op.scatter(x)), stats
 
 
 def _energy_identity_residual(u: FieldFunction, coeff: Coefficient, F: Nonlinearity,
                               cap: float, ml: np.ndarray, mu: float) -> float:
-    rhs_vals = np.minimum(F.evaluate(np.maximum(u.values, 0.0)), cap)
+    rhs_vals = _capped(F, np.maximum(u.values, 0.0), cap)
     rhs_e = float(np.sum(ml * rhs_vals * u.values))
     lhs_e = energy_product(u, coeff)
     if mu != 0.0:
@@ -334,7 +325,7 @@ def singular_mass_certificate(report: SolveReport, F: Nonlinearity, coeff: Coeff
     mesh = u.mesh
     ml = lumped_mass(mesh)
     mask = u.values <= delta
-    capped = np.minimum(F.evaluate(np.maximum(u.values, 0.0)), report.n_final)
+    capped = _capped(F, np.maximum(u.values, 0.0), report.n_final)
     lhs = float(np.sum(ml[mask] * capped[mask] * phi.values[mask]))
 
     gu = np.einsum("evd,ev->ed", mesh.grads, u.values[mesh.elements])

@@ -92,10 +92,11 @@ def test_missing_data_file_is_config_error(tmp_path):
     assert run(path, out_dir=tmp_path / "o") == 2
 
 
-def test_unknown_solver_key_is_config_error(tmp_path, capsys):
-    path = write(tmp_path, "typo.ini", SOLVE_CONFIG + "\n[solver]\nmax_iner = 1\n")
+@pytest.mark.parametrize("key", ["max_iner", "slope_damping", "theta0"])
+def test_unknown_solver_key_is_config_error(tmp_path, capsys, key):
+    path = write(tmp_path, "typo.ini", SOLVE_CONFIG + f"\n[solver]\n{key} = 1\n")
     assert run(path, out_dir=tmp_path / "o") == 2
-    assert "max_iner" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_every_solver_field_is_parsed():
@@ -290,3 +291,17 @@ f = csv:f.csv
 """
     path = write(tmp_path, "csvrun.ini", text)
     assert run(path, out_dir=tmp_path / "out") == 0
+
+
+def test_field_data_with_repeated_index_is_config_error(tmp_path, capsys):
+    import mildsing as ms
+
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 5, 5)
+    ms.write_field_csv(tmp_path / "f.csv", ms.FieldFunction.from_callable(mesh, lambda x, y: 1.0 + x))
+    lines = (tmp_path / "f.csv").read_text().splitlines(keepends=True)
+    lines[7] = lines[6]  # node 5 listed twice, node 6 left out
+    (tmp_path / "f.csv").write_text("".join(lines))
+    text = SOLVE_CONFIG.replace("dim = 1\nnx = 129", "nx = 5\nny = 5").replace("f = 1.0", "f = csv:f.csv")
+    path = write(tmp_path, "dup.ini", text)
+    assert run(path, out_dir=tmp_path / "out") == 2
+    assert "node index 5" in capsys.readouterr().err

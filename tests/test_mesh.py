@@ -170,6 +170,17 @@ def test_field_csv_roundtrip(tmp_path):
     assert np.array_equal(back.values, u.values)
 
 
+def test_field_csv_rejects_repeated_index(tmp_path):
+    m = ms.build_rectangle_mesh(1.0, 1.0, 5, 5)
+    path = tmp_path / "field.csv"
+    ms.write_field_csv(path, ms.FieldFunction.from_callable(m, lambda x, y: 1.0 + x * y))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[7] = lines[6]  # row count stays 25: node 5 twice, node 6 missing
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="node index 5 "):
+        ms.read_field_csv(m, path)
+
+
 def test_field_csv_deterministic_bytes(tmp_path):
     m = ms.build_rectangle_mesh(1.0, 1.0, 9, 9)
     u = ms.FieldFunction.from_callable(m, lambda x, y: x * y + 1.0 / 3.0)

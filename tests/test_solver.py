@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import mildsing as ms
 from mildsing import FieldFunction, PowerLaw, nonlinearity, truncated_rhs
+from mildsing.solver import _build_system
 
 from oracles import PEAK_GAMMA_1, PEAK_GAMMA_HALF, shooting_solution
 
@@ -180,3 +183,25 @@ def test_inexact_picard_matches_exact_inner_solves(monkeypatch, g):
     assert gap <= 10.0 * (cfg.outer_tol * ms.h1_seminorm(exact.u) + cfg.outer_tol_abs)
     cg = [sum(st.cg_iterations for st in rep.level_stats) for rep in (inexact, exact)]
     assert cg[0] < cg[1]
+
+
+def _perforated_anisotropic():
+    mesh = ms.perforate(ms.build_rectangle_mesh(1.0, 1.0, 33, 33),
+                        SimpleNamespace(epsilon=0.25, radius=0.1, strategy="resolved"))
+    return mesh, ms.Coefficient.constant(mesh, [[2.0, 0.5], [0.5, 1.0]])
+
+
+def _interval_isotropic():
+    mesh = ms.build_interval_mesh(1.0, 65)
+    return mesh, ms.Coefficient.isotropic(mesh, 3.0)
+
+
+@pytest.mark.parametrize("case", [_perforated_anisotropic, _interval_isotropic],
+                         ids=["perforated-2d", "interval"])
+def test_system_seminorm_equals_h1_seminorm(case):
+    mesh, A = case()
+    sys_ = _build_system(mesh, A, mu=5.0)
+    assert abs(sys_.lap - sys_.op.matrix).max() > 0.0  # the norm is not the operator's
+    d = np.random.default_rng(11).standard_normal(sys_.op.n)
+    full = sys_.op.scatter(d)
+    assert sys_.h1(d) == pytest.approx(ms.h1_seminorm(full, mesh), rel=1e-12)
