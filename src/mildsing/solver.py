@@ -153,10 +153,14 @@ def _capped(F: Nonlinearity, s: np.ndarray, n: float) -> np.ndarray:
     return np.minimum(F.evaluate(s), float(n))
 
 
-def truncated_rhs(F: Nonlinearity, u: FieldFunction, n: float) -> FieldFunction:
-    """Nodal ``min(F(x, max(u, 0)), n)``: finite by construction, even at ``u = 0``."""
+def _check_level(n: float) -> None:
     if not n >= 1.0:
         raise ValueError(f"truncation level must be >= 1, got {n!r}")
+
+
+def truncated_rhs(F: Nonlinearity, u: FieldFunction, n: float) -> FieldFunction:
+    """Nodal ``min(F(x, max(u, 0)), n)``: finite by construction, even at ``u = 0``."""
+    _check_level(n)
     return FieldFunction(u.mesh, _capped(F, np.maximum(u.values, 0.0), n))
 
 
@@ -188,8 +192,10 @@ def solve_level(mesh: Mesh, coeff: Coefficient, F: Nonlinearity, n: float,
 
     Non-convergence is reported in the returned stats (``converged=False``
     with the residual oscillation amplitude), not raised: near-degenerate
-    right-hand sides legitimately stall and the caller decides.
+    right-hand sides legitimately stall and the caller decides.  Raises
+    ``ValueError`` when ``n < 1``.
     """
+    _check_level(n)
     sys_ = system or _build_system(mesh, coeff, mu)
     free = sys_.op.free
     mlf = sys_.ml[free]

@@ -99,6 +99,12 @@ def test_unknown_solver_key_is_config_error(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
+def test_truncation_start_below_one_fails(tmp_path, capsys):
+    path = write(tmp_path, "n0.ini", SOLVE_CONFIG + "\n[solver]\nn_start = 0\n")
+    assert run(path, out_dir=tmp_path / "o") == 1
+    assert "truncation level must be >= 1" in capsys.readouterr().err
+
+
 def test_every_solver_field_is_parsed():
     cfg = parse_config(SOLVE_CONFIG + "\n[solver]\ncg_maxit = 7\nmax_inner = 9\n")
     scfg = build_solver_config(cfg)

@@ -59,6 +59,14 @@ def test_truncated_rhs_rejects_small_level(unit_square_9):
         truncated_rhs(F, FieldFunction.zeros(unit_square_9), 0.5)
 
 
+@pytest.mark.parametrize("n", [0.5, 0.0, -1.0, float("nan")])
+def test_solve_level_rejects_small_level(unit_square_9, n):
+    A = ms.Coefficient.identity(unit_square_9)
+    F = nonlinearity(unit_square_9, PowerLaw(1.0), f=1.0)
+    with pytest.raises(ValueError, match="truncation level"):
+        ms.solve_level(unit_square_9, A, F, n)
+
+
 def test_level_zero_rhs_converges_immediately(unit_square_9):
     A = ms.Coefficient.identity(unit_square_9)
     F = nonlinearity(unit_square_9, PowerLaw(1.0), f=0.0, l=0.0)
