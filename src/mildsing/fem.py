@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -128,6 +129,15 @@ class SparseOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        return self.matrix.diagonal()
+
+    @cached_property
+    def dinv(self) -> np.ndarray:
+        """Jacobi preconditioner ``1 / diag``, computed once per operator."""
+        return 1.0 / self.diagonal
+
     def scatter(self, x_free: np.ndarray) -> np.ndarray:
         """Embed a free-node vector into the full nodal vector (zeros elsewhere)."""
         full = np.zeros(self.mesh.n_nodes)
@@ -225,8 +235,7 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
     stop = max(tol * bnorm, forcing * res)
     if res <= stop:
         return x, CGStats(0, res / bnorm, True)
-    dinv = 1.0 / A.diagonal()
-    z = dinv * r
+    z = op.dinv * r
     p = z.copy()
     rz = _dot(r, z)
     for it in range(1, maxit + 1):
@@ -242,7 +251,7 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
         res = math.sqrt(_dot(r, r))
         if res <= stop:
             return x, CGStats(it, res / bnorm, True)
-        z = dinv * r
+        z = op.dinv * r
         rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -35,6 +35,7 @@ from .mesh import (
     OUTER_BOUNDARY,
     FieldFunction,
     Mesh,
+    _lattice,
     build_rectangle_mesh,
     extend_by_zero,
     h1_seminorm,
@@ -205,11 +206,7 @@ def corrector_field(mesh_eps: Mesh, spec: PerforationSpec,
         rho = spec.epsilon
     if not (r < rho < spec.epsilon * math.sqrt(2.0)):
         raise ValueError(f"annulus needs r < rho < eps*sqrt(2), got r={r!r}, rho={rho!r}")
-    d2 = np.full(mesh_eps.n_nodes, np.inf)
-    for c in report.centers:
-        dk = (mesh_eps.nodes[:, 0] - c[0]) ** 2 + (mesh_eps.nodes[:, 1] - c[1]) ** 2
-        np.minimum(d2, dk, out=d2)
-    d = np.sqrt(d2)
+    d = np.sqrt(_lattice(mesh_eps, spec.epsilon)[2])
     with np.errstate(divide="ignore"):
         prof = np.log(np.maximum(d, 0.0) / r) / math.log(rho / r)
     w = np.clip(prof, 0.0, 1.0)
@@ -294,7 +291,10 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     mus = {s.target_mu for s in specs}
     if len(mus) != 1 or None in mus:
         raise ValueError("all specs must share one prescribed target_mu")
-    mu = strange_term_formula(specs[0].dim, specs[0].C0).mu
+    dims = {s.dim for s in specs}
+    if dims != {mesh.dim}:
+        raise ValueError(f"spec dim {sorted(dims)} does not match the {mesh.dim}-D mesh")
+    mu = specs[0].mu
 
     limit = solve_limit_problem(mesh, coeff, F, mu, cfg)
     naive = solve_singular(mesh, coeff, F, cfg)
@@ -376,8 +376,7 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     return outcome
 
 
-def corrector_experiment(h_outcome: ExperimentOutcome,
-                         cfg: SolverConfig | None = None) -> ExperimentOutcome:
+def corrector_experiment(h_outcome: ExperimentOutcome) -> ExperimentOutcome:
     """The oscillating profile times the limit must beat the plain limit in H1.
 
     Consumes a finished homogenization sweep.  Pass requires, at every

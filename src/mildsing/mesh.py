@@ -46,7 +46,6 @@ INTERIOR = 0
 OUTER_BOUNDARY = 1
 HOLE = 2
 CLASS_NAMES = {INTERIOR: "interior", OUTER_BOUNDARY: "outer_boundary", HOLE: "hole"}
-_CLASS_IDS = {name: cid for cid, name in CLASS_NAMES.items()}
 
 #: float formatting used by every CSV writer (17 significant digits).
 FLOAT_FMT = "%.17g"
@@ -204,8 +203,22 @@ def build_interval_mesh(length: float, nx: int) -> Mesh:
     return Mesh(1, nx, 1, float(length), 0.0, nodes, elements, node_class)
 
 
-def _hole_centers(mesh: Mesh, epsilon: float) -> np.ndarray:
-    """Cell-centered lattice of hole centers for a cell size of ``2 * epsilon``."""
+def _nearest_on_grid(x, y, gx, gy, step):
+    """Index ``j * len(gx) + i`` and squared distance of the grid point ``(gx[i], gy[j])``
+    nearest each ``(x, y)``.  Only the 2 x 2 points around ``(x, y)`` can tie, even
+    after rounding: comparing them equals a full search bit for bit, ties to the lower index."""
+    def bracket(t, g):
+        i = np.clip(np.floor((t - g[0]) / step), 0, max(g.size - 2, 0)).astype(np.int64)
+        return np.stack([i, i + (g.size > 1)])
+
+    i, j = bracket(x, gx)[None], bracket(y, gy)[:, None]
+    d2 = ((x - gx[i]) ** 2 + (y - gy[j]) ** 2).reshape(4, -1)
+    best = np.argmin(d2, axis=0), np.arange(d2.shape[1])
+    return (j * gx.size + i).reshape(4, -1)[best], d2[best]
+
+
+def _lattice(mesh: Mesh, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centers of the ``2 * epsilon`` cells, each node's nearest center and its squared distance."""
     cell = 2.0 * epsilon
     mx = mesh.width / cell
     my = mesh.height / cell
@@ -213,11 +226,10 @@ def _hole_centers(mesh: Mesh, epsilon: float) -> np.ndarray:
         raise ValueError(
             f"domain {mesh.width} x {mesh.height} is not a whole number of 2*epsilon={cell} cells"
         )
-    mx, my = int(round(mx)), int(round(my))
-    cx = (2 * np.arange(mx) + 1) * epsilon
-    cy = (2 * np.arange(my) + 1) * epsilon
-    CX, CY = np.meshgrid(cx, cy, indexing="xy")
-    return np.column_stack([CX.ravel(), CY.ravel()])
+    cx = (2 * np.arange(int(round(mx))) + 1) * epsilon
+    cy = (2 * np.arange(int(round(my))) + 1) * epsilon
+    nearest, d2 = _nearest_on_grid(mesh.nodes[:, 0], mesh.nodes[:, 1], cx, cy, cell)
+    return np.column_stack([np.tile(cx, cy.size), np.repeat(cy, cx.size)]), nearest, d2
 
 
 def perforate(mesh: Mesh, spec) -> Mesh:
@@ -227,7 +239,8 @@ def perforate(mesh: Mesh, spec) -> Mesh:
     ``strategy`` (``"resolved"`` marks every node within ``radius`` of a hole
     center and needs ``h <= radius / 2``; ``"collapsed"`` marks the single
     nearest node per center and needs ``radius < h``).  Holes must stay
-    strictly inside the domain and away from each other.
+    strictly inside the domain and away from each other.  Closed form, no loop over holes:
+    a node's nearest center, or a center's nearest node, is one of the 2 x 2 around it.
     """
     if mesh.dim != 2:
         raise ValueError("perforation requires a 2-D mesh")
@@ -239,7 +252,7 @@ def perforate(mesh: Mesh, spec) -> Mesh:
     if r < 0:
         raise ValueError("radius must be nonnegative")
 
-    centers = _hole_centers(mesh, eps)
+    centers, nearest, d2 = _lattice(mesh, eps)
     n_holes = centers.shape[0]
 
     # geometric admissibility: strictly inside, pairwise disjoint
@@ -255,14 +268,6 @@ def perforate(mesh: Mesh, spec) -> Mesh:
             raise ValueError(f"holes of radius {r} overlap at lattice spacing {spacing}")
 
     h = mesh.h
-    d2 = np.full(mesh.n_nodes, np.inf)
-    nearest = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    for k, c in enumerate(centers):
-        dk = (mesh.nodes[:, 0] - c[0]) ** 2 + (mesh.nodes[:, 1] - c[1]) ** 2
-        closer = dk < d2
-        d2[closer] = dk[closer]
-        nearest[closer] = k
-
     if strategy == "resolved":
         if h > r / 2.0:
             raise ValueError(f"resolved strategy needs h <= r/2, got h={h!r}, r={r!r}")
@@ -270,10 +275,9 @@ def perforate(mesh: Mesh, spec) -> Mesh:
     elif strategy == "collapsed":
         if r >= h:
             raise ValueError(f"collapsed strategy needs r < h, got h={h!r}, r={r!r}")
+        xs, ys = mesh.nodes[: mesh.nx, 0], mesh.nodes[:: mesh.nx, 1]
         hole_mask = np.zeros(mesh.n_nodes, dtype=bool)
-        for k, c in enumerate(centers):
-            dk = (mesh.nodes[:, 0] - c[0]) ** 2 + (mesh.nodes[:, 1] - c[1]) ** 2
-            hole_mask[int(np.argmin(dk))] = True
+        hole_mask[_nearest_on_grid(centers[:, 0], centers[:, 1], xs, ys, h)[0]] = True
     else:
         raise ValueError(f"unknown hole strategy {strategy!r}")
 
@@ -283,18 +287,14 @@ def perforate(mesh: Mesh, spec) -> Mesh:
     node_class = np.array(mesh.node_class, dtype=np.int8)
     node_class[hole_mask] = HOLE
 
-    counts = np.bincount(nearest[hole_mask], minlength=n_holes)
     per_hole = np.zeros(n_holes)
-    for k in range(n_holes):
-        sel = hole_mask & (nearest == k)
-        if sel.any():
-            per_hole[k] = np.sqrt(d2[sel].max()) / h
+    np.maximum.at(per_hole, nearest[hole_mask], np.sqrt(d2[hole_mask]) / h)
     report = PerforationReport(
         n_holes=n_holes,
         radius=r,
         strategy=strategy,
         centers=centers,
-        nodes_per_hole=counts,
+        nodes_per_hole=np.bincount(nearest[hole_mask], minlength=n_holes),
         min_resolved_radius_h=float(per_hole.min()),
         max_resolved_radius_h=float(per_hole.max()),
     )
@@ -406,7 +406,12 @@ def read_field_csv(mesh: Mesh, path) -> FieldFunction:
     seen = np.zeros(mesh.n_nodes, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = sorted({"index", "value"} - set(reader.fieldnames or ()))
+        if missing:
+            raise ValueError(f"field file has no column {', '.join(missing)}")
         for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"line {reader.line_num}: field count differs from the header")
             i = int(row["index"])
             if not 0 <= i < mesh.n_nodes:
                 raise ValueError(f"node index {i} out of range for mesh with {mesh.n_nodes} nodes")

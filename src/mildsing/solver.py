@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -135,6 +136,11 @@ class _System:
     def h1(self, v: np.ndarray) -> float:
         return math.sqrt(_dot(v, self.lap @ v))
 
+    @cached_property
+    def mlf(self) -> np.ndarray:
+        """Lumped mass at the free nodes."""
+        return self.ml[self.op.free]
+
 
 def _build_system(mesh: Mesh, coeff: Coefficient, mu: float) -> _System:
     K = assemble_stiffness(mesh, coeff)
@@ -180,8 +186,7 @@ def _slope_weights(F: Nonlinearity, s: np.ndarray, n: float, sys_: _System) -> n
     up = _capped(F, s + eps, n)
     dn = _capped(F, np.maximum(s - eps, 0.0), n)
     slope = np.abs(up - dn)[free] / (2.0 * eps[free])
-    kdiag = sys_.op.matrix.diagonal()
-    return 1.0 / (1.0 + _SLOPE_DAMPING * sys_.ml[free] * slope / kdiag)
+    return 1.0 / (1.0 + _SLOPE_DAMPING * sys_.mlf * slope / sys_.op.diagonal)
 
 
 def solve_level(mesh: Mesh, coeff: Coefficient, F: Nonlinearity, n: float,
@@ -198,7 +203,6 @@ def solve_level(mesh: Mesh, coeff: Coefficient, F: Nonlinearity, n: float,
     _check_level(n)
     sys_ = system or _build_system(mesh, coeff, mu)
     free = sys_.op.free
-    mlf = sys_.ml[free]
 
     x = np.zeros(free.size) if u0 is None else u0.values[free].copy()
     u_full = np.zeros(mesh.n_nodes)  # F is evaluated at every node
@@ -213,7 +217,7 @@ def solve_level(mesh: Mesh, coeff: Coefficient, F: Nonlinearity, n: float,
     for k in range(1, cfg.max_inner + 1):
         u_full[free] = x
         s = np.maximum(u_full, 0.0)
-        b = mlf * _capped(F, s, n)[free]
+        b = sys_.mlf * _capped(F, s, n)[free]
         v, cg = solve_cg(sys_.op, b, tol=cfg.cg_tol, maxit=cfg.cg_maxit, x0=x,
                          forcing=_FORCING)
         cg_total += cg.iterations

@@ -2,12 +2,16 @@
 
 These deliberately avoid every package code path they are used to check:
 the two-point boundary value oracle integrates the ODE with an adaptive
-Runge-Kutta scheme and bisection, and the disk-node count enumerates grid
-points directly.
+Runge-Kutta scheme and bisection, the disk-node count enumerates grid
+points directly, and the hole lattice is searched hole by hole.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from mildsing.mesh import HOLE, OUTER_BOUNDARY
 
 #: closed-form peak of -u'' = u**-gamma on (0, 1), from the energy
 #: quadrature identity int_0^peak du / sqrt(2 (V(peak) - V(u))) = 1/2
@@ -66,3 +70,76 @@ def nodes_in_disk(mesh, center, radius) -> int:
     """Brute-force count of mesh nodes within ``radius`` of ``center``."""
     d2 = (mesh.nodes[:, 0] - center[0]) ** 2 + (mesh.nodes[:, 1] - center[1]) ** 2
     return int(np.count_nonzero(d2 <= radius * radius))
+
+
+def _lattice_by_search(mesh, epsilon):
+    """Hole centers, and each node's nearest one (lowest index on ties) and squared distance."""
+    cell = 2.0 * epsilon
+    mx, my = mesh.width / cell, mesh.height / cell
+    if abs(mx - round(mx)) > 1e-9 or abs(my - round(my)) > 1e-9:
+        raise ValueError(
+            f"domain {mesh.width} x {mesh.height} is not a whole number of 2*epsilon={cell} cells"
+        )
+    cx = (2 * np.arange(int(round(mx))) + 1) * epsilon
+    cy = (2 * np.arange(int(round(my))) + 1) * epsilon
+    CX, CY = np.meshgrid(cx, cy, indexing="xy")
+    centers = np.column_stack([CX.ravel(), CY.ravel()])
+    d2 = np.full(mesh.n_nodes, np.inf)
+    nearest = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    for k, c in enumerate(centers):
+        dk = (mesh.nodes[:, 0] - c[0]) ** 2 + (mesh.nodes[:, 1] - c[1]) ** 2
+        closer = dk < d2
+        d2[closer] = dk[closer]
+        nearest[closer] = k
+    return centers, nearest, d2
+
+
+def perforation_by_search(mesh, epsilon, radius, strategy):
+    """``(node_class, centers, nodes_per_hole, radius_h per hole)`` of a disk-hole lattice.
+
+    Searches every hole center for every node (resolved holes) and every node
+    for every center (collapsed holes), and raises ``perforate``'s
+    ``ValueError`` for the same inadmissible inputs, with the same message.
+    """
+    centers, nearest, d2 = _lattice_by_search(mesh, epsilon)
+    margin = np.minimum.reduce(
+        [centers[:, 0], mesh.width - centers[:, 0], centers[:, 1], mesh.height - centers[:, 1]]
+    )
+    if np.any(margin <= radius):
+        bad = int(np.argmin(margin))
+        raise ValueError(
+            f"hole at {tuple(centers[bad])} with radius {radius} touches the outer boundary"
+        )
+    if centers.shape[0] > 1 and 2.0 * epsilon <= 2.0 * radius:
+        raise ValueError(f"holes of radius {radius} overlap at lattice spacing {2.0 * epsilon}")
+    h = mesh.h
+    if strategy == "resolved":
+        if h > radius / 2.0:
+            raise ValueError(f"resolved strategy needs h <= r/2, got h={h!r}, r={radius!r}")
+        hole = d2 <= radius * radius
+    else:
+        if radius >= h:
+            raise ValueError(f"collapsed strategy needs r < h, got h={h!r}, r={radius!r}")
+        hole = np.zeros(mesh.n_nodes, dtype=bool)
+        for c in centers:
+            dk = (mesh.nodes[:, 0] - c[0]) ** 2 + (mesh.nodes[:, 1] - c[1]) ** 2
+            hole[int(np.argmin(dk))] = True
+    if np.any(hole & (mesh.node_class == OUTER_BOUNDARY)):
+        raise ValueError("a hole swallowed an outer boundary node")
+    node_class = np.where(hole, HOLE, mesh.node_class).astype(np.int8)
+    counts = np.bincount(nearest[hole], minlength=centers.shape[0])
+    radius_h = np.zeros(centers.shape[0])
+    for k in range(centers.shape[0]):
+        sel = hole & (nearest == k)
+        if sel.any():
+            radius_h[k] = np.sqrt(d2[sel].max()) / h
+    return node_class, centers, counts, radius_h
+
+
+def corrector_by_search(mesh_eps, epsilon, radius, rho):
+    """``ln(d / r) / ln(rho / r)`` clamped to ``[0, 1]``, zero on hole nodes, ``d`` by search."""
+    d = np.sqrt(_lattice_by_search(mesh_eps, epsilon)[2])
+    with np.errstate(divide="ignore"):
+        w = np.clip(np.log(d / radius) / math.log(rho / radius), 0.0, 1.0)
+    w[mesh_eps.node_class == HOLE] = 0.0
+    return w

@@ -299,15 +299,34 @@ f = csv:f.csv
     assert run(path, out_dir=tmp_path / "out") == 0
 
 
-def test_field_data_with_repeated_index_is_config_error(tmp_path, capsys):
+def _repeat_node_5(lines):
+    lines[7] = lines[6]  # node 5 listed twice, node 6 left out
+    return lines
+
+
+def _rename_columns(lines):
+    lines[0] = "a,b,c,d,e\n"
+    return lines
+
+
+def _cut_row(lines):
+    lines[3] = lines[3].rsplit(",", 1)[0] + "\n"  # node 2 loses its value
+    return lines
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_repeat_node_5, "node index 5"),
+    (_rename_columns, "no column index, value"),
+    (_cut_row, "line 4: field count"),
+], ids=["repeated_index", "missing_columns", "short_row"])
+def test_field_data_with_repeated_index_is_config_error(tmp_path, capsys, corrupt, message):
     import mildsing as ms
 
     mesh = ms.build_rectangle_mesh(1.0, 1.0, 5, 5)
     ms.write_field_csv(tmp_path / "f.csv", ms.FieldFunction.from_callable(mesh, lambda x, y: 1.0 + x))
     lines = (tmp_path / "f.csv").read_text().splitlines(keepends=True)
-    lines[7] = lines[6]  # node 5 listed twice, node 6 left out
-    (tmp_path / "f.csv").write_text("".join(lines))
+    (tmp_path / "f.csv").write_text("".join(corrupt(lines)))
     text = SOLVE_CONFIG.replace("dim = 1\nnx = 129", "nx = 5\nny = 5").replace("f = 1.0", "f = csv:f.csv")
     path = write(tmp_path, "dup.ini", text)
     assert run(path, out_dir=tmp_path / "out") == 2
-    assert "node index 5" in capsys.readouterr().err
+    assert message in capsys.readouterr().err

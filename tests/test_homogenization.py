@@ -204,6 +204,12 @@ def test_homogenization_validates_specs():
             PerforationSpec(epsilon=0.25, target_mu=50.0),
             PerforationSpec(epsilon=0.125, target_mu=60.0),
         ])
+    # 3-D radius law on a 2-D mesh: those holes' capacity density is not mu
+    with pytest.raises(ValueError, match="does not match the 2-D mesh"):
+        ms.homogenization_experiment(mesh, A, F, [
+            PerforationSpec(epsilon=0.125, dim=3, target_mu=50.0),
+            PerforationSpec(epsilon=0.0625, dim=3, target_mu=50.0),
+        ])
 
 
 def test_homogenization_drops_unresolvable_epsilon():

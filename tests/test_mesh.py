@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mildsing as ms
 from mildsing.mesh import CLASS_NAMES, HOLE, INTERIOR, OUTER_BOUNDARY
 
-from oracles import nodes_in_disk
+from oracles import corrector_by_search, nodes_in_disk, perforation_by_search
 
 
 class Holes:
@@ -120,6 +124,61 @@ def test_perforate_rejects_bad_geometry():
     m1 = ms.build_interval_mesh(1.0, 9)
     with pytest.raises(ValueError):
         ms.perforate(m1, Holes(epsilon=0.25, radius=0.05))
+
+
+@st.composite
+def hole_lattices(draw):
+    """``(width, height, nx, cells across the short side, strategy, radius)``.
+
+    ``epsilon = min(width, height) / (2 * cells across)``, dyadic or not;
+    resolved radii lie below ``epsilon`` and collapsed ones below ``h``.
+    """
+    width, height = draw(st.sampled_from([(1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (2.0, 2.0)]))
+    # on a domain twice as wide as high, nx - 1 is even so that ny is whole
+    nx = 2 * draw(st.integers(4, 32)) + 1 if width > height else draw(st.integers(9, 65))
+    k = draw(st.integers(1, 12))
+    epsilon = min(width, height) / (2 * k)
+    strategy = draw(st.sampled_from(["resolved", "collapsed"]))
+    h = width / (nx - 1)
+    if strategy == "collapsed":
+        return width, height, nx, k, strategy, draw(st.floats(0.0, h, exclude_max=True))
+    low = draw(st.sampled_from([0.0, 2.0 * h] if 2.0 * h < epsilon else [0.0]))  # 2 h: resolvable
+    return width, height, nx, k, strategy, draw(st.floats(low, epsilon, exclude_max=True))
+
+
+def _lattice_mesh(width, height, nx):
+    return ms.build_rectangle_mesh(width, height, nx, round((nx - 1) * height / width) + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=hole_lattices(), rho_frac=st.floats(0.0, 1.0))
+# rounding ties: centers halfway between nodes, and radii a rounding below epsilon
+@example(case=(1.0, 1.0, 13, 4, "collapsed", 0.0), rho_frac=0.5)
+@example(case=(1.0, 1.0, 19, 3, "resolved", 0.16666666666666663), rho_frac=0.9)
+@example(case=(2.0, 2.0, 65, 10, "resolved", 0.0625), rho_frac=0.5)
+def test_perforation_matches_search_over_holes(case, rho_frac):
+    width, height, nx, k, strategy, radius = case
+    mesh = _lattice_mesh(width, height, nx)
+    holes = Holes(epsilon=min(width, height) / (2 * k), radius=radius, strategy=strategy)
+    try:
+        node_class, centers, counts, radius_h = perforation_by_search(
+            mesh, holes.epsilon, radius, strategy)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            ms.perforate(mesh, holes)
+        assert str(raised.value) == str(exc)
+        return
+    p = ms.perforate(mesh, holes)
+    assert np.array_equal(p.node_class, node_class)
+    assert np.array_equal(p.perforation.centers, centers)
+    assert np.array_equal(p.perforation.nodes_per_hole, counts)
+    assert p.perforation.min_resolved_radius_h == radius_h.min()
+    assert p.perforation.max_resolved_radius_h == radius_h.max()
+    if strategy == "resolved":
+        for rho in (holes.epsilon, radius + rho_frac * (holes.epsilon * math.sqrt(2.0) - radius)):
+            if radius < rho < holes.epsilon * math.sqrt(2.0):
+                w = ms.corrector_field(p, holes, rho=rho).values
+                assert np.array_equal(w, corrector_by_search(p, holes.epsilon, radius, rho))
 
 
 def test_extension_zero_and_identity_cases():
