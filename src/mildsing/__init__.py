@@ -31,14 +31,12 @@ from .fem import (
 )
 from .homogenization import (
     PerforationSpec,
-    StrangeTerm,
     corrector_experiment,
     corrector_field,
     discrete_capacity,
     homogenization_experiment,
     prescribed_mu_radius,
     radius_law,
-    solve_limit_problem,
     strange_term_formula,
 )
 from .mesh import (

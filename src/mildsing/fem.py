@@ -81,7 +81,6 @@ class Coefficient:
 
     matrices: np.ndarray
     alpha: float
-    linf: float
 
     def __post_init__(self) -> None:
         self.matrices.setflags(write=False)
@@ -95,7 +94,7 @@ class Coefficient:
         alpha = float(_sym_eig_min(mats).min())
         if alpha <= 0.0:
             raise ValueError(f"coefficient is not coercive: min eigenvalue {alpha!r} <= 0")
-        return cls(mats, alpha, float(np.abs(mats).max()))
+        return cls(mats, alpha)
 
     @classmethod
     def isotropic(cls, mesh: Mesh, a: float = 1.0) -> "Coefficient":

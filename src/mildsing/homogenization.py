@@ -9,6 +9,9 @@ critical scaling contributes, in the limit, a zeroth-order absorption
 * ``strange_term_formula``: ``mu = (pi / 2) C0`` (dim 3) and
   ``mu = pi / (2 C0)`` (dim 2).
 
+The limit problem ``-div A Du + mu u = F(x, u)`` is
+``solve_singular(..., mu=mu)``.
+
 The 2-D exponential law is unresolvable on desk-scale grids for small
 ``eps``, so sweep experiments use the prescribed-``mu`` parametrization
 ``C0 = pi / (2 mu)`` with the radius ``r(eps) = eps * exp(-C0 / eps**2)``,
@@ -47,13 +50,11 @@ from .verification import ExperimentOutcome
 
 __all__ = [
     "PerforationSpec",
-    "StrangeTerm",
     "radius_law",
     "strange_term_formula",
     "prescribed_mu_radius",
     "discrete_capacity",
     "corrector_field",
-    "solve_limit_problem",
     "homogenization_experiment",
     "corrector_experiment",
     "write_sweep_csv",
@@ -89,27 +90,15 @@ def prescribed_mu_radius(epsilon: float, dim: int, C0: float) -> float:
     return epsilon * math.exp(-C0 / epsilon**2)
 
 
-@dataclass(frozen=True)
-class StrangeTerm:
-    """Constant absorption density appearing in the limit problem."""
-
-    mu: float
-    provenance: str = "formula"
-
-    def __post_init__(self) -> None:
-        if self.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu!r}")
-
-
-def strange_term_formula(dim: int, C0: float) -> StrangeTerm:
-    """Limit absorption density of the critical lattice of disk/ball holes."""
+def strange_term_formula(dim: int, C0: float) -> float:
+    """Limit absorption density ``mu`` of the critical lattice of disk/ball holes."""
     if C0 <= 0:
         raise ValueError("C0 must be positive")
     if dim == 2:
-        return StrangeTerm(math.pi / (2.0 * C0), "formula")
+        return math.pi / (2.0 * C0)
     if dim == 3:
         # surface of the unit sphere is 4 pi: 4 pi * (3 - 2) / 2**3 * C0
-        return StrangeTerm(0.5 * math.pi * C0, "formula")
+        return 0.5 * math.pi * C0
     raise ValueError(f"dim must be 2 or 3, got {dim}")
 
 
@@ -157,7 +146,7 @@ class PerforationSpec:
 
     @property
     def mu(self) -> float:
-        return strange_term_formula(self.dim, self.C0).mu
+        return strange_term_formula(self.dim, self.C0)
 
 
 def discrete_capacity(R_outer: float, r_inner: float, mesh_h: float,
@@ -212,17 +201,6 @@ def corrector_field(mesh_eps: Mesh, spec: PerforationSpec,
     w = np.clip(prof, 0.0, 1.0)
     w[mesh_eps.node_class == HOLE] = 0.0
     return FieldFunction(mesh_eps, w)
-
-
-def solve_limit_problem(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
-                        mu: StrangeTerm | float, cfg: SolverConfig = SolverConfig(),
-                        u0: FieldFunction | None = None) -> SolveReport:
-    """Solve ``-div A Du + mu u = F(x, u)``: the scheme of ``solve_singular``
-    with the absorption added to the operator (identical code path at ``mu = 0``)."""
-    mu_val = mu.mu if isinstance(mu, StrangeTerm) else float(mu)
-    if mu_val < 0:
-        raise ValueError("mu must be nonnegative")
-    return solve_singular(mesh, coeff, F, cfg, u0=u0, mu=mu_val)
 
 
 SWEEP_COLUMNS = [
@@ -296,7 +274,7 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
         raise ValueError(f"spec dim {sorted(dims)} does not match the {mesh.dim}-D mesh")
     mu = specs[0].mu
 
-    limit = solve_limit_problem(mesh, coeff, F, mu, cfg)
+    limit = solve_singular(mesh, coeff, F, cfg, mu=mu)
     naive = solve_singular(mesh, coeff, F, cfg)
     energy_limit = energy_product(limit.u, coeff)
     mass_mu = mu * l2_norm(limit.u) ** 2

@@ -376,14 +376,9 @@ def extend_by_zero(u: FieldFunction) -> FieldFunction:
     return u
 
 
-def write_field_csv(path, field: FieldFunction | Mesh, values: np.ndarray | None = None) -> None:
+def write_field_csv(path, field: FieldFunction) -> None:
     """Dump ``(node index, x, y, class, value)`` rows with 17-digit floats."""
-    if isinstance(field, FieldFunction):
-        mesh, values = field.mesh, field.values
-    else:
-        mesh = field
-        if values is None:
-            values = np.zeros(mesh.n_nodes)
+    mesh, values = field.mesh, field.values
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "x", "y", "class", "value"])

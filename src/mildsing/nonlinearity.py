@@ -166,8 +166,11 @@ def _as_nodal(mesh: Mesh, data, name: str) -> np.ndarray:
     arr = np.asarray(data, dtype=float) + np.zeros(mesh.n_nodes)
     if arr.shape != (mesh.n_nodes,):
         raise ValueError(f"{name} has shape {arr.shape}, expected ({mesh.n_nodes},)")
-    if np.any(arr < 0.0):
-        raise ValueError(f"{name} must be nonnegative everywhere (min {arr.min()!r})")
+    bad = np.flatnonzero(~(np.isfinite(arr) & (arr >= 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{name} must be finite and nonnegative everywhere "
+                         f"(node {i} has {float(arr[i])!r})")
     return arr
 
 

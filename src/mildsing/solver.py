@@ -14,15 +14,15 @@ seminorms ``sqrt(v' L v)``, with ``L`` the identity stiffness over the free
 nodes, assembled once per system.
 The Picard step is inexact: each CG solve of ``K v = b(u)`` starts from the
 current iterate ``x`` and stops once its residual is at most
-``max(cg_tol |b|, _FORCING |b - K x|)``, i.e. once it has reduced the
+``max(_CG_TOL |b|, _FORCING |b - K x|)``, i.e. once it has reduced the
 step's own residual by the forcing term ``_FORCING = 1e-2``
 (Dembo, Eisenstat & Steihaug 1982).  Early steps, far from the fixed point,
 get cheap solves; near the fixed point the tolerance tightens with the
-residual down to ``cg_tol``, so the converged iterate is the same.
+residual down to ``_CG_TOL``, so the converged iterate is the same.
 Levels follow a doubling schedule with warm starts; the outer iteration
-stops when consecutive levels are Cauchy in the H1 seminorm.  The optional
-``mu`` adds a zeroth-order absorption ``mu u`` (lumped), which is the limit
-operator produced by shrinking perforations.
+stops when consecutive levels are Cauchy in the H1 seminorm.
+``solve_singular(mu=...)`` adds the lumped absorption ``mu u``: that is the
+limit problem ``-div A Du + mu u = F(x, u)`` of shrinking perforations.
 """
 
 from __future__ import annotations
@@ -62,8 +62,10 @@ __all__ = [
 ]
 
 #: forcing term of the inexact Picard step: each CG solve reduces the step's
-#: own residual ``|b - K x|`` by this factor (floored at ``cg_tol``)
+#: own residual ``|b - K x|`` by this factor (floored at ``_CG_TOL``)
 _FORCING = 1e-2
+#: floor of each Picard step's CG tolerance, relative to ``|b|``
+_CG_TOL = 1e-11
 #: ``c0`` of the slope weights ``1 / (1 + c0 m_i |dF/ds| / K_ii)``
 _SLOPE_DAMPING = 2.0
 #: initial Picard damping factor; also the step cap while stiff nodes remain
@@ -86,8 +88,6 @@ class SolverConfig:
     outer_tol_abs: float = 1e-10
     max_levels: int = 24
     n_start: float = 1.0
-    cg_tol: float = 1e-11
-    cg_maxit: int | None = None
 
 
 @dataclass
@@ -112,8 +112,6 @@ class SolveReport:
     history: list[float]
     h1_norms: list[float]
     level_stats: list[LevelStats] = field(repr=False, default_factory=list)
-    mu: float = 0.0
-    converged: bool = True
 
     @property
     def final_gap(self) -> float:
@@ -191,17 +189,16 @@ def _slope_weights(F: Nonlinearity, s: np.ndarray, n: float, sys_: _System) -> n
 
 def solve_level(mesh: Mesh, coeff: Coefficient, F: Nonlinearity, n: float,
                 cfg: SolverConfig = SolverConfig(), u0: FieldFunction | None = None,
-                mu: float = 0.0, system: _System | None = None
-                ) -> tuple[FieldFunction, LevelStats]:
+                system: _System | None = None) -> tuple[FieldFunction, LevelStats]:
     """Damped Picard iteration for the level-``n`` capped problem.
 
     Non-convergence is reported in the returned stats (``converged=False``
     with the residual oscillation amplitude), not raised: near-degenerate
-    right-hand sides legitimately stall and the caller decides.  Raises
-    ``ValueError`` when ``n < 1``.
+    right-hand sides legitimately stall and the caller decides.  ``system``
+    carries ``mu`` (``0`` without it).  Raises ``ValueError`` when ``n < 1``.
     """
     _check_level(n)
-    sys_ = system or _build_system(mesh, coeff, mu)
+    sys_ = system or _build_system(mesh, coeff, 0.0)
     free = sys_.op.free
 
     x = np.zeros(free.size) if u0 is None else u0.values[free].copy()
@@ -218,8 +215,7 @@ def solve_level(mesh: Mesh, coeff: Coefficient, F: Nonlinearity, n: float,
         u_full[free] = x
         s = np.maximum(u_full, 0.0)
         b = sys_.mlf * _capped(F, s, n)[free]
-        v, cg = solve_cg(sys_.op, b, tol=cfg.cg_tol, maxit=cfg.cg_maxit, x0=x,
-                         forcing=_FORCING)
+        v, cg = solve_cg(sys_.op, b, tol=_CG_TOL, x0=x, forcing=_FORCING)
         cg_total += cg.iterations
         d = v - x
         res = sys_.h1(d)
@@ -264,9 +260,12 @@ def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
                    mu: float = 0.0) -> SolveReport:
     """Doubling truncation schedule with warm starts until levels are Cauchy in H1.
 
-    Raises ``ConvergenceError`` when an inner iteration stalls or the level
-    sequence is not Cauchy within ``cfg.max_levels``.
+    Raises ``ValueError`` unless ``mu >= 0``, and ``ConvergenceError`` when an
+    inner iteration stalls or the level sequence is not Cauchy within
+    ``cfg.max_levels``.
     """
+    if not mu >= 0.0:
+        raise ValueError(f"mu must be nonnegative, got {mu!r}")
     sys_ = _build_system(mesh, coeff, mu)
     u = u0
     n = cfg.n_start
@@ -277,7 +276,7 @@ def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     h1_prev = 0.0
     converged = False
     for level in range(cfg.max_levels):
-        u_new, st = solve_level(mesh, coeff, F, n, cfg, u0=u, mu=mu, system=sys_)
+        u_new, st = solve_level(mesh, coeff, F, n, cfg, u0=u, system=sys_)
         stats_list.append(st)
         inner_total += st.iterations
         if not st.converged:
@@ -313,7 +312,6 @@ def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
         history=history,
         h1_norms=h1_norms,
         level_stats=stats_list,
-        mu=mu,
     )
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -92,11 +93,22 @@ def test_missing_data_file_is_config_error(tmp_path):
     assert run(path, out_dir=tmp_path / "o") == 2
 
 
-@pytest.mark.parametrize("key", ["max_iner", "slope_damping", "theta0"])
-def test_unknown_solver_key_is_config_error(tmp_path, capsys, key):
-    path = write(tmp_path, "typo.ini", SOLVE_CONFIG + f"\n[solver]\n{key} = 1\n")
+@pytest.mark.parametrize("section, key", [
+    ("solver", "max_iner"), ("solver", "slope_damping"), ("solver", "theta0"),
+    ("solver", "cg_tol"), ("solver", "cg_maxit"), ("nonlinearity", "gama"),
+    ("solve", "energy_tl"), ("mesh2", "nx"),
+], ids=["max_iner", "slope_damping", "theta0", "cg_tol", "cg_maxit", "gama", "energy_tl",
+        "mesh2"])
+def test_unknown_solver_key_is_config_error(tmp_path, capsys, section, key):
+    # the key goes into its section if the config has one (a second header is a
+    # syntax error), else into a new section at the end
+    header = f"[{section}]\n"
+    text = (SOLVE_CONFIG.replace(header, f"{header}{key} = 0.5\n") if header in SOLVE_CONFIG
+            else f"{SOLVE_CONFIG}\n{header}{key} = 0.5\n")
+    path = write(tmp_path, "typo.ini", text)
     assert run(path, out_dir=tmp_path / "o") == 2
-    assert key in capsys.readouterr().err
+    assert f"[{section}] {key}: unknown" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "solution.csv").exists()  # rejected before the solve
 
 
 def test_truncation_start_below_one_fails(tmp_path, capsys):
@@ -106,10 +118,11 @@ def test_truncation_start_below_one_fails(tmp_path, capsys):
 
 
 def test_every_solver_field_is_parsed():
-    cfg = parse_config(SOLVE_CONFIG + "\n[solver]\ncg_maxit = 7\nmax_inner = 9\n")
+    values = {f.name: 2 + i for i, f in enumerate(fields(mildsing.SolverConfig))}
+    cfg = parse_config(SOLVE_CONFIG + "\n[solver]\n"
+                       + "".join(f"{k} = {v}\n" for k, v in values.items()))
     scfg = build_solver_config(cfg)
-    assert scfg.cg_maxit == 7
-    assert scfg.max_inner == 9
+    assert {k: getattr(scfg, k) for k in values} == values
 
 
 def test_solve_run_outputs_are_deterministic(tmp_path):
@@ -314,11 +327,17 @@ def _cut_row(lines):
     return lines
 
 
+def _nan_at_node_12(lines):
+    lines[13] = lines[13].rsplit(",", 1)[0] + ",nan\n"
+    return lines
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_repeat_node_5, "node index 5"),
     (_rename_columns, "no column index, value"),
     (_cut_row, "line 4: field count"),
-], ids=["repeated_index", "missing_columns", "short_row"])
+    (_nan_at_node_12, "f must be finite and nonnegative everywhere (node 12 has nan)"),
+], ids=["repeated_index", "missing_columns", "short_row", "nan_value"])
 def test_field_data_with_repeated_index_is_config_error(tmp_path, capsys, corrupt, message):
     import mildsing as ms
 

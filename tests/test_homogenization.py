@@ -33,15 +33,15 @@ def test_prescribed_mu_radius_value():
 
 
 def test_strange_term_formula_values():
-    assert ms.strange_term_formula(2, 1.0).mu == pytest.approx(math.pi / 2.0, rel=1e-14)
-    assert ms.strange_term_formula(3, 1.0).mu == pytest.approx(math.pi / 2.0, rel=1e-14)
-    assert ms.strange_term_formula(2, math.pi / 100.0).mu == pytest.approx(50.0, rel=1e-14)
+    assert ms.strange_term_formula(2, 1.0) == pytest.approx(math.pi / 2.0, rel=1e-14)
+    assert ms.strange_term_formula(3, 1.0) == pytest.approx(math.pi / 2.0, rel=1e-14)
+    assert ms.strange_term_formula(2, math.pi / 100.0) == pytest.approx(50.0, rel=1e-14)
 
 
 def test_prescribed_mu_roundtrip():
     spec = PerforationSpec(epsilon=0.125, target_mu=50.0)
     assert spec.C0 == pytest.approx(math.pi / 100.0, rel=1e-14)
-    assert ms.strange_term_formula(2, spec.C0).mu == pytest.approx(50.0, rel=1e-12)
+    assert ms.strange_term_formula(2, spec.C0) == pytest.approx(50.0, rel=1e-12)
     # the prescribed radius makes the per-cell capacity density exactly mu
     density = 2.0 * math.pi / math.log(spec.epsilon / spec.radius) / (2 * spec.epsilon) ** 2
     assert density == pytest.approx(50.0, rel=1e-12)
@@ -54,8 +54,6 @@ def test_spec_validation():
         PerforationSpec(epsilon=0.125)
     with pytest.raises(ValueError):
         PerforationSpec(epsilon=0.125, C0=1.0, target_mu=50.0)
-    with pytest.raises(ValueError):
-        ms.StrangeTerm(-1.0)
     # raw 2-D law at these parameters gives r > eps: geometrically impossible
     with pytest.raises(ValueError):
         PerforationSpec(epsilon=0.125, C0=math.pi / 100.0)
@@ -88,9 +86,8 @@ def test_discrete_capacity_rejects_unresolved():
 def test_per_cell_capacity_density_matches_mu():
     spec = PerforationSpec(epsilon=0.125, target_mu=50.0)
     cap = ms.discrete_capacity(spec.epsilon, spec.radius, 1.0 / 256.0)
-    measured = ms.StrangeTerm(cap / (2.0 * spec.epsilon) ** 2, "discrete_capacity")
-    assert abs(measured.mu - 50.0) <= 0.1 * 50.0
-    assert measured.provenance == "discrete_capacity"
+    measured_mu = cap / (2.0 * spec.epsilon) ** 2
+    assert abs(measured_mu - 50.0) <= 0.1 * 50.0
 
 
 @pytest.fixture(scope="module")

@@ -23,6 +23,16 @@ def test_nonnegative_data_enforced(mesh):
         nonlinearity(mesh, PowerLaw(0.5), f=1.0, l=-2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["f", "l", "h"])
+def test_non_finite_data_rejected(mesh, name, bad):
+    # a NaN passes ``< 0`` checks and, in ``f``, would silently act as ``f = 0``
+    data = np.ones(mesh.n_nodes)
+    data[12] = bad
+    with pytest.raises(ValueError, match=rf"{name} must be finite .* \(node 12 has {bad!r}\)"):
+        nonlinearity(mesh, PowerLaw(0.5), **{"f": 1.0, name: data})
+
+
 def test_power_blows_up_only_at_zero(mesh):
     F = nonlinearity(mesh, PowerLaw(0.5), f=1.0, l=1.0)
     at0 = F.evaluate_at(0.0)

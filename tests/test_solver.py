@@ -129,11 +129,12 @@ def test_warm_started_levels_match_report_history(interval, interval_A):
     assert all(st.converged for st in rep.level_stats)
 
 
-def test_limit_problem_mu_zero_bit_identical(unit_square_65, identity_65):
-    F = nonlinearity(unit_square_65, PowerLaw(0.5), f=1.0)
-    a = ms.solve_singular(unit_square_65, identity_65, F)
-    b = ms.solve_limit_problem(unit_square_65, identity_65, F, 0.0)
-    assert np.array_equal(a.u.values, b.u.values)
+@pytest.mark.parametrize("mu", [-1.0, float("nan")])
+def test_solve_singular_rejects_bad_mu(unit_square_9, mu):
+    A = ms.Coefficient.identity(unit_square_9)
+    F = nonlinearity(unit_square_9, PowerLaw(1.0), f=0.0, l=1.0)
+    with pytest.raises(ValueError, match="mu must be nonnegative"):
+        ms.solve_singular(unit_square_9, A, F, mu=mu)
 
 
 def test_limit_problem_strong_absorption(unit_square_65, identity_65):
@@ -144,7 +145,7 @@ def test_limit_problem_strong_absorption(unit_square_65, identity_65):
     A = ms.Coefficient.identity(mesh)
     F = nonlinearity(mesh, PowerLaw(1.0), f=0.0, l=1.0)
     mu = 50.0
-    rep = ms.solve_limit_problem(mesh, A, F, mu)
+    rep = ms.solve_singular(mesh, A, F, mu=mu)
     peak = rep.u.values.max()
     assert abs(peak - 1.0 / mu) <= 0.11 / mu
     assert abs(peak - 1.0 / mu) == pytest.approx(0.10181 / mu, rel=1e-2)
@@ -159,7 +160,7 @@ def test_limit_problem_against_refined_reference():
     sols = {}
     for mesh in (coarse, fine):
         F = nonlinearity(mesh, PowerLaw(1.0), f=0.0, l=1.0)
-        sols[mesh.nx] = ms.solve_limit_problem(mesh, ms.Coefficient.identity(mesh), F, mu)
+        sols[mesh.nx] = ms.solve_singular(mesh, ms.Coefficient.identity(mesh), F, mu=mu)
     ix, iy = np.meshgrid(np.arange(0, 129, 2), np.arange(0, 129, 2), indexing="xy")
     on_coarse = (iy * 129 + ix).ravel()
     u_f = sols[129].u.values[on_coarse]
@@ -185,7 +186,7 @@ def test_inexact_picard_matches_exact_inner_solves(monkeypatch, g):
     F = nonlinearity(mesh, g, f=1.0)
     cfg = ms.SolverConfig()
     inexact = ms.solve_singular(mesh, A, F, cfg)
-    monkeypatch.setattr("mildsing.solver._FORCING", 0.0)  # every CG solve to cg_tol
+    monkeypatch.setattr("mildsing.solver._FORCING", 0.0)  # every CG solve to _CG_TOL
     exact = ms.solve_singular(mesh, A, F, cfg)
     gap = ms.h1_seminorm(inexact.u - exact.u)
     assert gap <= 10.0 * (cfg.outer_tol * ms.h1_seminorm(exact.u) + cfg.outer_tol_abs)
