@@ -20,7 +20,6 @@ from .fem import (
     SparseOperator,
     assemble_mass,
     assemble_stiffness,
-    dump_operator,
     energy_product,
     first_eigenpair,
     l2_norm,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fem import Coefficient, ConvergenceError, norms
+from .fem import Coefficient, ConvergenceError, assemble_stiffness, norms
 from .homogenization import (
     PerforationSpec,
     corrector_experiment,
@@ -234,7 +234,7 @@ def build_nonlinearity(cfg: RunConfig, mesh: Mesh, coeff: Coefficient,
         k = cfg.get_float(section, "k", 1.0, positive=True)
         rate_raw = cfg.get(section, "rate", "auto")
         if rate_raw == "auto":
-            rate, _ = _lambda1(mesh, coeff)
+            rate, _ = _lambda1(assemble_stiffness(mesh, coeff))
         else:
             try:
                 rate = float(rate_raw)
@@ -273,9 +273,11 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
             kw[f.name] = _SOLVER_CASTS[f.type](raw)
         except ValueError:
             raise ConfigError("solver", f.name, f"not a number: {raw!r}") from None
-        if f.name.endswith("tol") and not kw[f.name] > 0:
-            raise ConfigError("solver", f.name, f"tolerance must be > 0, got {kw[f.name]!r}")
-    return SolverConfig(**kw)
+    try:
+        return SolverConfig(**kw)
+    except ValueError as exc:
+        key, _, message = str(exc).partition(" ")  # the message starts with the field name
+        raise ConfigError("solver", key, message) from None
 
 
 def _epsilon_list(cfg: RunConfig) -> list[float]:

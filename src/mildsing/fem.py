@@ -45,7 +45,6 @@ __all__ = [
     "norms",
     "l2_norm",
     "energy_product",
-    "dump_operator",
 ]
 
 
@@ -118,7 +117,13 @@ class Coefficient:
 
 @dataclass
 class SparseOperator:
-    """Symmetric sparse matrix over the free (non-Dirichlet, non-hole) nodes."""
+    """Sparse matrix over the free (non-Dirichlet, non-hole) nodes.
+
+    Cached on first use, once per operator: ``diagonal``, the Jacobi
+    preconditioner ``dinv``, the lumped mass ``ml`` at the free nodes and the
+    identity-coefficient stiffness ``lap``.  ``h1(v) = sqrt(v' lap v)`` is
+    the H1 seminorm of a free-node vector (it vanishes at the other nodes).
+    """
 
     matrix: sp.csr_matrix
     free: np.ndarray
@@ -136,6 +141,17 @@ class SparseOperator:
     def dinv(self) -> np.ndarray:
         """Jacobi preconditioner ``1 / diag``, computed once per operator."""
         return 1.0 / self.diagonal
+
+    @cached_property
+    def ml(self) -> np.ndarray:
+        return lumped_mass(self.mesh)[self.free]
+
+    @cached_property
+    def lap(self) -> sp.csr_matrix:
+        return _restrict(stiffness_csr(self.mesh, Coefficient.identity(self.mesh)), self.free)
+
+    def h1(self, v: np.ndarray) -> float:
+        return math.sqrt(_dot(v, self.lap @ v))
 
     def scatter(self, x_free: np.ndarray) -> np.ndarray:
         """Embed a free-node vector into the full nodal vector (zeros elsewhere)."""
@@ -181,10 +197,19 @@ def _restrict(mat: sp.csr_matrix, free: np.ndarray) -> sp.csr_matrix:
     return mat[free][:, free].tocsr()
 
 
-def assemble_stiffness(mesh: Mesh, coeff: Coefficient) -> SparseOperator:
-    """Stiffness operator over the free nodes (Dirichlet/hole rows eliminated)."""
+def assemble_stiffness(mesh: Mesh, coeff: Coefficient, mu: float = 0.0) -> SparseOperator:
+    """Operator of ``-div A D. + mu .`` over the free nodes (Dirichlet/hole rows eliminated).
+
+    The absorption ``mu`` acts through the lumped mass ``ml``.  Raises
+    ``ValueError`` unless ``mu >= 0``.
+    """
+    if not mu >= 0.0:
+        raise ValueError(f"mu must be nonnegative, got {mu!r}")
     free = mesh.free_nodes
-    return SparseOperator(_restrict(stiffness_csr(mesh, coeff), free), free, mesh)
+    op = SparseOperator(_restrict(stiffness_csr(mesh, coeff), free), free, mesh)
+    if mu != 0.0:
+        op.matrix = (op.matrix + sp.diags(mu * op.ml)).tocsr()
+    return op
 
 
 def assemble_mass(mesh: Mesh, lumped: bool = False) -> SparseOperator:
@@ -357,10 +382,3 @@ def norms(u: FieldFunction, coeff: Coefficient) -> Norms:
         energy=energy_product(u, coeff),
     )
 
-
-def dump_operator(op: SparseOperator, path) -> None:
-    """Coordinate-format text dump ``row col value`` for debugging."""
-    coo = op.matrix.tocoo()
-    with open(path, "w") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {v:.17g}\n")

@@ -9,9 +9,9 @@ with nodal (vertex) quadrature ``m`` for the load, so the possibly singular
 ``F`` is only ever evaluated at nodes and the cap keeps every value finite.
 The step damping is per node, ``theta w_i`` with slope weights
 ``w_i = 1 / (1 + _SLOPE_DAMPING m_i |dF/ds| / K_ii)``, and one adaptive
-``theta`` that starts at ``_THETA0``.  Step and iterate sizes are H1
-seminorms ``sqrt(v' L v)``, with ``L`` the identity stiffness over the free
-nodes, assembled once per system.
+``theta`` that starts at ``_THETA0``.  Every level of a solve runs on the
+one operator ``assemble_stiffness(mesh, coeff, mu)``; its cached members
+give ``m``, the Jacobi preconditioner and the H1 seminorm of steps and iterates.
 The Picard step is inexact: each CG solve of ``K v = b(u)`` starts from the
 current iterate ``x`` and stops once its residual is at most
 ``max(_CG_TOL |b|, _FORCING |b - K x|)``, i.e. once it has reduced the
@@ -27,12 +27,9 @@ limit problem ``-div A Du + mu u = F(x, u)`` of shrinking perforations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cutoffs import gk, z_delta
 from .fem import (
@@ -79,6 +76,9 @@ class SolverConfig:
     ``inner_tol`` bounds the undamped fixed-point residual
     ``|K^-1 load(u) - u|_H1`` relative to ``|u|_H1`` (plus the absolute
     floor); ``outer_tol`` bounds the level-to-level gap the same way.
+    Raises ``ValueError``, with a message that starts with the field name,
+    unless every tolerance is finite and ``> 0`` and ``max_inner`` and
+    ``max_levels`` are at least 1.  ``n_start`` is checked by the first level.
     """
 
     inner_tol: float = 1e-8
@@ -88,6 +88,14 @@ class SolverConfig:
     outer_tol_abs: float = 1e-10
     max_levels: int = 24
     n_start: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("inner_tol", "inner_tol_abs", "outer_tol", "outer_tol_abs"):
+            if not 0.0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        for name in ("max_inner", "max_levels"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -118,40 +126,6 @@ class SolveReport:
         return self.history[-1] if self.history else 0.0
 
 
-@dataclass
-class _System:
-    """Assembled operator shared across levels of one solve.
-
-    ``lap`` is the identity-coefficient stiffness over the free nodes:
-    ``sqrt(v' lap v)`` is the H1 seminorm of a free-node vector.
-    """
-
-    op: SparseOperator
-    ml: np.ndarray
-    mu: float
-    lap: sp.csr_matrix
-
-    def h1(self, v: np.ndarray) -> float:
-        return math.sqrt(_dot(v, self.lap @ v))
-
-    @cached_property
-    def mlf(self) -> np.ndarray:
-        """Lumped mass at the free nodes."""
-        return self.ml[self.op.free]
-
-
-def _build_system(mesh: Mesh, coeff: Coefficient, mu: float) -> _System:
-    K = assemble_stiffness(mesh, coeff)
-    ml = lumped_mass(mesh)
-    if mu != 0.0:
-        mat = (K.matrix + sp.diags(mu * ml[K.free])).tocsr()
-        op = SparseOperator(mat, K.free, mesh)
-    else:
-        op = K
-    lap = assemble_stiffness(mesh, Coefficient.identity(mesh)).matrix
-    return _System(op, ml, mu, lap)
-
-
 def _capped(F: Nonlinearity, s: np.ndarray, n: float) -> np.ndarray:
     """Nodal ``min(F(x, s), n)`` for ``s >= 0``."""
     return np.minimum(F.evaluate(s), float(n))
@@ -168,7 +142,7 @@ def truncated_rhs(F: Nonlinearity, u: FieldFunction, n: float) -> FieldFunction:
     return FieldFunction(u.mesh, _capped(F, np.maximum(u.values, 0.0), n))
 
 
-def _slope_weights(F: Nonlinearity, s: np.ndarray, n: float, sys_: _System) -> np.ndarray:
+def _slope_weights(F: Nonlinearity, s: np.ndarray, n: float, op: SparseOperator) -> np.ndarray:
     """Per-node damping weights ``1 / (1 + _SLOPE_DAMPING m_i |dF/ds| / K_ii)`` at ``s >= 0``.
 
     Oscillating nonlinearities carry slopes of either sign that dwarf the
@@ -179,30 +153,30 @@ def _slope_weights(F: Nonlinearity, s: np.ndarray, n: float, sys_: _System) -> n
     attracting branch.  The slope of the capped right-hand side is probed
     by differences small enough to resolve the oscillation scale ``s**2``.
     """
-    free = sys_.op.free
+    free = op.free
     eps = np.minimum(1e-3 * np.maximum(s, 1e-8), 0.02 * s * s) + 1e-14
     up = _capped(F, s + eps, n)
     dn = _capped(F, np.maximum(s - eps, 0.0), n)
     slope = np.abs(up - dn)[free] / (2.0 * eps[free])
-    return 1.0 / (1.0 + _SLOPE_DAMPING * sys_.mlf * slope / sys_.op.diagonal)
+    return 1.0 / (1.0 + _SLOPE_DAMPING * op.ml * slope / op.diagonal)
 
 
-def solve_level(mesh: Mesh, coeff: Coefficient, F: Nonlinearity, n: float,
-                cfg: SolverConfig = SolverConfig(), u0: FieldFunction | None = None,
-                system: _System | None = None) -> tuple[FieldFunction, LevelStats]:
-    """Damped Picard iteration for the level-``n`` capped problem.
+def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
+                cfg: SolverConfig = SolverConfig(),
+                u0: FieldFunction | None = None) -> tuple[FieldFunction, LevelStats]:
+    """Damped Picard iteration for the level-``n`` capped problem on ``op``.
 
-    Non-convergence is reported in the returned stats (``converged=False``
-    with the residual oscillation amplitude), not raised: near-degenerate
-    right-hand sides legitimately stall and the caller decides.  ``system``
-    carries ``mu`` (``0`` without it).  Raises ``ValueError`` when ``n < 1``.
+    ``op`` is the assembled operator from ``assemble_stiffness(mesh, coeff,
+    mu)``.  Non-convergence is reported in the returned stats
+    (``converged=False`` with the residual oscillation amplitude), not
+    raised: near-degenerate right-hand sides legitimately stall and the
+    caller decides.  Raises ``ValueError`` when ``n < 1``.
     """
     _check_level(n)
-    sys_ = system or _build_system(mesh, coeff, 0.0)
-    free = sys_.op.free
+    free = op.free
 
     x = np.zeros(free.size) if u0 is None else u0.values[free].copy()
-    u_full = np.zeros(mesh.n_nodes)  # F is evaluated at every node
+    u_full = np.zeros(op.mesh.n_nodes)  # F is evaluated at every node
 
     theta = _THETA0
     res_prev = np.inf
@@ -214,17 +188,17 @@ def solve_level(mesh: Mesh, coeff: Coefficient, F: Nonlinearity, n: float,
     for k in range(1, cfg.max_inner + 1):
         u_full[free] = x
         s = np.maximum(u_full, 0.0)
-        b = sys_.mlf * _capped(F, s, n)[free]
-        v, cg = solve_cg(sys_.op, b, tol=_CG_TOL, x0=x, forcing=_FORCING)
+        b = op.ml * _capped(F, s, n)[free]
+        v, cg = solve_cg(op, b, tol=_CG_TOL, x0=x, forcing=_FORCING)
         cg_total += cg.iterations
         d = v - x
-        res = sys_.h1(d)
-        w = _slope_weights(F, s, n, sys_)
+        res = op.h1(d)
+        w = _slope_weights(F, s, n, op)
         # stiff nodes present: full steps eject them from the attracting
         # branches they settle into at moderate damping
         theta_cap = _THETA0 if float(w.min(initial=1.0)) < 0.9 else 1.0
         x = x + theta * (w * d)
-        if res <= cfg.inner_tol * sys_.h1(x) + cfg.inner_tol_abs:
+        if res <= cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs:
             converged = True
             break
         oscillatory = d_prev is not None and _dot(d, d_prev) < 0.0
@@ -242,7 +216,7 @@ def solve_level(mesh: Mesh, coeff: Coefficient, F: Nonlinearity, n: float,
 
     stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
                        theta=theta, cg_iterations=cg_total)
-    return FieldFunction(mesh, sys_.op.scatter(x)), stats
+    return FieldFunction(op.mesh, op.scatter(x)), stats
 
 
 def _energy_identity_residual(u: FieldFunction, coeff: Coefficient, F: Nonlinearity,
@@ -260,13 +234,12 @@ def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
                    mu: float = 0.0) -> SolveReport:
     """Doubling truncation schedule with warm starts until levels are Cauchy in H1.
 
+    Assembles ``assemble_stiffness(mesh, coeff, mu)`` once for all levels.
     Raises ``ValueError`` unless ``mu >= 0``, and ``ConvergenceError`` when an
     inner iteration stalls or the level sequence is not Cauchy within
     ``cfg.max_levels``.
     """
-    if not mu >= 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu!r}")
-    sys_ = _build_system(mesh, coeff, mu)
+    op = assemble_stiffness(mesh, coeff, mu)
     u = u0
     n = cfg.n_start
     history: list[float] = []
@@ -276,7 +249,7 @@ def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     h1_prev = 0.0
     converged = False
     for level in range(cfg.max_levels):
-        u_new, st = solve_level(mesh, coeff, F, n, cfg, u0=u, system=sys_)
+        u_new, st = solve_level(op, F, n, cfg, u0=u)
         stats_list.append(st)
         inner_total += st.iterations
         if not st.converged:
@@ -302,7 +275,7 @@ def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
             f"truncation levels not Cauchy after {cfg.max_levels} levels",
             history=history,
         )
-    resid = _energy_identity_residual(u, coeff, F, n, sys_.ml, mu)
+    resid = _energy_identity_residual(u, coeff, F, n, lumped_mass(mesh), mu)
     return SolveReport(
         u=u,
         n_final=n,

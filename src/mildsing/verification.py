@@ -12,10 +12,11 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fem import (
     Coefficient,
-    assemble_mass,
+    SparseOperator,
     assemble_stiffness,
     first_eigenpair,
     lumped_mass,
@@ -89,18 +90,16 @@ def _effective_lambda(F: Nonlinearity) -> float:
     return F.lambda_mono if np.isfinite(F.lambda_mono) else estimate_lambda_mono(F)
 
 
-def _lambda1(mesh: Mesh, coeff: Coefficient) -> tuple[float, FieldFunction]:
-    """First eigenpair of the symmetrized operator with lumped mass.
+def _lambda1(op: SparseOperator) -> tuple[float, FieldFunction]:
+    """First eigenpair of the operator's symmetric part ``(K + K') / 2`` with lumped mass.
 
-    The lumped mass matches the nodal quadrature used for nonlinear loads,
-    so the eigenpair is the one the fixed-point map actually sees.
+    The lumped mass ``op.ml`` matches the nodal quadrature used for nonlinear
+    loads, so the eigenpair is the one the fixed-point map actually sees.
     """
-    sym = Coefficient.from_matrices(
-        mesh, 0.5 * (coeff.matrices + np.swapaxes(coeff.matrices, 1, 2))
-    )
-    K = assemble_stiffness(mesh, sym)
-    M = assemble_mass(mesh, lumped=True)
-    return first_eigenpair(K, M, tol=1e-12)
+    K = op.matrix
+    sym = SparseOperator((0.5 * (K + K.T)).tocsr(), op.free, op.mesh)
+    M = SparseOperator(sp.diags(op.ml).tocsr(), op.free, op.mesh)
+    return first_eigenpair(sym, M, tol=1e-12)
 
 
 def _check_dominated(F1: Nonlinearity, F2: Nonlinearity) -> None:
@@ -136,7 +135,7 @@ def comparison_experiment(mesh: Mesh, coeff: Coefficient, F1: Nonlinearity,
     eigenvalue.
     """
     _check_dominated(F1, F2)
-    lam1, _ = _lambda1(mesh, coeff)
+    lam1, _ = _lambda1(assemble_stiffness(mesh, coeff))
     lam_a, lam_b = _effective_lambda(F1), _effective_lambda(F2)
     if min(lam_a, lam_b) > LAMBDA_MARGIN * lam1:
         raise ValueError(
@@ -178,7 +177,7 @@ def uniqueness_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     """
     if n_starts < 2:
         raise ValueError("need at least 2 starts")
-    lam1, _ = _lambda1(mesh, coeff)
+    lam1, _ = _lambda1(assemble_stiffness(mesh, coeff))
     lam = _effective_lambda(F)
     if enforce_margin and not lam <= LAMBDA_MARGIN * lam1:
         raise ValueError(
@@ -228,7 +227,8 @@ def nonuniqueness_experiment(mesh: Mesh, coeff: Coefficient, k: float = 1.0,
     """
     if not coeff.is_symmetric:
         raise ValueError("the degenerate-family construction needs a symmetric coefficient")
-    lam1, phi1 = _lambda1(mesh, coeff)
+    op = assemble_stiffness(mesh, coeff)
+    lam1, phi1 = _lambda1(op)
     linf_phi = float(np.abs(phi1.values).max())
     F = nonlinearity(mesh, EigenTruncation(lam1, k), f=1.0, gamma=1.0)
 
@@ -241,7 +241,7 @@ def nonuniqueness_experiment(mesh: Mesh, coeff: Coefficient, k: float = 1.0,
     t_fit, residuals, fields, convs = [], [], [], []
     for t0 in t_starts:
         start = FieldFunction(mesh, t0 * phi1.values)
-        u, st = solve_level(mesh, coeff, F, n0, cfg, u0=start)
+        u, st = solve_level(op, F, n0, cfg, u0=start)
         convs.append(st.converged)
         fields.append(u)
         denom = float(np.sum(ml * phi1.values * phi1.values))
@@ -297,11 +297,12 @@ def stability_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     if stab_tol is None:
         stab_tol = 10.0 * (cfg.outer_tol * ref_norm + cfg.outer_tol_abs)
 
+    op = assemble_stiffness(mesh, coeff)
     errors = []
     u_prev = None
     all_converged = True
     for n in levels:
-        u, st = solve_level(mesh, coeff, F, n, cfg, u0=u_prev)
+        u, st = solve_level(op, F, n, cfg, u0=u_prev)
         all_converged &= st.converged
         errors.append(h1_seminorm(u - ref.u))
         u_prev = u

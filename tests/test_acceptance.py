@@ -36,7 +36,7 @@ def power_half_solves():
         coeff = ms.Coefficient.identity(mesh)
         F = nonlinearity(mesh, PowerLaw(0.5), f=1.0)
         report = ms.solve_singular(mesh, coeff, F)
-        lam, phi = _lambda1(mesh, coeff)
+        lam, phi = _lambda1(ms.assemble_stiffness(mesh, coeff))
         out[n - 1] = (mesh, coeff, F, report, phi)
     return out
 

@@ -12,7 +12,7 @@ def solved_square():
     A = ms.Coefficient.identity(mesh)
     F = nonlinearity(mesh, PowerLaw(0.5), f=1.0)
     rep = ms.solve_singular(mesh, A, F)
-    lam, phi = _lambda1(mesh, A)
+    lam, phi = _lambda1(ms.assemble_stiffness(mesh, A))
     return mesh, A, F, rep, phi
 
 

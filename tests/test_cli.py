@@ -117,6 +117,19 @@ def test_truncation_start_below_one_fails(tmp_path, capsys):
     assert "truncation level must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("outer_tol", "inf", "finite and > 0"), ("inner_tol_abs", "inf", "finite and > 0"),
+    ("inner_tol", "0", "finite and > 0"), ("max_inner", "0", "at least 1"),
+    ("max_inner", "-5", "at least 1"), ("max_levels", "0", "at least 1"),
+], ids=["outer_tol_inf", "inner_tol_abs_inf", "inner_tol_zero", "max_inner_0",
+        "max_inner_neg", "max_levels_0"])
+def test_solver_range_is_config_error(tmp_path, capsys, key, value, message):
+    path = write(tmp_path, "range.ini", f"{SOLVE_CONFIG}\n[solver]\n{key} = {value}\n")
+    assert run(path, out_dir=tmp_path / "o") == 2
+    assert f"[solver] {key}: must be {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "solution.csv").exists()
+
+
 def test_every_solver_field_is_parsed():
     values = {f.name: 2 + i for i, f in enumerate(fields(mildsing.SolverConfig))}
     cfg = parse_config(SOLVE_CONFIG + "\n[solver]\n"

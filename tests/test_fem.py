@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mildsing as ms
 from mildsing.fem import lumped_mass, mass_csr, stiffness_csr
@@ -151,16 +154,53 @@ def test_rayleigh_quotient_lower_bound(unit_square_65, identity_65):
         assert rq >= lam * (1.0 - 1e-10)
 
 
-def test_weak_maximum_principle(unit_square_65):
-    # M-matrix property: nonnegative load gives a nonnegative solution
-    m = unit_square_65
-    A = ms.Coefficient.from_matrices(
-        m, np.einsum("e,ij->eij", 1.0 + 0.5 * np.cos(7.0 * np.arange(m.n_elements)), np.eye(2)))
-    K = ms.assemble_stiffness(m, A)
-    rng = np.random.default_rng(11)
-    rhs = rng.random(K.n) * lumped_mass(m)[m.free_nodes]
-    x, _ = ms.solve_cg(K, rhs)
-    assert x.min() >= -1e-12
+@st.composite
+def isotropic_problems(draw):
+    """``(mesh, A, mu, seed)``: a 5**2 to 33**2 square, perforated or not, or an interval.
+
+    Sizes are dyadic or not.  Holes follow the admissible lattice
+    ``epsilon = 1 / (2 k) >= h``: resolved radii in ``[2 h, epsilon)``,
+    collapsed ones below ``h``.  ``A`` is a random positive multiple of the identity on
+    each element (anisotropic ``A`` can break the sign pattern).
+    """
+    nx = draw(st.integers(5, 33))
+    if draw(st.booleans()):
+        mesh = ms.build_interval_mesh(1.0, nx)
+    else:
+        mesh = ms.build_rectangle_mesh(1.0, 1.0, nx, nx)
+        h = 1.0 / (nx - 1)
+        k = draw(st.integers(0, min(4, (nx - 1) // 2)))  # 0: no holes; epsilon >= h
+        if k:
+            epsilon = 1.0 / (2 * k)
+            if 2.0 * h < epsilon and draw(st.booleans()):
+                holes = SimpleNamespace(epsilon=epsilon, strategy="resolved",
+                                        radius=draw(st.floats(2.0 * h, epsilon, exclude_max=True)))
+            else:
+                holes = SimpleNamespace(epsilon=epsilon, strategy="collapsed",
+                                        radius=draw(st.floats(0.0, h, exclude_max=True)))
+            mesh = ms.perforate(mesh, holes)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    a = np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, mesh.n_elements))
+    A = ms.Coefficient.from_matrices(mesh, np.einsum("e,ij->eij", a, np.eye(mesh.dim)))
+    mu = draw(st.sampled_from([0.0, draw(st.floats(0.0, 1e3))]))
+    return mesh, A, mu, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=isotropic_problems())
+def test_weak_maximum_principle(problem):
+    # M-matrix property of the one Picard operator: nonpositive off-diagonals,
+    # positive diagonal, and a nonnegative load gives a nonnegative solution
+    mesh, A, mu, seed = problem
+    op = ms.assemble_stiffness(mesh, A, mu)
+    K = op.matrix.tocoo()
+    off = K.row != K.col
+    assert np.all(K.data[off] <= 0.0)
+    assert np.all(op.diagonal > 0.0)
+    rng = np.random.default_rng(seed)
+    rhs = rng.random(op.n) * (rng.random(op.n) < 0.5) * op.ml
+    x, _ = ms.solve_cg(op, rhs)
+    assert x.min(initial=0.0) >= -1e-12 * np.abs(x).max(initial=0.0)
 
 
 def test_norms_zero_field(unit_square_9):
@@ -211,15 +251,3 @@ def test_cg_is_deterministic(unit_square_65, identity_65):
     assert np.array_equal(x1, x2)
     assert s1.iterations == s2.iterations
 
-
-def test_operator_dump_format(tmp_path, unit_square_9):
-    K = ms.assemble_stiffness(unit_square_9, ms.Coefficient.identity(unit_square_9))
-    path = tmp_path / "K.txt"
-    ms.dump_operator(K, path)
-    rows = [line.split() for line in path.read_text().splitlines()]
-    assert all(len(r) == 3 for r in rows)
-    rebuilt = sp.coo_matrix(
-        ([float(v) for _, _, v in rows],
-         ([int(i) for i, _, _ in rows], [int(j) for _, j, _ in rows])),
-        shape=K.matrix.shape).tocsr()
-    assert (abs(rebuilt - K.matrix)).max() == 0.0

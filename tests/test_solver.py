@@ -5,7 +5,6 @@ import pytest
 
 import mildsing as ms
 from mildsing import FieldFunction, PowerLaw, nonlinearity, truncated_rhs
-from mildsing.solver import _build_system
 
 from oracles import PEAK_GAMMA_1, PEAK_GAMMA_HALF, shooting_solution
 
@@ -59,18 +58,28 @@ def test_truncated_rhs_rejects_small_level(unit_square_9):
         truncated_rhs(F, FieldFunction.zeros(unit_square_9), 0.5)
 
 
+@pytest.mark.parametrize("kw", [
+    {"outer_tol": float("inf")}, {"inner_tol_abs": float("nan")}, {"outer_tol_abs": -1e-10},
+    {"max_inner": 0}, {"max_levels": -1},
+], ids=["outer_tol_inf", "inner_tol_abs_nan", "outer_tol_abs_neg", "max_inner_0", "max_levels_neg"])
+def test_solver_config_rejects_out_of_range(kw):
+    (name,) = kw
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        ms.SolverConfig(**kw)
+
+
 @pytest.mark.parametrize("n", [0.5, 0.0, -1.0, float("nan")])
 def test_solve_level_rejects_small_level(unit_square_9, n):
     A = ms.Coefficient.identity(unit_square_9)
     F = nonlinearity(unit_square_9, PowerLaw(1.0), f=1.0)
     with pytest.raises(ValueError, match="truncation level"):
-        ms.solve_level(unit_square_9, A, F, n)
+        ms.solve_level(ms.assemble_stiffness(unit_square_9, A), F, n)
 
 
 def test_level_zero_rhs_converges_immediately(unit_square_9):
     A = ms.Coefficient.identity(unit_square_9)
     F = nonlinearity(unit_square_9, PowerLaw(1.0), f=0.0, l=0.0)
-    u, stats = ms.solve_level(unit_square_9, A, F, 1.0)
+    u, stats = ms.solve_level(ms.assemble_stiffness(unit_square_9, A), F, 1.0)
     assert stats.converged
     assert stats.iterations == 1
     assert np.all(u.values == 0.0)
@@ -80,9 +89,10 @@ def test_level_linear_problem_independent_of_level(interval, interval_A):
     # f = 0, l = 1: linear problem, solution x(1-x)/2 for every cap >= 1
     F = nonlinearity(interval, PowerLaw(1.0), f=0.0, l=1.0)
     exact = interval.nodes[:, 0] * (1.0 - interval.nodes[:, 0]) / 2.0
+    op = ms.assemble_stiffness(interval, interval_A)
     results = []
     for n in (1.0, 2.0, 16.0):
-        u, stats = ms.solve_level(interval, interval_A, F, n)
+        u, stats = ms.solve_level(op, F, n)
         assert stats.converged
         results.append(u.values)
         assert np.abs(u.values - exact).max() <= 1e-8
@@ -209,8 +219,8 @@ def _interval_isotropic():
                          ids=["perforated-2d", "interval"])
 def test_system_seminorm_equals_h1_seminorm(case):
     mesh, A = case()
-    sys_ = _build_system(mesh, A, mu=5.0)
-    assert abs(sys_.lap - sys_.op.matrix).max() > 0.0  # the norm is not the operator's
-    d = np.random.default_rng(11).standard_normal(sys_.op.n)
-    full = sys_.op.scatter(d)
-    assert sys_.h1(d) == pytest.approx(ms.h1_seminorm(full, mesh), rel=1e-12)
+    op = ms.assemble_stiffness(mesh, A, mu=5.0)
+    assert abs(op.lap - op.matrix).max() > 0.0  # the norm is not the operator's
+    d = np.random.default_rng(11).standard_normal(op.n)
+    full = op.scatter(d)
+    assert op.h1(d) == pytest.approx(ms.h1_seminorm(full, mesh), rel=1e-12)

@@ -86,7 +86,7 @@ def test_uniqueness_rejects_supercritical_slope(square_33, ident_33):
     from mildsing import EigenTruncation
     from mildsing.verification import _lambda1
 
-    lam1, _ = _lambda1(square_33, ident_33)
+    lam1, _ = _lambda1(ms.assemble_stiffness(square_33, ident_33))
     F = nonlinearity(square_33, EigenTruncation(lam1, 1.0), f=1.0, gamma=1.0)
     with pytest.raises(ValueError, match="margin"):
         ms.uniqueness_experiment(square_33, ident_33, F, n_starts=2)
@@ -154,3 +154,31 @@ def test_outcome_json_dict_is_serializable(square_33, ident_33):
     out = ms.uniqueness_experiment(square_33, ident_33, F, n_starts=2)
     text = json.dumps(out.to_json_dict(), sort_keys=True)
     assert '"pass"' in text
+
+
+def test_experiments_assemble_once(monkeypatch, square_33, ident_33):
+    # one operator per experiment: the number of assemblies does not grow with
+    # the number of levels, and the degenerate family costs what one solve does
+    from mildsing import fem
+
+    calls = []
+    stiffness_csr = fem.stiffness_csr
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stiffness_csr(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "stiffness_csr", counted)
+    F = nonlinearity(square_33, PowerLaw(0.5), f=1.0)
+    counts = []
+    for levels in ([1.0, 2.0, 4.0], [2.0 ** k for k in range(9)]):
+        calls.clear()
+        ms.stability_experiment(square_33, ident_33, F, levels)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    calls.clear()
+    ms.solve_singular(square_33, ident_33, F)
+    single = len(calls)
+    calls.clear()
+    ms.nonuniqueness_experiment(square_33, ident_33, k=1.0)
+    assert len(calls) == single
