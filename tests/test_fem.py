@@ -160,8 +160,8 @@ def isotropic_problems(draw):
 
     Sizes are dyadic or not.  Holes follow the admissible lattice
     ``epsilon = 1 / (2 k) >= h``: resolved radii in ``[2 h, epsilon)``,
-    collapsed ones below ``h``.  ``A`` is a random positive multiple of the identity on
-    each element (anisotropic ``A`` can break the sign pattern).
+    collapsed ones below ``h``.  ``A`` is a random positive multiple of the
+    identity on each element (anisotropic ``A`` can break the sign pattern).
     """
     nx = draw(st.integers(5, 33))
     if draw(st.booleans()):
@@ -250,4 +250,3 @@ def test_cg_is_deterministic(unit_square_65, identity_65):
     x2, s2 = ms.solve_cg(K, rhs.copy())
     assert np.array_equal(x1, x2)
     assert s1.iterations == s2.iterations
-
