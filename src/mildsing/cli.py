@@ -2,10 +2,11 @@
 
 Configs are INI-style text (``key = value`` under ``[sections]``), chosen so
 experiment provenance diffs cleanly.  A run executes one experiment and
-writes its outputs atomically (temp file + rename) into the output
-directory; a suite runs a manifest of configs (optionally in parallel) and
-writes a summary table.  Exit codes: 0 all declared checks pass, 1
-experiment failure, 2 usage/config error.
+writes its outputs into the output directory; a suite runs a manifest of
+configs (optionally in parallel) and writes a summary table.  The
+experiments themselves write nothing: every file goes through ``_atomic``
+(temp file + rename), here and only here.  Exit codes: 0 all declared
+checks pass, 1 experiment failure, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .homogenization import (
     corrector_experiment,
     discrete_capacity,
     homogenization_experiment,
+    write_sweep_csv,
 )
 from .mesh import Mesh, build_interval_mesh, build_rectangle_mesh, read_field_csv, write_field_csv
 from .nonlinearity import (
@@ -147,17 +149,17 @@ def load_config(path) -> RunConfig:
         return parse_config(fh.read(), str(path))
 
 
-def _atomic_write(path, text: str) -> None:
+def _atomic(path, write, data) -> str:
+    """``write(tmp, data)`` into a temp file next to ``path``, rename it onto ``path``."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    write(tmp, data)
+    os.replace(tmp, path)
+    return path
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", newline="") as fh:
         fh.write(text)
-    os.replace(tmp, path)
-
-
-def _atomic_field_csv(path, fld) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    write_field_csv(tmp, fld)
-    os.replace(tmp, path)
 
 
 def build_mesh(cfg: RunConfig) -> Mesh:
@@ -219,14 +221,12 @@ def build_nonlinearity(cfg: RunConfig, mesh: Mesh, coeff: Coefficient,
     gamma = cfg.get_float(section, "gamma", None)
     if gamma is not None and not 0.0 < gamma <= 1.0:
         raise ConfigError(section, "gamma", f"gamma must satisfy 0 < gamma <= 1, got {gamma!r}")
-    f_val = _field_value(cfg, mesh, section, "f", "0.0")
+    # g = none has no f g(u) term, so it reads no f: an f there is an unknown key
+    f_val = 0.0 if g_name == "none" else _field_value(cfg, mesh, section, "f", "0.0")
     l_val = _field_value(cfg, mesh, section, "l", "0.0")
     lam = cfg.get_float(section, "lambda_mono", None)
 
-    if g_name == "none":
-        g = PowerLaw(gamma if gamma is not None else 1.0)
-        f_val = 0.0
-    elif g_name == "power":
+    if g_name in ("none", "power"):
         g = PowerLaw(gamma if gamma is not None else 1.0)
     elif g_name == "oscillating":
         g = OscillatingPower(gamma if gamma is not None else 1.0)
@@ -309,15 +309,16 @@ def _solve_outcome(mesh, coeff, F, scfg, energy_tol, out_dir) -> ExperimentOutco
         "min_u": min_u,
     }
     outcome = ExperimentOutcome("solve", passed, metrics, detail=report)
-    _atomic_field_csv(os.path.join(out_dir, "solution.csv"), report.u)
-    outcome.artifacts.append(os.path.join(out_dir, "solution.csv"))
+    outcome.artifacts.append(
+        _atomic(os.path.join(out_dir, "solution.csv"), write_field_csv, report.u))
     stats_lines = [
         json.dumps({"level": st.n, "iterations": st.iterations, "residual": st.residual,
                     "converged": st.converged, "theta": st.theta,
                     "cg_iterations": st.cg_iterations}, sort_keys=True)
         for st in report.level_stats
     ]
-    _atomic_write(os.path.join(out_dir, "solver_stats.jsonl"), "\n".join(stats_lines) + "\n")
+    _atomic(os.path.join(out_dir, "solver_stats.jsonl"), _write_text,
+            "\n".join(stats_lines) + "\n")
     return outcome
 
 
@@ -354,17 +355,15 @@ def _prepare(cfg: RunConfig, out_dir: str, seed: int, threads: int):
     if kind == "comparison":
         F1 = build_nonlinearity(cfg, mesh, coeff, "nonlinearity")
         F2 = build_nonlinearity(cfg, mesh, coeff, "nonlinearity2")
-        return lambda: comparison_experiment(mesh, coeff, F1, F2, scfg, out_dir=out_dir)
+        return lambda: comparison_experiment(mesh, coeff, F1, F2, scfg)
     if kind == "uniqueness":
         F = build_nonlinearity(cfg, mesh, coeff)
         n_starts = cfg.get_int("uniqueness", "n_starts", 3)
-        return lambda: uniqueness_experiment(mesh, coeff, F, n_starts, scfg, seed=seed,
-                                             out_dir=out_dir)
+        return lambda: uniqueness_experiment(mesh, coeff, F, n_starts, scfg, seed=seed)
     if kind == "nonuniqueness":
         k = cfg.get_float("nonuniqueness", "k", 1.0, positive=True)
         ray_tol = cfg.get_float("nonuniqueness", "ray_tol", 1e-4, positive=True)
-        return lambda: nonuniqueness_experiment(mesh, coeff, k, scfg, ray_tol=ray_tol,
-                                                out_dir=out_dir)
+        return lambda: nonuniqueness_experiment(mesh, coeff, k, scfg, ray_tol=ray_tol)
     if kind == "stability":
         F = build_nonlinearity(cfg, mesh, coeff)
         raw = cfg.get("stability", "levels", "1,2,4,8,16")
@@ -372,7 +371,7 @@ def _prepare(cfg: RunConfig, out_dir: str, seed: int, threads: int):
             levels = [float(v) for v in raw.split(",")]
         except ValueError:
             raise ConfigError("stability", "levels", f"bad list: {raw!r}") from None
-        return lambda: stability_experiment(mesh, coeff, F, levels, scfg, out_dir=out_dir)
+        return lambda: stability_experiment(mesh, coeff, F, levels, scfg)
 
     # homogenization and corrector share the sweep
     F = build_nonlinearity(cfg, mesh, coeff)
@@ -386,9 +385,13 @@ def _prepare(cfg: RunConfig, out_dir: str, seed: int, threads: int):
         raise ConfigError("homogenization", "epsilons", str(exc)) from None
 
     def sweep() -> ExperimentOutcome:
-        h_out = homogenization_experiment(mesh, coeff, F, specs, scfg, out_dir=out_dir,
+        h_out = homogenization_experiment(mesh, coeff, F, specs, scfg,
                                           defect_tol=defect_tol, threads=threads)
-        return h_out if kind == "homogenization" else corrector_experiment(h_out)
+        path = _atomic(os.path.join(out_dir, "sweep.csv"), write_sweep_csv,
+                       [e.row for e in h_out.detail.entries])
+        outcome = h_out if kind == "homogenization" else corrector_experiment(h_out)
+        outcome.artifacts.append(path)
+        return outcome
     return sweep
 
 
@@ -409,26 +412,33 @@ def run(config_path, out_dir=None, threads: int = 1, seed: int = 0) -> int:
     except (ConvergenceError, ValueError) as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1
+    if not outcome.passed:
+        outcome.artifacts += [_atomic(os.path.join(out_dir, f"{kind}_{label}.csv"),
+                                      write_field_csv, fld)
+                              for label, fld in outcome.fields.items()]
     record = outcome.to_json_dict()
     record["config"] = str(config_path)
     record["seed"] = seed
-    _atomic_write(os.path.join(out_dir, "results.jsonl"),
-                  json.dumps(record, sort_keys=True) + "\n")
+    _atomic(os.path.join(out_dir, "results.jsonl"), _write_text,
+            json.dumps(record, sort_keys=True) + "\n")
     status = "PASS" if outcome.passed else "FAIL"
     print(f"{status} {name}: " + ", ".join(
         f"{k}={v}" for k, v in list(outcome.metrics.items())[:6]))
     return 0 if outcome.passed else 1
 
 
-def _run_one(entry, out_root, seed):
-    name = os.path.splitext(os.path.basename(entry))[0]
+def _run_one(entry, name, out_root, seed):
     t0 = time.perf_counter()
     code = run(entry, out_dir=os.path.join(out_root, name), seed=seed)
     return name, code, time.perf_counter() - t0
 
 
 def suite(manifest_path, out_dir=None, threads: int = 1, seed: int = 0) -> int:
-    """Run every config listed in a manifest; write a summary table."""
+    """Run every config listed in a manifest; write a summary table.
+
+    Each run writes to ``<out>/<config basename>``; two configs with one
+    basename are a config error, found before any run starts.
+    """
     try:
         with open(manifest_path) as fh:
             lines = [ln.strip() for ln in fh]
@@ -437,20 +447,25 @@ def suite(manifest_path, out_dir=None, threads: int = 1, seed: int = 0) -> int:
         return 2
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = [os.path.join(base, ln) for ln in lines if ln and not ln.startswith("#")]
+    names = [os.path.splitext(os.path.basename(e))[0] for e in entries]
+    clash = [e for e, name in zip(entries, names) if names.count(name) > 1]
+    if clash:
+        print(f"config error: runs share a name: {', '.join(clash)}", file=sys.stderr)
+        return 2
     out_root = out_dir or os.path.join("runs", "suite")
     os.makedirs(out_root, exist_ok=True)
 
-    rows = []
+    jobs = list(zip(entries, names))
     if threads > 1 and len(entries) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda e: _run_one(e, out_root, seed), entries))
+            rows = list(pool.map(lambda job: _run_one(*job, out_root, seed), jobs))
     else:
-        rows = [_run_one(e, out_root, seed) for e in entries]
+        rows = [_run_one(*job, out_root, seed) for job in jobs]
 
     lines_out = ["name,pass,exit_code,wall_seconds"]
     for name, code, wall in rows:
         lines_out.append(f"{name},{'true' if code == 0 else 'false'},{code},{wall:.17g}")
-    _atomic_write(os.path.join(out_root, "summary.csv"), "\n".join(lines_out) + "\n")
+    _atomic(os.path.join(out_root, "summary.csv"), _write_text, "\n".join(lines_out) + "\n")
     for line in lines_out:
         print(line)
     if any(code == 2 for _, code, _ in rows):

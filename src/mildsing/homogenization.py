@@ -25,7 +25,6 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -250,7 +249,7 @@ class HomogenizationDetail:
 
 def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
                               spec_list, cfg: SolverConfig = SolverConfig(),
-                              out_dir=None, defect_tol: float = 0.25,
+                              defect_tol: float = 0.25,
                               threads: int = 1) -> ExperimentOutcome:
     """Shrinking-holes sweep against the limit problem with the absorption term.
 
@@ -261,7 +260,8 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     of ``mu int u0**2``, and the finest extension to sit closer to ``u0``
     than to the absorption-free solution.  ``threads > 1`` solves the
     epsilon problems concurrently (one worker per epsilon); aggregation is
-    always in epsilon order, so results do not depend on scheduling.
+    always in epsilon order, so results do not depend on scheduling.  The
+    sweep rows for ``write_sweep_csv`` are ``detail.entries[i].row``.
     """
     specs = sorted(spec_list, key=lambda s: -s.epsilon)
     if len(specs) < 2:
@@ -345,13 +345,7 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
         "beats_naive_limit": beats_naive,
         "linf_u0": float(np.abs(limit.u.values).max()),
     }
-    outcome = ExperimentOutcome("homogenization", passed, metrics, detail=detail)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "sweep.csv")
-        write_sweep_csv(path, rows)
-        outcome.artifacts.append(path)
-    return outcome
+    return ExperimentOutcome("homogenization", passed, metrics, detail=detail)
 
 
 def corrector_experiment(h_outcome: ExperimentOutcome) -> ExperimentOutcome:

@@ -146,13 +146,11 @@ class Nonlinearity:
             arr.setflags(write=False)
 
     def evaluate(self, s: np.ndarray) -> np.ndarray:
-        """Nodal values of ``F(x, s(x))`` (``+inf`` allowed where ``s = 0``)."""
-        s = np.asarray(s, dtype=float)
+        """Nodal ``F(x, s(x))`` for a full nodal vector ``s`` (``+inf`` allowed where ``s = 0``)."""
         out = self.l.copy()
         pos = self.f > 0.0
         if pos.any():
-            sv = s[pos] if s.shape == self.f.shape else np.broadcast_to(s, self.f.shape)[pos]
-            out[pos] += self.f[pos] * self.g(sv)
+            out[pos] += self.f[pos] * self.g(s[pos])
         return out
 
     def evaluate_at(self, s: float) -> np.ndarray:

@@ -239,7 +239,12 @@ def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     inner iteration stalls or the level sequence is not Cauchy within
     ``cfg.max_levels``.
     """
-    op = assemble_stiffness(mesh, coeff, mu)
+    return _schedule(assemble_stiffness(mesh, coeff, mu), coeff, F, cfg, u0, mu)
+
+
+def _schedule(op: SparseOperator, coeff: Coefficient, F: Nonlinearity, cfg: SolverConfig,
+              u0: FieldFunction | None, mu: float) -> SolveReport:
+    """``solve_singular`` on its operator ``op = assemble_stiffness(mesh, coeff, mu)``."""
     u = u0
     n = cfg.n_start
     history: list[float] = []
@@ -275,7 +280,7 @@ def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
             f"truncation levels not Cauchy after {cfg.max_levels} levels",
             history=history,
         )
-    resid = _energy_identity_residual(u, coeff, F, n, lumped_mass(mesh), mu)
+    resid = _energy_identity_residual(u, coeff, F, n, lumped_mass(op.mesh), mu)
     return SolveReport(
         u=u,
         n_final=n,

@@ -2,13 +2,13 @@
 
 Each experiment is a pure procedure: it runs solves, computes named metrics,
 and decides pass/fail from those metrics against declared tolerances, with
-no hidden state.  On failure the offending fields can be dumped as CSV for
-post-mortem when an output directory is supplied.
+no hidden state.  It writes no files: the nodal fields behind the verdict
+come back in ``ExperimentOutcome.fields``, and the command line writes them
+out for a failed run.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +21,9 @@ from .fem import (
     first_eigenpair,
     lumped_mass,
 )
-from .mesh import FieldFunction, Mesh, h1_seminorm, write_field_csv
+from .mesh import FieldFunction, Mesh, h1_seminorm
 from .nonlinearity import EigenTruncation, Nonlinearity, nonlinearity
-from .solver import SolverConfig, solve_level, solve_singular
+from .solver import SolverConfig, _schedule, solve_level
 
 __all__ = [
     "ExperimentOutcome",
@@ -43,13 +43,14 @@ LAMBDA_MARGIN = 0.9
 
 @dataclass
 class ExperimentOutcome:
-    """Named pass/fail verdict with the metrics that determined it."""
+    """Pass/fail verdict with its metrics, the nodal ``fields`` behind it and files written."""
 
     name: str
     passed: bool
     metrics: dict
     artifacts: list = field(default_factory=list)
     detail: object = None
+    fields: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         def scrub(v):
@@ -115,19 +116,9 @@ def _check_dominated(F1: Nonlinearity, F2: Nonlinearity) -> None:
             )
 
 
-def _dump_on_failure(out_dir, name: str, fields: dict, artifacts: list) -> None:
-    if out_dir is None:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    for label, fld in fields.items():
-        path = os.path.join(out_dir, f"{name}_{label}.csv")
-        write_field_csv(path, fld)
-        artifacts.append(path)
-
-
 def comparison_experiment(mesh: Mesh, coeff: Coefficient, F1: Nonlinearity,
-                          F2: Nonlinearity, cfg: SolverConfig = SolverConfig(),
-                          out_dir=None) -> ExperimentOutcome:
+                          F2: Nonlinearity,
+                          cfg: SolverConfig = SolverConfig()) -> ExperimentOutcome:
     """Dominated data must give a dominated solution: ``max(u1 - u2)`` near zero.
 
     Preconditions (violations raise): ``F1 <= F2`` on a sampled grid, and at
@@ -135,15 +126,16 @@ def comparison_experiment(mesh: Mesh, coeff: Coefficient, F1: Nonlinearity,
     eigenvalue.
     """
     _check_dominated(F1, F2)
-    lam1, _ = _lambda1(assemble_stiffness(mesh, coeff))
+    op = assemble_stiffness(mesh, coeff)
+    lam1, _ = _lambda1(op)
     lam_a, lam_b = _effective_lambda(F1), _effective_lambda(F2)
     if min(lam_a, lam_b) > LAMBDA_MARGIN * lam1:
         raise ValueError(
             f"neither side is almost nonincreasing below the margin: "
             f"lambda_mono=({lam_a!r}, {lam_b!r}) vs 0.9*lambda1={LAMBDA_MARGIN * lam1!r}"
         )
-    r1 = solve_singular(mesh, coeff, F1, cfg)
-    r2 = solve_singular(mesh, coeff, F2, cfg)
+    r1 = _schedule(op, coeff, F1, cfg, None, 0.0)
+    r2 = _schedule(op, coeff, F2, cfg, None, 0.0)
     violation = float((r1.u.values - r2.u.values).max())
     linf2 = float(np.abs(r2.u.values).max())
     tol = 1e-8 * linf2
@@ -156,16 +148,12 @@ def comparison_experiment(mesh: Mesh, coeff: Coefficient, F1: Nonlinearity,
         "lambda_mono_1": lam_a,
         "lambda_mono_2": lam_b,
     }
-    outcome = ExperimentOutcome("comparison", passed, metrics)
-    if not passed:
-        _dump_on_failure(out_dir, "comparison", {"u1": r1.u, "u2": r2.u}, outcome.artifacts)
-    return outcome
+    return ExperimentOutcome("comparison", passed, metrics, fields={"u1": r1.u, "u2": r2.u})
 
 
 def uniqueness_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
                           n_starts: int = 3, cfg: SolverConfig = SolverConfig(),
-                          seed: int = 0, out_dir=None,
-                          enforce_margin: bool = True) -> ExperimentOutcome:
+                          seed: int = 0, enforce_margin: bool = True) -> ExperimentOutcome:
     """Multi-start agreement under the almost-nonincreasing condition.
 
     Starts are the zero field, a large constant, and seeded random
@@ -177,7 +165,8 @@ def uniqueness_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     """
     if n_starts < 2:
         raise ValueError("need at least 2 starts")
-    lam1, _ = _lambda1(assemble_stiffness(mesh, coeff))
+    op = assemble_stiffness(mesh, coeff)
+    lam1, _ = _lambda1(op)
     lam = _effective_lambda(F)
     if enforce_margin and not lam <= LAMBDA_MARGIN * lam1:
         raise ValueError(
@@ -190,7 +179,7 @@ def uniqueness_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
         starts.append(FieldFunction(mesh, big * rng.random(mesh.n_nodes)))
     starts = starts[:n_starts]
 
-    reports = [solve_singular(mesh, coeff, F, cfg, u0=s) for s in starts]
+    reports = [_schedule(op, coeff, F, cfg, s, 0.0) for s in starts]
     ref_norm = h1_seminorm(reports[0].u)
     gap = 0.0
     for i in range(len(reports)):
@@ -207,16 +196,13 @@ def uniqueness_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
         "lambda_mono": lam,
         "h1_ref": ref_norm,
     }
-    outcome = ExperimentOutcome("uniqueness", passed, metrics)
-    if not passed:
-        _dump_on_failure(out_dir, "uniqueness",
-                         {f"u{i}": r.u for i, r in enumerate(reports)}, outcome.artifacts)
-    return outcome
+    return ExperimentOutcome("uniqueness", passed, metrics,
+                             fields={f"u{i}": r.u for i, r in enumerate(reports)})
 
 
 def nonuniqueness_experiment(mesh: Mesh, coeff: Coefficient, k: float = 1.0,
                              cfg: SolverConfig = SolverConfig(),
-                             ray_tol: float = 1e-4, out_dir=None) -> ExperimentOutcome:
+                             ray_tol: float = 1e-4) -> ExperimentOutcome:
     """Degenerate family for ``F = lambda_1 * min(s, k)``: distinct starts must persist.
 
     The fixed-point map leaves the ray ``t * phi_1`` (``0 <= t <= k/|phi_1|_inf``)
@@ -238,12 +224,12 @@ def nonuniqueness_experiment(mesh: Mesh, coeff: Coefficient, k: float = 1.0,
     t_starts = [frac * k / linf_phi for frac in t_fracs]
     ml = lumped_mass(mesh)
 
-    t_fit, residuals, fields, convs = [], [], [], []
+    t_fit, residuals, solutions, convs = [], [], [], []
     for t0 in t_starts:
         start = FieldFunction(mesh, t0 * phi1.values)
         u, st = solve_level(op, F, n0, cfg, u0=start)
         convs.append(st.converged)
-        fields.append(u)
+        solutions.append(u)
         denom = float(np.sum(ml * phi1.values * phi1.values))
         t_hat = float(np.sum(ml * u.values * phi1.values)) / denom
         unorm = float(np.sqrt(np.sum(ml * u.values * u.values)))
@@ -254,9 +240,9 @@ def nonuniqueness_experiment(mesh: Mesh, coeff: Coefficient, k: float = 1.0,
         residuals.append(resid)
 
     max_sep = 0.0
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            max_sep = max(max_sep, float(np.abs(fields[i].values - fields[j].values).max()))
+    for i in range(len(solutions)):
+        for j in range(i + 1, len(solutions)):
+            max_sep = max(max_sep, float(np.abs(solutions[i].values - solutions[j].values).max()))
     distinct = max_sep >= 0.1 * k
     on_ray = all(r <= ray_tol for r in residuals)
     passed = bool(all(convs) and distinct and on_ray)
@@ -272,16 +258,13 @@ def nonuniqueness_experiment(mesh: Mesh, coeff: Coefficient, k: float = 1.0,
         "converged": convs,
         "cap_level": n0,
     }
-    outcome = ExperimentOutcome("nonuniqueness", passed, metrics)
-    if not passed:
-        _dump_on_failure(out_dir, "nonuniqueness",
-                         {f"u_t{i}": u for i, u in enumerate(fields)}, outcome.artifacts)
-    return outcome
+    return ExperimentOutcome("nonuniqueness", passed, metrics,
+                             fields={f"u_t{i}": u for i, u in enumerate(solutions)})
 
 
 def stability_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
                          levels, cfg: SolverConfig = SolverConfig(),
-                         stab_tol: float | None = None, out_dir=None) -> ExperimentOutcome:
+                         stab_tol: float | None = None) -> ExperimentOutcome:
     """Truncation-level errors against the converged limit must not increase.
 
     Solves the capped problem at each listed level (warm-started along the
@@ -292,12 +275,12 @@ def stability_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     levels = [float(n) for n in levels]
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
-    ref = solve_singular(mesh, coeff, F, cfg)
+    op = assemble_stiffness(mesh, coeff)
+    ref = _schedule(op, coeff, F, cfg, None, 0.0)
     ref_norm = h1_seminorm(ref.u)
     if stab_tol is None:
         stab_tol = 10.0 * (cfg.outer_tol * ref_norm + cfg.outer_tol_abs)
 
-    op = assemble_stiffness(mesh, coeff)
     errors = []
     u_prev = None
     all_converged = True
@@ -320,7 +303,4 @@ def stability_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
         "reference_gap": ref.final_gap,
         "h1_ref": ref_norm,
     }
-    outcome = ExperimentOutcome("stability", passed, metrics, detail=ref)
-    if not passed:
-        _dump_on_failure(out_dir, "stability", {"u_ref": ref.u}, outcome.artifacts)
-    return outcome
+    return ExperimentOutcome("stability", passed, metrics, detail=ref, fields={"u_ref": ref.u})

@@ -37,6 +37,23 @@ ny = 9
 g = none
 """
 
+SHORT_STABILITY_CONFIG = """\
+[experiment]
+kind = stability
+
+[mesh]
+nx = 17
+ny = 17
+
+[nonlinearity]
+g = power
+gamma = 1.0
+f = 1.0
+
+[stability]
+levels = 1,2
+"""
+
 BAD_GAMMA_CONFIG = """\
 [experiment]
 kind = solve
@@ -81,6 +98,14 @@ def test_malformed_gamma_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "gamma" in err
     assert "0 < gamma <= 1" in err
+
+
+def test_source_without_nonlinearity_is_config_error(tmp_path, capsys):
+    # g = none is the problem without the f g(u) term: an f there would be dropped
+    path = write(tmp_path, "nof.ini", ZERO_CONFIG + "f = 5.0\n")
+    assert run(path, out_dir=tmp_path / "o") == 2
+    assert "[nonlinearity] f: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "solution.csv").exists()
 
 
 def test_missing_config_is_config_error(tmp_path):
@@ -186,6 +211,18 @@ k = 1.0
     record = json.loads((out / "results.jsonl").read_text())
     assert record["pass"] is True
     assert record["metrics"]["max_linf_separation"] >= 0.1
+    assert not list(out.glob("nonuniqueness_*.csv"))  # fields are written only on failure
+
+
+def test_failed_run_writes_its_fields(tmp_path):
+    path = write(tmp_path, "short.ini", SHORT_STABILITY_CONFIG)
+    out = tmp_path / "out"
+    assert run(path, out_dir=out) == 1
+    record = json.loads((out / "results.jsonl").read_text())
+    assert record["pass"] is False
+    assert record["artifacts"] == [str(out / "stability_u_ref.csv")]
+    assert (out / "stability_u_ref.csv").exists()
+    assert not list(out.glob("*.tmp.*"))
 
 
 def test_capacity_run(tmp_path):
@@ -212,23 +249,7 @@ def test_suite_empty_manifest(tmp_path):
 
 def test_suite_mixed_results(tmp_path):
     write(tmp_path, "good.ini", ZERO_CONFIG)
-    failing = """\
-[experiment]
-kind = stability
-
-[mesh]
-nx = 17
-ny = 17
-
-[nonlinearity]
-g = power
-gamma = 1.0
-f = 1.0
-
-[stability]
-levels = 1,2
-"""
-    write(tmp_path, "short.ini", failing)
+    write(tmp_path, "short.ini", SHORT_STABILITY_CONFIG)
     manifest = write(tmp_path, "manifest.txt", "good.ini\nshort.ini\n")
     code = suite(manifest, out_dir=tmp_path / "suite")
     rows = (tmp_path / "suite" / "summary.csv").read_text().splitlines()
@@ -238,6 +259,18 @@ levels = 1,2
     assert verdicts == {"good": "true", "short": "false"}
     # the failing run still left its partial results behind
     assert (tmp_path / "suite" / "short" / "results.jsonl").exists()
+
+
+def test_suite_rejects_runs_sharing_a_name(tmp_path, capsys):
+    # both runs would write <out>/x: refused before either starts
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    write(tmp_path / "a", "x.ini", ZERO_CONFIG)
+    write(tmp_path / "b", "x.ini", ZERO_CONFIG)
+    manifest = write(tmp_path, "m.txt", "a/x.ini\nb/x.ini\n")
+    assert suite(manifest, out_dir=tmp_path / "suite") == 2
+    assert "runs share a name" in capsys.readouterr().err
+    assert not (tmp_path / "suite").exists()
 
 
 def test_suite_parallel_matches_serial(tmp_path):
@@ -298,6 +331,7 @@ epsilons = 0.25,0.125
     assert record["name"] == "corrector"
     assert "eH1_corr" in record["metrics"]
     assert (out / "sweep.csv").exists()
+    assert record["artifacts"] == [str(out / "sweep.csv")]
     assert record["metrics"]["improves_everywhere"] is True
     assert code in (0, 1)  # the strict trend needs the resolving mesh
 

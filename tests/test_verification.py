@@ -157,8 +157,9 @@ def test_outcome_json_dict_is_serializable(square_33, ident_33):
 
 
 def test_experiments_assemble_once(monkeypatch, square_33, ident_33):
-    # one operator per experiment: the number of assemblies does not grow with
-    # the number of levels, and the degenerate family costs what one solve does
+    # one operator per experiment: the number of assemblies grows neither with
+    # the number of levels nor with the number of solves, and every experiment
+    # costs what one solve does
     from mildsing import fem
 
     calls = []
@@ -170,15 +171,30 @@ def test_experiments_assemble_once(monkeypatch, square_33, ident_33):
 
     monkeypatch.setattr(fem, "stiffness_csr", counted)
     F = nonlinearity(square_33, PowerLaw(0.5), f=1.0)
-    counts = []
-    for levels in ([1.0, 2.0, 4.0], [2.0 ** k for k in range(9)]):
+    F2 = nonlinearity(square_33, PowerLaw(0.5), f=2.0)
+
+    def count(experiment, *args, **kwargs):
         calls.clear()
-        ms.stability_experiment(square_33, ident_33, F, levels)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
-    calls.clear()
-    ms.solve_singular(square_33, ident_33, F)
-    single = len(calls)
-    calls.clear()
-    ms.nonuniqueness_experiment(square_33, ident_33, k=1.0)
-    assert len(calls) == single
+        experiment(square_33, ident_33, *args, **kwargs)
+        return len(calls)
+
+    single = count(ms.solve_singular, F)
+    assert count(ms.stability_experiment, F, [1.0, 2.0, 4.0]) == single
+    assert count(ms.stability_experiment, F, [2.0 ** k for k in range(9)]) == single
+    assert count(ms.comparison_experiment, F, F2) == single
+    assert count(ms.uniqueness_experiment, F, n_starts=2) == single
+    assert count(ms.uniqueness_experiment, F, n_starts=3) == single
+    assert count(ms.nonuniqueness_experiment, k=1.0) == single
+
+
+def test_failed_experiment_writes_nothing(monkeypatch, tmp_path):
+    # too few levels to reach the limit: the verdict is a failure, and the
+    # field behind it comes back to the caller instead of going to a file
+    monkeypatch.chdir(tmp_path)
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 17, 17)
+    F = nonlinearity(mesh, PowerLaw(1.0), f=1.0)
+    out = ms.stability_experiment(mesh, ms.Coefficient.identity(mesh), F, [1.0, 2.0])
+    assert not out.passed
+    assert out.fields["u_ref"] is out.detail.u
+    assert out.artifacts == []
+    assert list(tmp_path.iterdir()) == []
