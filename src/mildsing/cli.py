@@ -191,7 +191,14 @@ def build_coefficient(cfg: RunConfig, mesh: Mesh) -> Coefficient:
             a12 = cfg.get_float("coefficient", "a12", 0.0)
             a21 = cfg.get_float("coefficient", "a21", 0.0)
             a22 = cfg.get_float("coefficient", "a22", 1.0)
-            return Coefficient.constant(mesh, np.array([[a11, a12], [a21, a22]]))
+            coeff = Coefficient.constant(mesh, np.array([[a11, a12], [a21, a22]]))
+            # on the one-diagonal mesh a node couples to its diagonal neighbours
+            # with -s and to its axis neighbours with -(a11 - s) and -(a22 - s)
+            s = (a12 + a21) / 2.0
+            if not 0.0 <= s <= min(a11, a22):
+                raise ConfigError("coefficient", "a12", "operator is not an M-matrix: need "
+                                  f"0 <= (a12 + a21) / 2 <= min(a11, a22), got {s!r}")
+            return coeff
     except ValueError as exc:
         raise ConfigError("coefficient", "kind", str(exc)) from None
     raise ConfigError("coefficient", "kind", f"unknown kind {kind!r}")
@@ -258,21 +265,10 @@ def build_nonlinearity(cfg: RunConfig, mesh: Mesh, coeff: Coefficient,
         raise ConfigError(section, "g", str(exc)) from None
 
 
-# ``SolverConfig`` annotations are strings (postponed evaluation): cast by name
-_SOLVER_CASTS = {"float": float, "int": int}
-
-
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
-    """``SolverConfig`` from the ``[solver]`` section: one key per dataclass field."""
-    kw = {}
-    for f in fields(SolverConfig):
-        raw = cfg.get("solver", f.name)
-        if raw is None:
-            continue
-        try:
-            kw[f.name] = _SOLVER_CASTS[f.type](raw)
-        except ValueError:
-            raise ConfigError("solver", f.name, f"not a number: {raw!r}") from None
+    """``SolverConfig`` from the ``[solver]`` section: one float key per dataclass field."""
+    kw = {f.name: v for f in fields(SolverConfig)
+          if (v := cfg.get_float("solver", f.name)) is not None}
     try:
         return SolverConfig(**kw)
     except ValueError as exc:

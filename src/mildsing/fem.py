@@ -229,8 +229,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass
 class CGStats:
     iterations: int
-    relative_residual: float
-    converged: bool
 
 
 def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
@@ -252,13 +250,13 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
         maxit = max(100, int(50.0 * np.sqrt(n)) + 1)
     bnorm = math.sqrt(_dot(rhs, rhs))
     if bnorm == 0.0:
-        return np.zeros(n), CGStats(0, 0.0, True)
+        return np.zeros(n), CGStats(0)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = rhs - A @ x
     res = math.sqrt(_dot(r, r))
     stop = max(tol * bnorm, forcing * res)
     if res <= stop:
-        return x, CGStats(0, res / bnorm, True)
+        return x, CGStats(0)
     z = op.dinv * r
     p = z.copy()
     rz = _dot(r, z)
@@ -274,7 +272,7 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
         r -= a * Ap
         res = math.sqrt(_dot(r, r))
         if res <= stop:
-            return x, CGStats(it, res / bnorm, True)
+            return x, CGStats(it)
         z = op.dinv * r
         rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
@@ -287,22 +285,19 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
 
 
 def solve_dirichlet(mesh: Mesh, coeff: Coefficient, fixed_mask: np.ndarray,
-                    fixed_values: np.ndarray, load: np.ndarray | None = None,
-                    tol: float = 1e-10) -> tuple[FieldFunction, CGStats]:
-    """Solve ``-div A Du = load`` with arbitrary Dirichlet data via lifting."""
+                    fixed_values: np.ndarray) -> FieldFunction:
+    """Solve ``-div A Du = 0`` with arbitrary Dirichlet data via lifting."""
     K = stiffness_csr(mesh, coeff)
     free = np.flatnonzero(~fixed_mask)
     fixed = np.flatnonzero(fixed_mask)
     lift = np.zeros(mesh.n_nodes)
     lift[fixed] = fixed_values[fixed]
     rhs = -np.asarray((K @ lift)[free])
-    if load is not None:
-        rhs = rhs + load[free]
     op = SparseOperator(_restrict(K, free), free, mesh)
-    x, stats = solve_cg(op, rhs, tol=tol)
+    x, _ = solve_cg(op, rhs)
     full = lift.copy()
     full[free] = x
-    return FieldFunction(mesh, full), stats
+    return FieldFunction(mesh, full)
 
 
 def _check_symmetric(mat: sp.csr_matrix) -> None:

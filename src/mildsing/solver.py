@@ -19,8 +19,11 @@ step's own residual by the forcing term ``_FORCING = 1e-2``
 (Dembo, Eisenstat & Steihaug 1982).  Early steps, far from the fixed point,
 get cheap solves; near the fixed point the tolerance tightens with the
 residual down to ``_CG_TOL``, so the converged iterate is the same.
-Levels follow a doubling schedule with warm starts; the outer iteration
-stops when consecutive levels are Cauchy in the H1 seminorm.
+Levels follow the doubling schedule ``n = 1, 2, 4, ...`` with warm starts,
+at most ``_MAX_LEVELS`` of them; the outer iteration stops when consecutive
+levels are Cauchy in the H1 seminorm to ``SolverConfig.outer_tol``.  That is
+the one accuracy setting: each level's Picard loop, at most ``_MAX_INNER``
+steps, stops at a residual 100 times smaller.
 ``solve_singular(mu=...)`` adds the lumped absorption ``mu u``: that is the
 limit problem ``-div A Du + mu u = F(x, u)`` of shrinking perforations.
 """
@@ -67,35 +70,40 @@ _CG_TOL = 1e-11
 _SLOPE_DAMPING = 2.0
 #: initial Picard damping factor; also the step cap while stiff nodes remain
 _THETA0 = 0.5
+#: Picard steps allowed per truncation level
+_MAX_INNER = 800
+#: truncation levels ``n = 1, 2, 4, ...`` allowed per solve
+_MAX_LEVELS = 24
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and limits for the inner (Picard) and outer (level) loops.
+    """The accuracy of a solve: when consecutive truncation levels agree.
 
-    ``inner_tol`` bounds the undamped fixed-point residual
-    ``|K^-1 load(u) - u|_H1`` relative to ``|u|_H1`` (plus the absolute
-    floor); ``outer_tol`` bounds the level-to-level gap the same way.
-    Raises ``ValueError``, with a message that starts with the field name,
-    unless every tolerance is finite and ``> 0`` and ``max_inner`` and
-    ``max_levels`` are at least 1.  ``n_start`` is checked by the first level.
+    ``outer_tol`` bounds the level-to-level gap ``|u_2n - u_n|_H1`` relative
+    to ``|u_n|_H1``, plus the absolute floor ``outer_tol_abs``.  The Picard
+    loop of each level follows them: ``inner_tol`` and ``inner_tol_abs``
+    bound the undamped fixed-point residual ``|K^-1 load(u) - u|_H1`` the
+    same way, and are the outer tolerances divided by 100.  Raises
+    ``ValueError``, with a message that starts with the field name, unless
+    both tolerances are finite and ``> 0``.
     """
 
-    inner_tol: float = 1e-8
-    inner_tol_abs: float = 1e-12
-    max_inner: int = 800
     outer_tol: float = 1e-6
     outer_tol_abs: float = 1e-10
-    max_levels: int = 24
-    n_start: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("inner_tol", "inner_tol_abs", "outer_tol", "outer_tol_abs"):
+        for name in ("outer_tol", "outer_tol_abs"):
             if not 0.0 < getattr(self, name) < float("inf"):
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
-        for name in ("max_inner", "max_levels"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+
+    @property
+    def inner_tol(self) -> float:
+        return self.outer_tol / 100.0
+
+    @property
+    def inner_tol_abs(self) -> float:
+        return self.outer_tol_abs / 100.0
 
 
 @dataclass
@@ -167,10 +175,10 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
     """Damped Picard iteration for the level-``n`` capped problem on ``op``.
 
     ``op`` is the assembled operator from ``assemble_stiffness(mesh, coeff,
-    mu)``.  Non-convergence is reported in the returned stats
-    (``converged=False`` with the residual oscillation amplitude), not
-    raised: near-degenerate right-hand sides legitimately stall and the
-    caller decides.  Raises ``ValueError`` when ``n < 1``.
+    mu)``.  Non-convergence within ``_MAX_INNER`` steps is reported in the
+    returned stats (``converged=False`` with the residual oscillation
+    amplitude), not raised: near-degenerate right-hand sides legitimately
+    stall and the caller decides.  Raises ``ValueError`` when ``n < 1``.
     """
     _check_level(n)
     free = op.free
@@ -185,7 +193,7 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
     k = 0
     converged = False
     d_prev = None
-    for k in range(1, cfg.max_inner + 1):
+    for k in range(1, _MAX_INNER + 1):
         u_full[free] = x
         s = np.maximum(u_full, 0.0)
         b = op.ml * _capped(F, s, n)[free]
@@ -237,7 +245,7 @@ def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     Assembles ``assemble_stiffness(mesh, coeff, mu)`` once for all levels.
     Raises ``ValueError`` unless ``mu >= 0``, and ``ConvergenceError`` when an
     inner iteration stalls or the level sequence is not Cauchy within
-    ``cfg.max_levels``.
+    ``_MAX_LEVELS`` levels.
     """
     return _schedule(assemble_stiffness(mesh, coeff, mu), coeff, F, cfg, u0, mu)
 
@@ -246,20 +254,21 @@ def _schedule(op: SparseOperator, coeff: Coefficient, F: Nonlinearity, cfg: Solv
               u0: FieldFunction | None, mu: float) -> SolveReport:
     """``solve_singular`` on its operator ``op = assemble_stiffness(mesh, coeff, mu)``."""
     u = u0
-    n = cfg.n_start
+    n = 1.0
     history: list[float] = []
     h1_norms: list[float] = []
     stats_list: list[LevelStats] = []
     inner_total = 0
     h1_prev = 0.0
     converged = False
-    for level in range(cfg.max_levels):
+    for level in range(_MAX_LEVELS):
         u_new, st = solve_level(op, F, n, cfg, u0=u)
         stats_list.append(st)
         inner_total += st.iterations
         if not st.converged:
             raise ConvergenceError(
-                f"fixed point at truncation level {n} stalled with residual {st.residual:.3e}",
+                f"fixed point at truncation level {n} not reached in {_MAX_INNER} steps: "
+                f"residual {st.residual:.3e}",
                 iterations=st.iterations,
                 residual=st.residual,
             )
@@ -277,7 +286,7 @@ def _schedule(op: SparseOperator, coeff: Coefficient, F: Nonlinearity, cfg: Solv
         n *= 2.0
     if not converged:
         raise ConvergenceError(
-            f"truncation levels not Cauchy after {cfg.max_levels} levels",
+            f"truncation levels not Cauchy after {_MAX_LEVELS} levels",
             history=history,
         )
     resid = _energy_identity_residual(u, coeff, F, n, lumped_mass(op.mesh), mu)
@@ -360,27 +369,22 @@ def zero_set_diagnostics(report: SolveReport, F: Nonlinearity,
 
 
 def levelset_energy_certificate(u: FieldFunction | SolveReport, F: Nonlinearity,
-                                coeff: Coefficient, j_list,
-                                h_field: np.ndarray | None = None,
-                                alpha: float | None = None) -> list[tuple[float, float]]:
+                                coeff: Coefficient, j_list) -> list[tuple[float, float]]:
     """Per level ``j``: ``(alpha |D excess_{j+1}(u)|_2^2, 2 int h excess_{j+1}(u))``.
 
-    The excess above height ``j + 1`` of a converged solution satisfies the
-    first component <= the second in the continuum; discretization slack is
-    the caller's to judge.
+    ``alpha`` is ``coeff.alpha`` and ``h`` is ``F.h``.  The excess above
+    height ``j + 1`` of a converged solution satisfies the first component
+    <= the second in the continuum; discretization slack is the caller's
+    to judge.
     """
     if isinstance(u, SolveReport):
         u = u.u
     mesh = u.mesh
-    if h_field is None:
-        h_field = F.h
-    if alpha is None:
-        alpha = coeff.alpha
     ml = lumped_mass(mesh)
     out = []
     for j in j_list:
         G = gk(u.values, float(j) + 1.0)
-        lhs = alpha * h1_seminorm(G, mesh) ** 2
-        rhs = 2.0 * float(np.sum(ml * h_field * G))
+        lhs = coeff.alpha * h1_seminorm(G, mesh) ** 2
+        rhs = 2.0 * float(np.sum(ml * F.h * G))
         out.append((float(lhs), rhs))
     return out

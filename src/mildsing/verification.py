@@ -263,14 +263,13 @@ def nonuniqueness_experiment(mesh: Mesh, coeff: Coefficient, k: float = 1.0,
 
 
 def stability_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
-                         levels, cfg: SolverConfig = SolverConfig(),
-                         stab_tol: float | None = None) -> ExperimentOutcome:
+                         levels, cfg: SolverConfig = SolverConfig()) -> ExperimentOutcome:
     """Truncation-level errors against the converged limit must not increase.
 
     Solves the capped problem at each listed level (warm-started along the
     list), measures ``e_n = |u_n - u_inf|_H1`` against the full schedule's
-    limit, and requires a nonincreasing sequence (5% slack) with a small
-    final error.
+    limit, and requires a nonincreasing sequence (5% slack) with a final
+    error of at most ``10 (cfg.outer_tol |u_inf|_H1 + cfg.outer_tol_abs)``.
     """
     levels = [float(n) for n in levels]
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -278,8 +277,7 @@ def stability_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     op = assemble_stiffness(mesh, coeff)
     ref = _schedule(op, coeff, F, cfg, None, 0.0)
     ref_norm = h1_seminorm(ref.u)
-    if stab_tol is None:
-        stab_tol = 10.0 * (cfg.outer_tol * ref_norm + cfg.outer_tol_abs)
+    stab_tol = 10.0 * (cfg.outer_tol * ref_norm + cfg.outer_tol_abs)
 
     errors = []
     u_prev = None

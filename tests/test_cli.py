@@ -4,10 +4,21 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mildsing
-from mildsing.cli import build_solver_config, main, parse_config, run, suite
+from mildsing.cli import (
+    ConfigError,
+    build_coefficient,
+    build_solver_config,
+    main,
+    parse_config,
+    run,
+    suite,
+)
 
 SOLVE_CONFIG = """\
 [experiment]
@@ -120,10 +131,11 @@ def test_missing_data_file_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("section, key", [
     ("solver", "max_iner"), ("solver", "slope_damping"), ("solver", "theta0"),
-    ("solver", "cg_tol"), ("solver", "cg_maxit"), ("nonlinearity", "gama"),
-    ("solve", "energy_tl"), ("mesh2", "nx"),
-], ids=["max_iner", "slope_damping", "theta0", "cg_tol", "cg_maxit", "gama", "energy_tl",
-        "mesh2"])
+    ("solver", "cg_tol"), ("solver", "cg_maxit"), ("solver", "inner_tol"),
+    ("solver", "inner_tol_abs"), ("solver", "max_inner"), ("solver", "max_levels"),
+    ("solver", "n_start"), ("nonlinearity", "gama"), ("solve", "energy_tl"), ("mesh2", "nx"),
+], ids=["max_iner", "slope_damping", "theta0", "cg_tol", "cg_maxit", "inner_tol",
+        "inner_tol_abs", "max_inner", "max_levels", "n_start", "gama", "energy_tl", "mesh2"])
 def test_unknown_solver_key_is_config_error(tmp_path, capsys, section, key):
     # the key goes into its section if the config has one (a second header is a
     # syntax error), else into a new section at the end
@@ -137,22 +149,67 @@ def test_unknown_solver_key_is_config_error(tmp_path, capsys, section, key):
 
 
 def test_truncation_start_below_one_fails(tmp_path, capsys):
-    path = write(tmp_path, "n0.ini", SOLVE_CONFIG + "\n[solver]\nn_start = 0\n")
+    # every schedule starts at level 1; a listed level below it fails the run
+    text = SHORT_STABILITY_CONFIG.replace("levels = 1,2", "levels = 0.5,1")
+    path = write(tmp_path, "n0.ini", text)
     assert run(path, out_dir=tmp_path / "o") == 1
     assert "truncation level must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("outer_tol", "inf", "finite and > 0"), ("inner_tol_abs", "inf", "finite and > 0"),
-    ("inner_tol", "0", "finite and > 0"), ("max_inner", "0", "at least 1"),
-    ("max_inner", "-5", "at least 1"), ("max_levels", "0", "at least 1"),
-], ids=["outer_tol_inf", "inner_tol_abs_inf", "inner_tol_zero", "max_inner_0",
-        "max_inner_neg", "max_levels_0"])
+    ("outer_tol", "inf", "finite and > 0"), ("outer_tol_abs", "0", "finite and > 0"),
+], ids=["outer_tol_inf", "outer_tol_abs_zero"])
 def test_solver_range_is_config_error(tmp_path, capsys, key, value, message):
     path = write(tmp_path, "range.ini", f"{SOLVE_CONFIG}\n[solver]\n{key} = {value}\n")
     assert run(path, out_dir=tmp_path / "o") == 2
     assert f"[solver] {key}: must be {message}" in capsys.readouterr().err
     assert not (tmp_path / "o" / "solution.csv").exists()
+
+
+def _matrix_config(a11, a12, a21, a22, extra=""):
+    return (f"{extra}[coefficient]\nkind = matrix\n"
+            f"a11 = {a11!r}\na12 = {a12!r}\na21 = {a21!r}\na22 = {a22!r}\n")
+
+
+MATRIX_SOLVE_CONFIG = SOLVE_CONFIG.replace("dim = 1\nnx = 129", "nx = 17\nny = 17")
+
+
+@pytest.mark.parametrize("a", [(1.0, -0.5, -0.5, 1.0), (1.0, 1.2, 1.2, 2.0)],
+                         ids=["negative_coupling", "coupling_above_diagonal"])
+def test_non_m_matrix_coefficient_is_config_error(tmp_path, capsys, a):
+    path = write(tmp_path, "aniso.ini", _matrix_config(*a, extra=MATRIX_SOLVE_CONFIG + "\n"))
+    assert run(path, out_dir=tmp_path / "o") == 2
+    assert "0 <= (a12 + a21) / 2 <= min(a11, a22)" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("a", [(2.0, 0.5, 0.5, 1.0), (1.0, 0.3, -0.3, 1.0)],
+                         ids=["anisotropic", "non_symmetric"])
+def test_m_matrix_coefficient_runs(tmp_path, a):
+    path = write(tmp_path, "aniso.ini", _matrix_config(*a, extra=MATRIX_SOLVE_CONFIG + "\n"))
+    assert run(path, out_dir=tmp_path / "o") == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(a11=st.floats(0.1, 10.0), a22=st.floats(0.1, 10.0), s=st.floats(-10.0, 10.0),
+       d=st.floats(-10.0, 10.0))
+def test_matrix_coefficient_range_matches_stiffness_signs(a11, a22, s, d):
+    # A = [[a11, s + d], [s - d, a22]]: symmetric part s, antisymmetric part d
+    a12, a21 = s + d, s - d
+    s = (a12 + a21) / 2.0
+    scale = max(a11, a22)
+    assume(a11 * a22 - s * s > 1e-6 * scale * scale)  # coercive
+    assume(min(abs(s), abs(a11 - s), abs(a22 - s)) > 1e-9 * scale)  # off the range's ends
+    mesh = mildsing.build_rectangle_mesh(1.0, 1.0, 5, 5)
+    K = mildsing.assemble_stiffness(
+        mesh, mildsing.Coefficient.constant(mesh, [[a11, a12], [a21, a22]])).matrix.tocoo()
+    m_matrix = bool(np.all(K.data[K.row != K.col] <= 0.0))
+    try:
+        build_coefficient(parse_config(_matrix_config(a11, a12, a21, a22)), mesh)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    assert accepted == m_matrix
 
 
 def test_every_solver_field_is_parsed():

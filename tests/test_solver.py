@@ -59,9 +59,8 @@ def test_truncated_rhs_rejects_small_level(unit_square_9):
 
 
 @pytest.mark.parametrize("kw", [
-    {"outer_tol": float("inf")}, {"inner_tol_abs": float("nan")}, {"outer_tol_abs": -1e-10},
-    {"max_inner": 0}, {"max_levels": -1},
-], ids=["outer_tol_inf", "inner_tol_abs_nan", "outer_tol_abs_neg", "max_inner_0", "max_levels_neg"])
+    {"outer_tol": float("inf")}, {"outer_tol_abs": -1e-10}, {"outer_tol_abs": float("nan")},
+], ids=["outer_tol_inf", "outer_tol_abs_neg", "outer_tol_abs_nan"])
 def test_solver_config_rejects_out_of_range(kw):
     (name,) = kw
     with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -181,12 +180,25 @@ def test_limit_problem_against_refined_reference():
     assert ms.l2_norm(diff) <= 1e-3 * ms.l2_norm(ref_field)
 
 
-def test_solver_nonconvergence_raises(unit_square_9):
+def test_solver_nonconvergence_raises(monkeypatch, unit_square_9):
     A = ms.Coefficient.identity(unit_square_9)
     F = nonlinearity(unit_square_9, PowerLaw(0.5), f=1.0)
-    cfg = ms.SolverConfig(max_inner=2)
-    with pytest.raises(ms.ConvergenceError):
-        ms.solve_singular(unit_square_9, A, F, cfg)
+    monkeypatch.setattr("mildsing.solver._MAX_INNER", 2)
+    with pytest.raises(ms.ConvergenceError, match="not reached in 2 steps"):
+        ms.solve_singular(unit_square_9, A, F)
+
+
+def test_tight_outer_tolerance_converges():
+    # the Picard tolerances follow the outer ones, so tightening outer_tol alone
+    # cannot leave the levels stuck at the inner solver's resolution
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 33, 33)
+    F = nonlinearity(mesh, ms.OscillatingPower(0.5), f=1.0)
+    default = ms.SolverConfig()
+    assert (default.inner_tol, default.inner_tol_abs) == (1e-8, 1e-12)
+    cfg = ms.SolverConfig(outer_tol=1e-10, outer_tol_abs=1e-14)
+    assert cfg.inner_tol == 1e-12
+    rep = ms.solve_singular(mesh, ms.Coefficient.identity(mesh), F, cfg)
+    assert rep.final_gap <= cfg.outer_tol * rep.h1_norms[-2] + cfg.outer_tol_abs
 
 
 @pytest.mark.parametrize("g", [PowerLaw(0.5), ms.OscillatingPower(1.0)], ids=["power", "oscillating"])
