@@ -157,12 +157,14 @@ def test_truncation_start_below_one_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("outer_tol", "inf", "finite and > 0"), ("outer_tol_abs", "0", "finite and > 0"),
-], ids=["outer_tol_inf", "outer_tol_abs_zero"])
+    ("outer_tol", "inf", "must be finite and > 0"), ("outer_tol_abs", "0", "must be finite and > 0"),
+    # the step limit is the constant solver._MAX_INNER: no value of the old key is accepted
+    ("max_inner", "0", "unknown key"), ("max_inner", "-5", "unknown key"),
+], ids=["outer_tol_inf", "outer_tol_abs_zero", "max_inner_0", "max_inner_neg"])
 def test_solver_range_is_config_error(tmp_path, capsys, key, value, message):
     path = write(tmp_path, "range.ini", f"{SOLVE_CONFIG}\n[solver]\n{key} = {value}\n")
     assert run(path, out_dir=tmp_path / "o") == 2
-    assert f"[solver] {key}: must be {message}" in capsys.readouterr().err
+    assert f"[solver] {key}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o" / "solution.csv").exists()
 
 
