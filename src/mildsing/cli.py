@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fem import Coefficient, ConvergenceError, assemble_stiffness, norms
+from .fem import Coefficient, ConvergenceError, assemble_stiffness, check_m_matrix, norms
 from .homogenization import (
     PerforationSpec,
     corrector_experiment,
@@ -187,17 +187,10 @@ def build_coefficient(cfg: RunConfig, mesh: Mesh) -> Coefficient:
         if kind == "isotropic":
             return Coefficient.isotropic(mesh, cfg.get_float("coefficient", "a", 1.0))
         if kind == "matrix":
-            a11 = cfg.get_float("coefficient", "a11", 1.0)
-            a12 = cfg.get_float("coefficient", "a12", 0.0)
-            a21 = cfg.get_float("coefficient", "a21", 0.0)
-            a22 = cfg.get_float("coefficient", "a22", 1.0)
-            coeff = Coefficient.constant(mesh, np.array([[a11, a12], [a21, a22]]))
-            # on the one-diagonal mesh a node couples to its diagonal neighbours
-            # with -s and to its axis neighbours with -(a11 - s) and -(a22 - s)
-            s = (a12 + a21) / 2.0
-            if not 0.0 <= s <= min(a11, a22):
-                raise ConfigError("coefficient", "a12", "operator is not an M-matrix: need "
-                                  f"0 <= (a12 + a21) / 2 <= min(a11, a22), got {s!r}")
+            mat = np.array([[cfg.get_float("coefficient", f"a{i}{j}", float(i == j)) for j in (1, 2)]
+                            for i in (1, 2)])
+            coeff = Coefficient.constant(mesh, mat)  # coercivity first, then the M-matrix range
+            check_m_matrix(mat)
             return coeff
     except ValueError as exc:
         raise ConfigError("coefficient", "kind", str(exc)) from None

@@ -37,6 +37,7 @@ __all__ = [
     "assemble_stiffness",
     "assemble_mass",
     "stiffness_csr",
+    "check_m_matrix",
     "mass_csr",
     "lumped_mass",
     "solve_cg",
@@ -172,6 +173,18 @@ def stiffness_csr(mesh: Mesh, coeff: Coefficient) -> sp.csr_matrix:
     cols = np.tile(mesh.elements, (1, nv)).ravel()
     K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
     return K.tocsr()
+
+
+def check_m_matrix(mat: np.ndarray) -> None:
+    """Raise ``ValueError`` unless a constant 2-D ``A`` makes :func:`stiffness_csr` an M-matrix.
+
+    A node couples to its diagonal neighbours with ``-s`` and to its axis neighbours
+    with ``-(a11 - s)`` and ``-(a22 - s)``, where ``s = (a12 + a21) / 2``.
+    """
+    s = (mat[0][1] + mat[1][0]) / 2.0
+    if not 0.0 <= s <= min(mat[0][0], mat[1][1]):
+        raise ValueError("operator is not an M-matrix: need "
+                         f"0 <= (a12 + a21) / 2 <= min(a11, a22), got {s!r}")
 
 
 def mass_csr(mesh: Mesh) -> sp.csr_matrix:

@@ -213,6 +213,8 @@ def test_extension_isometry_on_perforated_mesh(case, seed):
     # elements fully inside holes contribute exactly zero
     grad = np.einsum("evd,ev->ed", p.grads, vals[p.elements])
     assert np.abs(grad[~p.omega_eps_elements]).max(initial=0.0) == 0.0
+    if strategy == "resolved":  # radius >= 2 h: each hole swallows the cell around its centre
+        assert (~p.omega_eps_elements).any()
 
 
 def test_extension_flags_nonzero_hole_value():
