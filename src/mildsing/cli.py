@@ -23,7 +23,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fem import Coefficient, ConvergenceError, assemble_stiffness, check_m_matrix, norms
+from .fem import (
+    Coefficient,
+    ConvergenceError,
+    SparseOperator,
+    assemble_stiffness,
+    check_m_matrix,
+    norms,
+)
 from .homogenization import (
     PerforationSpec,
     corrector_experiment,
@@ -40,7 +47,7 @@ from .nonlinearity import (
     TableMap,
     nonlinearity,
 )
-from .solver import SolverConfig, solve_singular
+from .solver import SolverConfig, _schedule
 from .verification import (
     ExperimentOutcome,
     _lambda1,
@@ -216,7 +223,10 @@ def _field_value(cfg: RunConfig, mesh: Mesh, section: str, key: str, default: st
 
 
 def build_nonlinearity(cfg: RunConfig, mesh: Mesh, coeff: Coefficient,
-                       section: str = "nonlinearity") -> Nonlinearity:
+                       section: str = "nonlinearity",
+                       op: SparseOperator | None = None) -> Nonlinearity:
+    """The ``[section]`` nonlinearity; ``rate = auto`` takes ``lambda_1`` of ``op``,
+    which defaults to ``assemble_stiffness(mesh, coeff)``."""
     g_name = cfg.get(section, "g", "none")
     gamma = cfg.get_float(section, "gamma", None)
     if gamma is not None and not 0.0 < gamma <= 1.0:
@@ -234,7 +244,7 @@ def build_nonlinearity(cfg: RunConfig, mesh: Mesh, coeff: Coefficient,
         k = cfg.get_float(section, "k", 1.0, positive=True)
         rate_raw = cfg.get(section, "rate", "auto")
         if rate_raw == "auto":
-            rate, _ = _lambda1(assemble_stiffness(mesh, coeff))
+            rate, _ = _lambda1(assemble_stiffness(mesh, coeff) if op is None else op)
         else:
             try:
                 rate = float(rate_raw)
@@ -280,8 +290,8 @@ def _epsilon_list(cfg: RunConfig) -> list[float]:
     return eps
 
 
-def _solve_outcome(mesh, coeff, F, scfg, energy_tol, out_dir) -> ExperimentOutcome:
-    report = solve_singular(mesh, coeff, F, scfg)
+def _solve_outcome(op, coeff, F, scfg, energy_tol, out_dir) -> ExperimentOutcome:
+    report = _schedule(op, coeff, F, scfg, None, 0.0)
     nn = norms(report.u, coeff)
     min_u = float(report.u.values.min())
     passed = bool(min_u >= -1e-12 and report.energy_identity_residual <= energy_tol)
@@ -338,9 +348,11 @@ def _prepare(cfg: RunConfig, out_dir: str, seed: int, threads: int):
     scfg = build_solver_config(cfg)
 
     if kind == "solve":
-        F = build_nonlinearity(cfg, mesh, coeff)
+        # one operator for lambda_1 (rate = auto) and the solve
+        op = assemble_stiffness(mesh, coeff)
+        F = build_nonlinearity(cfg, mesh, coeff, op=op)
         energy_tol = cfg.get_float("solve", "energy_tol", 1e-6, positive=True)
-        return lambda: _solve_outcome(mesh, coeff, F, scfg, energy_tol, out_dir)
+        return lambda: _solve_outcome(op, coeff, F, scfg, energy_tol, out_dir)
     if kind == "comparison":
         F1 = build_nonlinearity(cfg, mesh, coeff, "nonlinearity")
         F2 = build_nonlinearity(cfg, mesh, coeff, "nonlinearity2")

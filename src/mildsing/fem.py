@@ -3,9 +3,10 @@
 Stiffness and mass matrices use exact quadrature (P1 gradients are constant
 per element).  Dirichlet conditions are imposed by row/column elimination,
 which keeps the operator SPD and hole-node values exactly zero.  The linear
-solver is Jacobi-preconditioned conjugate gradients: deterministic and
-dependency-free.  ``solve_cg`` is the tested oracle behind every linear solve
-in the package: the Picard iteration and the eigenpair call it.
+solver is conjugate gradients preconditioned by one geometric-multigrid
+V-cycle (Tatebe 1993): deterministic, and built from numpy and
+``scipy.sparse`` alone.  ``solve_cg`` is the tested oracle behind every
+linear solve in the package: the Picard iteration and the eigenpair call it.
 
 Every CG reduction (dot products and 2-norms), and the inner products of the
 eigenpair iteration, are single-threaded: they go through ``_dot``, an
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +63,12 @@ class ConvergenceError(RuntimeError):
 
 class IndefiniteOperatorError(RuntimeError):
     """CG met nonpositive curvature: the operator is not positive definite."""
+
+
+#: damping of the Jacobi smoother in the multigrid V-cycle
+_OMEGA = 0.8
+#: the coarsest multigrid level has at most this many unknowns and is solved exactly
+_COARSEST = 10
 
 
 def _sym_eig_min(mats: np.ndarray) -> np.ndarray:
@@ -120,10 +127,11 @@ class Coefficient:
 class SparseOperator:
     """Sparse matrix over the free (non-Dirichlet, non-hole) nodes.
 
-    Cached on first use, once per operator: ``diagonal``, the Jacobi
-    preconditioner ``dinv``, the lumped mass ``ml`` at the free nodes and the
-    identity-coefficient stiffness ``lap``.  ``h1(v) = sqrt(v' lap v)`` is
-    the H1 seminorm of a free-node vector (it vanishes at the other nodes).
+    Cached on first use, once per operator: ``diagonal``, the CG
+    preconditioner ``precond``, the lumped mass ``ml`` at the free nodes and
+    the identity-coefficient stiffness ``lap``.
+    ``h1(v) = sqrt(v' lap v)`` is the H1 seminorm of a free-node vector (it
+    vanishes at the other nodes).
     """
 
     matrix: sp.csr_matrix
@@ -139,9 +147,18 @@ class SparseOperator:
         return self.matrix.diagonal()
 
     @cached_property
-    def dinv(self) -> np.ndarray:
-        """Jacobi preconditioner ``1 / diag``, computed once per operator."""
-        return 1.0 / self.diagonal
+    def precond(self):
+        """CG preconditioner ``r -> z``: one V-cycle of :func:`_multigrid`, else Jacobi.
+
+        Jacobi, ``z = (1 / diag) * r``, remains only for a grid that does not halve
+        down to ``_COARSEST`` unknowns; every shipped size has ``2**k + 1``
+        nodes per axis and halves.  The callable holds the hierarchy but not
+        the operator, so it dies with it.
+        """
+        mesh = self.mesh
+        shape = (mesh.nx,) if mesh.dim == 1 else (mesh.ny, mesh.nx)
+        return (_multigrid(self.matrix, self.free, shape)
+                or partial(np.multiply, 1.0 / self.diagonal))
 
     @cached_property
     def ml(self) -> np.ndarray:
@@ -185,6 +202,70 @@ def check_m_matrix(mat: np.ndarray) -> None:
     if not 0.0 <= s <= min(mat[0][0], mat[1][1]):
         raise ValueError("operator is not an M-matrix: need "
                          f"0 <= (a12 + a21) / 2 <= min(a11, a22), got {s!r}")
+
+
+def _prolongation(shape: tuple[int, ...]) -> tuple[sp.csr_matrix, tuple[int, ...]]:
+    """Exact P1 interpolation onto the grid ``shape`` from its every-other-node grid.
+
+    Along each axis fine node ``i`` is the mean of coarse nodes ``floor(i / 2)`` and
+    ``ceil(i / 2)``: the coarse node itself, an axis-edge midpoint, or the midpoint of a
+    cell diagonal ``n00``-``n11``, which is an edge of both triangulations.  Nodes are
+    row-major, as in :mod:`mesh`; a 1-D ``shape`` gives the 3-point interpolation.
+    """
+    coarse = tuple((s + 1) // 2 for s in shape)
+    idx = np.indices(shape).reshape(len(shape), -1)
+    rows = np.tile(np.arange(idx.shape[1]), 2)
+    cols = np.concatenate([np.ravel_multi_index(idx // 2, coarse),
+                           np.ravel_multi_index((idx + 1) // 2, coarse)])
+    P = sp.coo_matrix((np.full(rows.size, 0.5), (rows, cols)),
+                      shape=(idx.shape[1], math.prod(coarse)))
+    return P.tocsr(), coarse
+
+
+def _multigrid(A: sp.csr_matrix, free: np.ndarray, shape: tuple[int, ...]) -> partial | None:
+    """Symmetric V(1,1) cycle for ``A`` over the ``free`` nodes of the grid ``shape``, or None.
+
+    Each level keeps the coarse interior nodes whose column of the prolongation,
+    restricted to the level's free nodes, is nonzero, and the Galerkin operator
+    ``P' A P`` on them; holes, ``mu`` and anisotropic ``A`` need no special case.
+    A node with no neighbour in ``A`` (one walled in by holes) gets no
+    interpolated correction: the smoother alone solves it, so a zero load there
+    leaves it exactly zero.  Halving stops at ``_COARSEST`` unknowns.  None when
+    a grid with more unknowns has an even axis or fewer than 5 nodes on one: it
+    does not halve.
+    """
+    levels = []
+    while A.shape[0] > _COARSEST:
+        if any(s % 2 == 0 or s < 5 for s in shape):
+            return None
+        P, shape = _prolongation(shape)
+        lone = np.diff((A != 0).indptr) == 1
+        P = sp.diags(np.where(lone, 0.0, 1.0)) @ P[free]
+        idx = np.indices(shape).reshape(len(shape), -1)
+        interior = np.all((idx > 0) & (idx < np.array(shape)[:, None] - 1), axis=0)
+        free = np.flatnonzero(interior & (P.getnnz(axis=0) > 0))
+        P = P[:, free].tocsr()
+        R = P.T.tocsr()
+        levels.append((A, _OMEGA / A.diagonal(), P, R))
+        # sorted: the order in which the product stores a row, and so the
+        # rounding of every matvec, must not depend on explicit zeros in A
+        A = (R @ A @ P).tocsr().sorted_indices()
+    return partial(_vcycle, tuple(levels), np.linalg.inv(A.toarray()))
+
+
+def _vcycle(levels: tuple, coarse_inv: np.ndarray, r: np.ndarray, k: int = 0) -> np.ndarray:
+    """Level ``k`` of the V-cycle on ``r`` from a zero guess: smooth, correct, smooth.
+
+    A module function bound by ``partial``: a closure calling itself would be a
+    reference cycle and keep every hierarchy alive until a garbage collection.
+    """
+    if k == len(levels):
+        return np.einsum("ij,j->i", coarse_inv, r)
+    A, wdinv, P, R = levels[k]
+    x = wdinv * r
+    x += P @ _vcycle(levels, coarse_inv, R @ (r - A @ x), k + 1)
+    x += wdinv * (r - A @ x)
+    return x
 
 
 def mass_csr(mesh: Mesh) -> sp.csr_matrix:
@@ -247,7 +328,7 @@ class CGStats:
 def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
              maxit: int | None = None, x0: np.ndarray | None = None,
              forcing: float = 0.0) -> tuple[np.ndarray, CGStats]:
-    """Jacobi-preconditioned CG on the free-node system.
+    """Preconditioned CG on the free-node system, with ``op.precond``.
 
     Returns ``x`` with ``|op x - rhs| <= max(tol |rhs|, forcing |r0|)``,
     where ``r0 = rhs - op x0`` is the residual of the starting guess: a
@@ -270,7 +351,7 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
     stop = max(tol * bnorm, forcing * res)
     if res <= stop:
         return x, CGStats(0)
-    z = op.dinv * r
+    z = op.precond(r)
     p = z.copy()
     rz = _dot(r, z)
     for it in range(1, maxit + 1):
@@ -286,7 +367,7 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
         res = math.sqrt(_dot(r, r))
         if res <= stop:
             return x, CGStats(it)
-        z = op.dinv * r
+        z = op.precond(r)
         rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new

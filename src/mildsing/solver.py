@@ -11,7 +11,7 @@ The step damping is per node, ``theta w_i`` with slope weights
 ``w_i = 1 / (1 + _SLOPE_DAMPING m_i |dF/ds| / K_ii)``, and one adaptive
 ``theta`` that starts at ``_THETA0``.  Every level of a solve runs on the
 one operator ``assemble_stiffness(mesh, coeff, mu)``; its cached members
-give ``m``, the Jacobi preconditioner and the H1 seminorm of steps and iterates.
+give ``m``, the CG preconditioner and the H1 seminorm of steps and iterates.
 The Picard step is inexact: each CG solve of ``K v = b(u)`` starts from the
 current iterate ``x`` and stops once its residual is at most
 ``max(_CG_TOL |b|, _FORCING |b - K x|)``, i.e. once it has reduced the

@@ -95,12 +95,15 @@ def _lambda1(op: SparseOperator) -> tuple[float, FieldFunction]:
     """First eigenpair of the operator's symmetric part ``(K + K') / 2`` with lumped mass.
 
     The lumped mass ``op.ml`` matches the nodal quadrature used for nonlinear
-    loads, so the eigenpair is the one the fixed-point map actually sees.
+    loads, so the eigenpair is the one the fixed-point map actually sees.  An
+    exactly symmetric ``K`` is its own symmetric part, so ``op`` itself, and
+    the preconditioner it caches, serve the eigenpair and later solves alike.
     """
     K = op.matrix
-    sym = SparseOperator((0.5 * (K + K.T)).tocsr(), op.free, op.mesh)
     M = SparseOperator(sp.diags(op.ml).tocsr(), op.free, op.mesh)
-    return first_eigenpair(sym, M, tol=1e-12)
+    if (K != K.T).nnz:
+        op = SparseOperator((0.5 * (K + K.T)).tocsr(), op.free, op.mesh)
+    return first_eigenpair(op, M, tol=1e-12)
 
 
 def _check_dominated(F1: Nonlinearity, F2: Nonlinearity) -> None:

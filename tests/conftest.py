@@ -23,6 +23,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         )
 
 
+@pytest.fixture
+def fem_calls(monkeypatch):
+    """List that records, by name, each call of ``fem.stiffness_csr`` and ``fem._multigrid``."""
+    from mildsing import fem
+
+    calls = []
+    for name in ("stiffness_csr", "_multigrid"):
+        def counted(*args, _name=name, _original=getattr(fem, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fem, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def unit_interval_257():
     return ms.build_interval_mesh(1.0, 257)

@@ -222,6 +222,29 @@ def test_every_solver_field_is_parsed():
     assert {k: getattr(scfg, k) for k in values} == values
 
 
+def test_auto_rate_solve_shares_its_operator(tmp_path, fem_calls):
+    # rate = auto takes lambda_1 of the operator the solve then runs on: one
+    # assembly for it, one for the H1 seminorm, and one multigrid hierarchy
+    path = write(tmp_path, "eigen.ini", """\
+[experiment]
+kind = solve
+
+[mesh]
+nx = 17
+ny = 17
+
+[nonlinearity]
+g = eigen_trunc
+rate = auto
+k = 1.0
+f = 0.5
+l = 1.0
+""")
+    assert run(path, out_dir=tmp_path / "out") == 0
+    assert fem_calls.count("stiffness_csr") == 2
+    assert fem_calls.count("_multigrid") == 1
+
+
 def test_solve_run_outputs_are_deterministic(tmp_path):
     path = write(tmp_path, "solve.ini", SOLVE_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mildsing as ms
+from mildsing import fem
 from mildsing.fem import lumped_mass, mass_csr, stiffness_csr
 
 
@@ -153,31 +156,38 @@ def test_rayleigh_quotient_lower_bound(unit_square_65, identity_65):
         assert rq >= lam * (1.0 - 1e-10)
 
 
+def draw_holes(draw, mesh):
+    """``mesh`` unperforated, or with holes on the admissible lattice ``epsilon = 1 / (2 k) >= h``.
+
+    Resolved radii are drawn in ``[2 h, epsilon)``, collapsed ones below ``h``.
+    """
+    h = 1.0 / (mesh.nx - 1)
+    k = draw(st.integers(0, min(4, (mesh.nx - 1) // 2)))  # 0: no holes; epsilon >= h
+    if not k:
+        return mesh
+    epsilon = 1.0 / (2 * k)
+    if 2.0 * h < epsilon and draw(st.booleans()):
+        holes = SimpleNamespace(epsilon=epsilon, strategy="resolved",
+                                radius=draw(st.floats(2.0 * h, epsilon, exclude_max=True)))
+    else:
+        holes = SimpleNamespace(epsilon=epsilon, strategy="collapsed",
+                                radius=draw(st.floats(0.0, h, exclude_max=True)))
+    return ms.perforate(mesh, holes)
+
+
 @st.composite
 def isotropic_problems(draw):
     """``(mesh, A, mu, seed)``: a 5**2 to 33**2 square, perforated or not, or an interval.
 
-    Sizes are dyadic or not.  Holes follow the admissible lattice
-    ``epsilon = 1 / (2 k) >= h``: resolved radii in ``[2 h, epsilon)``,
-    collapsed ones below ``h``.  ``A`` is a random positive multiple of the
-    identity on each element (anisotropic ``A`` can break the sign pattern).
+    Sizes are dyadic or not; holes come from :func:`draw_holes`.  ``A`` is a
+    random positive multiple of the identity on each element (anisotropic
+    ``A`` can break the sign pattern).
     """
     nx = draw(st.integers(5, 33))
     if draw(st.booleans()):
         mesh = ms.build_interval_mesh(1.0, nx)
     else:
-        mesh = ms.build_rectangle_mesh(1.0, 1.0, nx, nx)
-        h = 1.0 / (nx - 1)
-        k = draw(st.integers(0, min(4, (nx - 1) // 2)))  # 0: no holes; epsilon >= h
-        if k:
-            epsilon = 1.0 / (2 * k)
-            if 2.0 * h < epsilon and draw(st.booleans()):
-                holes = SimpleNamespace(epsilon=epsilon, strategy="resolved",
-                                        radius=draw(st.floats(2.0 * h, epsilon, exclude_max=True)))
-            else:
-                holes = SimpleNamespace(epsilon=epsilon, strategy="collapsed",
-                                        radius=draw(st.floats(0.0, h, exclude_max=True)))
-            mesh = ms.perforate(mesh, holes)
+        mesh = draw_holes(draw, ms.build_rectangle_mesh(1.0, 1.0, nx, nx))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     a = np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, mesh.n_elements))
     A = ms.Coefficient.from_matrices(mesh, np.einsum("e,ij->eij", a, np.eye(mesh.dim)))
@@ -200,6 +210,82 @@ def test_weak_maximum_principle(problem):
     rhs = rng.random(op.n) * (rng.random(op.n) < 0.5) * op.ml
     x, _ = ms.solve_cg(op, rhs)
     assert x.min(initial=0.0) >= -1e-12 * np.abs(x).max(initial=0.0)
+
+
+@st.composite
+def multigrid_problems(draw):
+    """``(mesh, A, mu, seed)`` on a grid that halves down to the coarsest level, or on 12**2.
+
+    An interval or a square, perforated or not by :func:`draw_holes`.  ``A``
+    is constant, symmetric and inside the :func:`fem.check_m_matrix` range,
+    with eigenvalues at most 19 apart in ratio.
+    """
+    nx = draw(st.sampled_from([5, 7, 9, 12, 13, 17, 33]))
+    if draw(st.booleans()):
+        mesh = ms.build_interval_mesh(1.0, nx)
+        mat = [[draw(st.floats(0.25, 4.0))]]
+    else:
+        mesh = draw_holes(draw, ms.build_rectangle_mesh(1.0, 1.0, nx, nx))
+        a11, a22 = draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0))
+        s = draw(st.floats(0.0, 0.9)) * min(a11, a22)
+        mat = [[a11, s], [s, a22]]
+        fem.check_m_matrix(mat)
+    mu = draw(st.sampled_from([0.0, draw(st.floats(0.0, 1e3))]))
+    return mesh, ms.Coefficient.constant(mesh, mat), mu, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=multigrid_problems())
+def test_multigrid_cg_matches_dense_solve(problem):
+    # the V-cycle is a symmetric preconditioner, and CG with it solves the
+    # system; only a 2-D grid that cannot halve (12**2) keeps Jacobi
+    mesh, A, mu, seed = problem
+    op = ms.assemble_stiffness(mesh, A, mu)
+    assert op.precond.func is (np.multiply if mesh.dim == 2 and mesh.nx == 12 else fem._vcycle)
+    rng = np.random.default_rng(seed)
+    x, y, rhs = rng.standard_normal((3, op.n))
+    sol, _ = ms.solve_cg(op, rhs, tol=1e-13)
+    exact = np.linalg.solve(op.matrix.toarray(), rhs)
+    assert np.abs(sol - exact).max(initial=0.0) <= 1e-9 * np.abs(exact).max(initial=0.0)
+    My, Mx = op.precond(y), op.precond(x)
+    assert abs(x @ My - y @ Mx) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(My)
+
+
+@pytest.mark.parametrize("nx", [129, 257])
+def test_multigrid_cg_iterations_do_not_grow(nx):
+    # multigrid needs 14 here, Jacobi 264 and 532: a silent fallback fails loudly
+    m = ms.build_rectangle_mesh(1.0, 1.0, nx, nx)
+    op = ms.assemble_stiffness(m, ms.Coefficient.identity(m))
+    _, stats = ms.solve_cg(op, op.ml, tol=1e-10)
+    assert stats.iterations <= 25
+
+
+def test_walled_in_node_stays_exactly_zero():
+    # the corner nodes of this lattice touch only holes and the boundary; the
+    # V-cycle must not interpolate coarse noise into them, or an unloaded one
+    # comes out of CG slightly negative
+    mesh = ms.perforate(ms.build_rectangle_mesh(1.0, 1.0, 13, 13),
+                        SimpleNamespace(epsilon=0.25, strategy="resolved", radius=0.1875))
+    op = ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh))
+    lone = np.diff((op.matrix != 0).indptr) == 1
+    assert lone.sum() == 4
+    x, _ = ms.solve_cg(op, np.where(lone, 0.0, op.ml))
+    assert op.precond.func is fem._vcycle
+    assert np.all(x[lone] == 0.0)
+
+
+def test_preconditioner_dies_with_its_operator(unit_square_65, identity_65):
+    # the hierarchy must not sit in a reference cycle: reference counting
+    # alone frees it once its operator is gone
+    gc.disable()
+    try:
+        op = ms.assemble_stiffness(unit_square_65, identity_65)
+        ms.solve_cg(op, op.ml)
+        ref = weakref.ref(op.precond)
+        del op
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_norms_zero_field(unit_square_9):

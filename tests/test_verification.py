@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mildsing as ms
 from mildsing import OscillatingPower, PowerLaw, nonlinearity
+from mildsing.verification import _lambda1
 
 
 @pytest.fixture(scope="module")
@@ -156,35 +160,54 @@ def test_outcome_json_dict_is_serializable(square_33, ident_33):
     assert '"pass"' in text
 
 
-def test_experiments_assemble_once(monkeypatch, square_33, ident_33):
-    # one operator per experiment: the number of assemblies grows neither with
-    # the number of levels nor with the number of solves, and every experiment
-    # costs what one solve does
-    from mildsing import fem
-
-    calls = []
-    stiffness_csr = fem.stiffness_csr
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return stiffness_csr(*args, **kwargs)
-
-    monkeypatch.setattr(fem, "stiffness_csr", counted)
+def test_experiments_assemble_once(fem_calls, square_33, ident_33):
+    # one operator and one multigrid hierarchy per experiment: their numbers
+    # grow neither with the number of levels nor with the number of solves,
+    # the eigenpair shares both with the solves, and every experiment costs
+    # what one solve does
     F = nonlinearity(square_33, PowerLaw(0.5), f=1.0)
     F2 = nonlinearity(square_33, PowerLaw(0.5), f=2.0)
 
     def count(experiment, *args, **kwargs):
-        calls.clear()
+        fem_calls.clear()
         experiment(square_33, ident_33, *args, **kwargs)
-        return len(calls)
+        return fem_calls.count("stiffness_csr"), fem_calls.count("_multigrid")
 
     single = count(ms.solve_singular, F)
+    assert single == (2, 1)
     assert count(ms.stability_experiment, F, [1.0, 2.0, 4.0]) == single
     assert count(ms.stability_experiment, F, [2.0 ** k for k in range(9)]) == single
     assert count(ms.comparison_experiment, F, F2) == single
     assert count(ms.uniqueness_experiment, F, n_starts=2) == single
     assert count(ms.uniqueness_experiment, F, n_starts=3) == single
     assert count(ms.nonuniqueness_experiment, k=1.0) == single
+
+
+def _symmetric_operator(case):
+    if case == "interval":
+        mesh = ms.build_interval_mesh(1.0, 65)
+        return ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh))
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 33, 33)
+    if case == "anisotropic_mu":
+        A = ms.Coefficient.constant(mesh, [[2.0, 0.5], [0.5, 1.0]])
+        return ms.assemble_stiffness(mesh, A, mu=3.0)
+    if case == "perforated":
+        mesh = ms.perforate(mesh, SimpleNamespace(epsilon=0.125, strategy="resolved",
+                                                  radius=0.07))
+    return ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh))
+
+
+@pytest.mark.parametrize("case", ["identity", "anisotropic_mu", "perforated", "interval"])
+def test_lambda1_of_symmetric_operator_is_bit_identical(case):
+    # an exactly symmetric operator stands in for its symmetric part (K + K') / 2
+    op = _symmetric_operator(case)
+    K = op.matrix
+    sym = ms.SparseOperator((0.5 * (K + K.T)).tocsr(), op.free, op.mesh)
+    M = ms.SparseOperator(sp.diags(op.ml).tocsr(), op.free, op.mesh)
+    lam_sym, phi_sym = ms.first_eigenpair(sym, M, tol=1e-12)
+    lam, phi = _lambda1(op)
+    assert lam == lam_sym
+    assert np.array_equal(phi.values, phi_sym.values)
 
 
 def test_failed_experiment_writes_nothing(monkeypatch, tmp_path):
