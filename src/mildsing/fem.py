@@ -1,12 +1,14 @@
 """P1 Galerkin assembly, preconditioned CG, discrete norms and the first eigenpair.
 
 Stiffness and mass matrices use exact quadrature (P1 gradients are constant
-per element).  Dirichlet conditions are imposed by row/column elimination,
-which keeps the operator SPD and hole-node values exactly zero.  The linear
-solver is conjugate gradients preconditioned by one geometric-multigrid
-V-cycle (Tatebe 1993): deterministic, and built from numpy and
-``scipy.sparse`` alone.  ``solve_cg`` is the tested oracle behind every
-linear solve in the package: the Picard iteration and the eigenpair call it.
+per element), and are assembled straight into CSR one chunk of elements at a
+time, so no array of nine entries per element is ever built.  Dirichlet
+conditions are imposed by row/column elimination, which keeps the operator
+SPD and hole-node values exactly zero.  The linear solver is conjugate
+gradients preconditioned by one geometric-multigrid V-cycle (Tatebe 1993):
+deterministic, and built from numpy and ``scipy.sparse`` alone.  ``solve_cg``
+is the tested oracle behind every linear solve in the package: the Picard
+iteration and the eigenpair call it.
 
 Every CG reduction (dot products and 2-norms), and the inner products of the
 eigenpair iteration, are single-threaded: they go through ``_dot``, an
@@ -84,13 +86,27 @@ def _sym_eig_min(mats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Coefficient:
-    """Per-element diffusivity matrices with a verified coercivity constant."""
+    """Per-element diffusivity matrices with a verified coercivity constant.
+
+    A constant ``A`` (``constant``, ``isotropic``, ``identity``) is stored once:
+    ``matrices`` is then a read-only broadcast view of one ``d x d`` matrix, and
+    ``alpha`` and ``is_symmetric`` are computed on that matrix.
+    """
 
     matrices: np.ndarray
     alpha: float
+    is_symmetric: bool
 
     def __post_init__(self) -> None:
         self.matrices.setflags(write=False)
+
+    @classmethod
+    def _checked(cls, matrices: np.ndarray, distinct: np.ndarray) -> "Coefficient":
+        """The coefficient ``matrices``, whose distinct matrices are ``distinct``, if coercive."""
+        alpha = float(_sym_eig_min(distinct).min())
+        if alpha <= 0.0:
+            raise ValueError(f"coefficient is not coercive: min eigenvalue {alpha!r} <= 0")
+        return cls(matrices, alpha, bool(np.array_equal(distinct, np.swapaxes(distinct, 1, 2))))
 
     @classmethod
     def from_matrices(cls, mesh: Mesh, mats: np.ndarray) -> "Coefficient":
@@ -98,15 +114,11 @@ class Coefficient:
         expected = (mesh.n_elements, mesh.dim, mesh.dim)
         if mats.shape != expected:
             raise ValueError(f"coefficient shape {mats.shape} != {expected}")
-        alpha = float(_sym_eig_min(mats).min())
-        if alpha <= 0.0:
-            raise ValueError(f"coefficient is not coercive: min eigenvalue {alpha!r} <= 0")
-        return cls(mats, alpha)
+        return cls._checked(mats, mats)
 
     @classmethod
     def isotropic(cls, mesh: Mesh, a: float = 1.0) -> "Coefficient":
-        mats = np.broadcast_to(a * np.eye(mesh.dim), (mesh.n_elements, mesh.dim, mesh.dim)).copy()
-        return cls.from_matrices(mesh, mats)
+        return cls.constant(mesh, a * np.eye(mesh.dim))
 
     @classmethod
     def identity(cls, mesh: Mesh) -> "Coefficient":
@@ -114,13 +126,11 @@ class Coefficient:
 
     @classmethod
     def constant(cls, mesh: Mesh, mat: np.ndarray) -> "Coefficient":
-        mat = np.asarray(mat, dtype=float)
-        mats = np.broadcast_to(mat, (mesh.n_elements, mesh.dim, mesh.dim)).copy()
-        return cls.from_matrices(mesh, mats)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.matrices, np.swapaxes(self.matrices, 1, 2)))
+        # a private copy, so the caller's array cannot change the coefficient
+        one = np.array(np.broadcast_to(np.asarray(mat, dtype=float), (mesh.dim, mesh.dim)))
+        one.setflags(write=False)
+        return cls._checked(np.broadcast_to(one, (mesh.n_elements, mesh.dim, mesh.dim)),
+                            one[None])
 
 
 @dataclass
@@ -180,16 +190,61 @@ class SparseOperator:
 
 def stiffness_csr(mesh: Mesh, coeff: Coefficient) -> sp.csr_matrix:
     """Full stiffness matrix ``K_ij = sum_T |T| (A grad phi_j) . grad phi_i``."""
-    grads = mesh.grads
-    local = np.einsum("e,evd,edc,ewc->evw", mesh.areas, grads, coeff.matrices, grads)
-    if coeff.is_symmetric:
-        # contraction order is not symmetry-preserving at the last ulp
-        local = 0.5 * (local + local.transpose(0, 2, 1))
-    nv = mesh.dim + 1
-    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nv)).ravel()
-    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
-    return K.tocsr()
+
+    def local(s: slice) -> np.ndarray:
+        grads = mesh.grads[s]
+        out = np.einsum("e,evd,edc,ewc->evw", mesh.areas[s], grads, coeff.matrices[s], grads)
+        if coeff.is_symmetric:
+            # contraction order is not symmetry-preserving at the last ulp
+            out = 0.5 * (out + out.transpose(0, 2, 1))
+        return out
+
+    return _assemble(mesh, local)
+
+
+def _stencil(mesh: Mesh) -> np.ndarray:
+    """Sorted node-index differences ``q - p`` of the vertex pairs of the elements, 0 included.
+
+    The stencil of the mesh graph: 7 offsets on a rectangle, 3 on an interval.
+    """
+    v, w = np.triu_indices(mesh.dim + 1, 1)
+    found = {0}
+    for s in mesh.element_chunks():
+        el = mesh.elements[s]
+        d = el[:, w] - el[:, v]
+        lo = int(d.min())
+        found.update((np.flatnonzero(np.bincount((d - lo).ravel())) + lo).tolist())
+    return np.array(sorted(found | {-d for d in found}))
+
+
+def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
+    """CSR matrix summing the element matrices ``local(s)``, shape ``(len, nv, nv)``, per chunk.
+
+    Goes straight to CSR, one chunk of elements at a time (``Mesh.element_chunks``):
+    node ``p`` has one slot per stencil offset ``d`` (:func:`_stencil`), for the
+    entry ``(p, p + d)``, so an entry's slot is arithmetic, not a search; the
+    table of slots is 7 values per node on a rectangle.  Every slot adds its
+    contributions in element order; an off-diagonal entry has at most two, so
+    no order changes its bits.  Exact zeros, such as the diagonal couplings of
+    an isotropic ``A``, are not stored.
+    """
+    offsets = _stencil(mesh)
+    span = int(offsets[-1])
+    column = np.zeros(2 * span + 1, dtype=np.intp)
+    column[offsets + span] = np.arange(offsets.size)
+    n = mesh.n_nodes
+    data = np.zeros((n, offsets.size))
+    for s in mesh.element_chunks():
+        el = mesh.elements[s]
+        slot = el[:, :, None] * offsets.size + column[el[:, None, :] - el[:, :, None] + span]
+        np.add.at(data.ravel(), slot.ravel(), local(s).ravel())
+    keep = data != 0.0
+    data = data[keep]
+    index = np.int32 if n * offsets.size <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    indices = (np.arange(n, dtype=index)[:, None] + offsets.astype(index))[keep]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def check_m_matrix(mat: np.ndarray) -> None:
@@ -272,11 +327,7 @@ def mass_csr(mesh: Mesh) -> sp.csr_matrix:
     """Full consistent P1 mass matrix (exact quadrature)."""
     nv = mesh.dim + 1
     local_unit = (np.ones((nv, nv)) + np.eye(nv)) / ((nv) * (nv + 1))
-    local = mesh.areas[:, None, None] * local_unit
-    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nv)).ravel()
-    M = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
-    return M.tocsr()
+    return _assemble(mesh, lambda s: mesh.areas[s, None, None] * local_unit)
 
 
 def lumped_mass(mesh: Mesh) -> np.ndarray:
@@ -381,13 +432,14 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
 def solve_dirichlet(mesh: Mesh, coeff: Coefficient, fixed_mask: np.ndarray,
                     fixed_values: np.ndarray) -> FieldFunction:
     """Solve ``-div A Du = 0`` with arbitrary Dirichlet data via lifting."""
-    K = stiffness_csr(mesh, coeff)
     free = np.flatnonzero(~fixed_mask)
     fixed = np.flatnonzero(fixed_mask)
     lift = np.zeros(mesh.n_nodes)
     lift[fixed] = fixed_values[fixed]
-    rhs = -np.asarray((K @ lift)[free])
-    op = SparseOperator(_restrict(K, free), free, mesh)
+    rows = stiffness_csr(mesh, coeff)[free]  # only the free rows outlive this line
+    rhs = -(rows @ lift)
+    op = SparseOperator(rows[:, free].tocsr(), free, mesh)
+    del rows  # before solve_cg builds the multigrid hierarchy
     x, _ = solve_cg(op, rhs)
     full = lift.copy()
     full[free] = x

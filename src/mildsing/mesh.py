@@ -50,6 +50,9 @@ CLASS_NAMES = {INTERIOR: "interior", OUTER_BOUNDARY: "outer_boundary", HOLE: "ho
 #: float formatting used by every CSV writer (17 significant digits).
 FLOAT_FMT = "%.17g"
 
+#: elements per chunk of the per-element loops (``Mesh.element_chunks``)
+_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class PerforationReport:
@@ -102,34 +105,48 @@ class Mesh:
         out.setflags(write=False)
         return out
 
+    def element_chunks(self) -> list[slice]:
+        """Slices of at most ``_CHUNK`` consecutive elements that cover them all, in order.
+
+        The per-element loops (geometry, assembly) run over these, so their
+        temporaries stay a few MB at any mesh size.
+        """
+        return [slice(s, s + _CHUNK) for s in range(0, self.n_elements, _CHUNK)]
+
     @cached_property
     def areas(self) -> np.ndarray:
         """Element measures: triangle areas in 2-D, segment lengths in 1-D."""
-        verts = self.nodes[self.elements]
-        if self.dim == 1:
-            out = np.abs(verts[:, 1, 0] - verts[:, 0, 0])
-        else:
-            e1 = verts[:, 1] - verts[:, 0]
-            e2 = verts[:, 2] - verts[:, 0]
-            out = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        out = np.empty(self.n_elements)
+        for s in self.element_chunks():
+            verts = self.nodes[self.elements[s]]
+            if self.dim == 1:
+                out[s] = np.abs(verts[:, 1, 0] - verts[:, 0, 0])
+            else:
+                e1 = verts[:, 1] - verts[:, 0]
+                e2 = verts[:, 2] - verts[:, 0]
+                out[s] = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         out.setflags(write=False)
         return out
 
     @cached_property
     def grads(self) -> np.ndarray:
         """P1 basis gradients, shape ``(n_elements, dim + 1, dim)`` (constant per element)."""
-        verts = self.nodes[self.elements]
-        if self.dim == 1:
-            h = (verts[:, 1, 0] - verts[:, 0, 0])[:, None, None]
-            out = np.concatenate([-1.0 / h, 1.0 / h], axis=1)
-        else:
-            x = verts[..., 0]
-            y = verts[..., 1]
-            two_a = 2.0 * self.areas[:, None]
-            # grad phi_i = (y_j - y_k, x_k - x_j) / (2 |T|), (i, j, k) cyclic
-            b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-            c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-            out = np.stack([b, c], axis=2) / two_a[..., None]
+        out = np.empty((self.n_elements, self.dim + 1, self.dim))
+        for s in self.element_chunks():
+            verts = self.nodes[self.elements[s]]
+            if self.dim == 1:
+                h = verts[:, 1, 0] - verts[:, 0, 0]
+                out[s, 0, 0] = -1.0 / h
+                out[s, 1, 0] = 1.0 / h
+            else:
+                x = verts[..., 0]
+                y = verts[..., 1]
+                two_a = 2.0 * self.areas[s, None]
+                # grad phi_i = (y_j - y_k, x_k - x_j) / (2 |T|), (i, j, k) cyclic
+                out[s, :, 0] = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]],
+                                        axis=1) / two_a
+                out[s, :, 1] = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]],
+                                        axis=1) / two_a
         out.setflags(write=False)
         return out
 
@@ -165,26 +182,22 @@ def build_rectangle_mesh(width: float, height: float, nx: int, ny: int) -> Mesh:
     if abs(hx - hy) > 1e-12 * max(hx, hy):
         raise ValueError(f"cells must be square: hx={hx!r} != hy={hy!r}")
 
-    xs = np.linspace(0.0, width, nx)
-    ys = np.linspace(0.0, height, ny)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    nodes = np.empty((ny, nx, 2))
+    nodes[..., 0] = np.linspace(0.0, width, nx)
+    nodes[..., 1] = np.linspace(0.0, height, ny)[:, None]
+    nodes = nodes.reshape(-1, 2)
 
-    i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="xy")
-    n00 = (j * nx + i).ravel()
-    n10 = n00 + 1
-    n01 = n00 + nx
-    n11 = n01 + 1
-    lower = np.column_stack([n00, n10, n11])
-    upper = np.column_stack([n00, n11, n01])
-    elements = np.empty((2 * lower.shape[0], 3), dtype=np.int64)
-    elements[0::2] = lower
-    elements[1::2] = upper
+    # cell (i, j) with lower-left node n00 = j * nx + i: lower triangle (n00, n10, n11),
+    # then upper triangle (n00, n11, n01)
+    n00 = (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)).reshape(-1, 1, 1)
+    elements = np.empty((n00.size, 2, 3), dtype=np.int64)
+    np.add(n00, [[0, 1, nx + 1], [0, nx + 1, nx]], out=elements)
+    elements = elements.reshape(-1, 3)
 
-    node_class = np.full(nx * ny, INTERIOR, dtype=np.int8)
-    ii = np.arange(nx * ny) % nx
-    jj = np.arange(nx * ny) // nx
-    node_class[(ii == 0) | (ii == nx - 1) | (jj == 0) | (jj == ny - 1)] = OUTER_BOUNDARY
+    node_class = np.full((ny, nx), INTERIOR, dtype=np.int8)
+    node_class[[0, -1], :] = OUTER_BOUNDARY
+    node_class[:, [0, -1]] = OUTER_BOUNDARY
+    node_class = node_class.ravel()
 
     return Mesh(2, nx, ny, float(width), float(height), nodes, elements, node_class)
 
@@ -377,22 +390,19 @@ def extend_by_zero(u: FieldFunction) -> FieldFunction:
 
 
 def write_field_csv(path, field: FieldFunction) -> None:
-    """Dump ``(node index, x, y, class, value)`` rows with 17-digit floats."""
-    mesh, values = field.mesh, field.values
+    """Dump ``(node index, x, y, class, value)`` rows with 17-digit floats.
+
+    The bytes of ``csv.writer`` (CRLF line ends; no field needs quoting), from
+    one format per row over whole columns converted to Python lists at once.
+    """
+    mesh = field.mesh
+    y = mesh.nodes[:, 1] if mesh.dim == 2 else np.zeros(mesh.n_nodes)
+    names = [CLASS_NAMES[k] for k in mesh.node_class.tolist()]
+    row = f"%d,{FLOAT_FMT},{FLOAT_FMT},%s,{FLOAT_FMT}\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "x", "y", "class", "value"])
-        y = mesh.nodes[:, 1] if mesh.dim == 2 else np.zeros(mesh.n_nodes)
-        for i in range(mesh.n_nodes):
-            writer.writerow(
-                [
-                    i,
-                    FLOAT_FMT % mesh.nodes[i, 0],
-                    FLOAT_FMT % y[i],
-                    CLASS_NAMES[int(mesh.node_class[i])],
-                    FLOAT_FMT % values[i],
-                ]
-            )
+        fh.write("index,x,y,class,value\r\n")
+        fh.writelines([row % r for r in zip(range(mesh.n_nodes), mesh.nodes[:, 0].tolist(),
+                                            y.tolist(), names, field.values.tolist())])
 
 
 def read_field_csv(mesh: Mesh, path) -> FieldFunction:

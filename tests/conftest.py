@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import mildsing as ms
@@ -36,6 +38,23 @@ def fem_calls(monkeypatch):
 
         monkeypatch.setattr(fem, name, counted)
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """``peak(fn, *args)``: ``fn(*args)`` and the peak bytes ``tracemalloc`` saw allocated during it.
+
+    numpy reports its array buffers to ``tracemalloc``, so the figure is
+    deterministic; memory allocated before the call does not count.
+    """
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            return fn(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture(scope="session")

@@ -3,15 +3,20 @@
 These deliberately avoid every package code path they are used to check:
 the two-point boundary value oracle integrates the ODE with an adaptive
 Runge-Kutta scheme and bisection, the disk-node count enumerates grid
-points directly, and the hole lattice is searched hole by hole.
+points directly, and the hole lattice is searched hole by hole.  The
+assembly and the field-CSV writer are the earlier, direct implementations:
+a COO matrix with nine entries per element, summed by the COO -> CSR
+conversion, and ``csv.writer`` row by row.
 """
 
+import csv
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
-from mildsing.mesh import HOLE, OUTER_BOUNDARY
+from mildsing.mesh import CLASS_NAMES, FLOAT_FMT, HOLE, OUTER_BOUNDARY
 
 #: closed-form peak of -u'' = u**-gamma on (0, 1), from the energy
 #: quadrature identity int_0^peak du / sqrt(2 (V(peak) - V(u))) = 1/2
@@ -143,3 +148,47 @@ def corrector_by_search(mesh_eps, epsilon, radius, rho):
         w = np.clip(np.log(d / radius) / math.log(rho / radius), 0.0, 1.0)
     w[mesh_eps.node_class == HOLE] = 0.0
     return w
+
+
+def stiffness_csr_coo(mesh, coeff):
+    """Full stiffness matrix ``K_ij = sum_T |T| (A grad phi_j) . grad phi_i``."""
+    grads = mesh.grads
+    local = np.einsum("e,evd,edc,ewc->evw", mesh.areas, grads, coeff.matrices, grads)
+    if coeff.is_symmetric:
+        # contraction order is not symmetry-preserving at the last ulp
+        local = 0.5 * (local + local.transpose(0, 2, 1))
+    nv = mesh.dim + 1
+    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, nv)).ravel()
+    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
+    return K.tocsr()
+
+
+def mass_csr_coo(mesh):
+    """Full consistent P1 mass matrix (exact quadrature)."""
+    nv = mesh.dim + 1
+    local_unit = (np.ones((nv, nv)) + np.eye(nv)) / ((nv) * (nv + 1))
+    local = mesh.areas[:, None, None] * local_unit
+    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, nv)).ravel()
+    M = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
+    return M.tocsr()
+
+
+def write_field_csv_rows(path, field):
+    """Dump ``(node index, x, y, class, value)`` rows with 17-digit floats."""
+    mesh, values = field.mesh, field.values
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "x", "y", "class", "value"])
+        y = mesh.nodes[:, 1] if mesh.dim == 2 else np.zeros(mesh.n_nodes)
+        for i in range(mesh.n_nodes):
+            writer.writerow(
+                [
+                    i,
+                    FLOAT_FMT % mesh.nodes[i, 0],
+                    FLOAT_FMT % y[i],
+                    CLASS_NAMES[int(mesh.node_class[i])],
+                    FLOAT_FMT % values[i],
+                ]
+            )

@@ -4,12 +4,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mildsing as ms
 from mildsing import fem
 from mildsing.fem import lumped_mass, mass_csr, stiffness_csr
+
+from oracles import mass_csr_coo, stiffness_csr_coo
 
 
 def nodal_load(mesh, fn):
@@ -286,6 +289,124 @@ def test_preconditioner_dies_with_its_operator(unit_square_65, identity_65):
         assert ref() is None
     finally:
         gc.enable()
+
+
+@st.composite
+def assembly_problems(draw):
+    """``(mesh, A, mu, bit_exact)``: an interval, a unit square or a 2 x 1 rectangle.
+
+    Node counts are odd or even; the square may carry holes from
+    :func:`draw_holes`.  ``A`` is coercive: a random multiple of the identity,
+    or a random symmetric positive definite matrix, plus a random
+    antisymmetric one half of the time, per element or constant.
+    ``bit_exact``: an interval, or an isotropic ``A`` on a grid with
+    ``2**k + 1`` nodes per axis.
+    """
+    nx = draw(st.integers(2, 33))
+    shape = draw(st.sampled_from(["interval", "square", "rectangle"]))
+    if shape == "interval":
+        mesh = ms.build_interval_mesh(1.0, nx)
+    elif shape == "square":
+        mesh = draw_holes(draw, ms.build_rectangle_mesh(1.0, 1.0, nx, nx))
+    else:
+        mesh = ms.build_rectangle_mesh(2.0, 1.0, 2 * nx - 1, nx)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["isotropic", "constant", "per element"]))
+    if kind == "isotropic":
+        A = ms.Coefficient.isotropic(mesh, float(np.exp(rng.uniform(-3.0, 3.0))))
+    else:
+        count = 1 if kind == "constant" else mesh.n_elements
+        B, C = rng.standard_normal((2, count, mesh.dim, mesh.dim))
+        spd = B @ B.transpose(0, 2, 1)
+        mats = 0.5 * (spd + spd.transpose(0, 2, 1)) + 0.1 * np.eye(mesh.dim)
+        if draw(st.booleans()):
+            mats += C - C.transpose(0, 2, 1)
+        A = (ms.Coefficient.constant(mesh, mats[0]) if kind == "constant"
+             else ms.Coefficient.from_matrices(mesh, mats))
+    mu = draw(st.sampled_from([0.0, draw(st.floats(0.0, 1e3))]))
+    dyadic = (nx - 1) & (nx - 2) == 0
+    return mesh, A, mu, mesh.dim == 1 or (kind == "isotropic" and dyadic)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=assembly_problems())
+def test_assembly_matches_coo_oracle(problem):
+    # the chunked CSR assembly against the COO one it replaced: the same
+    # pattern once the COO's explicit zeros are dropped, and entries to 1e-15
+    # relative.  An off-diagonal entry sums at most two element values, so
+    # its bits cannot depend on the order; the diagonal sums up to six, which
+    # the COO -> CSR conversion adds in the order its unstable sort of each
+    # row leaves them.  They agree bit for bit where every partial sum is exact.
+    mesh, A, mu, bit_exact = problem
+    op = ms.assemble_stiffness(mesh, A, mu)
+    old_op = fem._restrict(stiffness_csr_coo(mesh, A), mesh.free_nodes)
+    if mu != 0.0:
+        old_op = (old_op + sp.diags(mu * op.ml)).tocsr()
+    pairs = [(stiffness_csr(mesh, A), stiffness_csr_coo(mesh, A)),
+             (op.matrix, old_op), (mass_csr(mesh), mass_csr_coo(mesh))]
+    for new, old in pairs:
+        assert np.all(new.data != 0.0)
+        old = old.copy()
+        old.eliminate_zeros()
+        old.sort_indices()
+        assert np.array_equal(new.indptr, old.indptr)
+        assert np.array_equal(new.indices, old.indices)
+        off = new.tocoo().row != new.indices
+        assert np.array_equal(new.data[off], old.data[off])
+        if bit_exact:
+            assert np.array_equal(new.data, old.data)
+        else:
+            assert np.all(np.abs(new.data - old.data) <= 1e-15 * np.abs(old.data))
+
+
+@pytest.mark.parametrize("mesh", [ms.build_rectangle_mesh(1.0, 1.0, 33, 33),
+                                  ms.build_rectangle_mesh(2.0, 1.0, 33, 17),
+                                  ms.build_interval_mesh(1.0, 17)],
+                         ids=["square", "rectangle", "interval"])
+def test_isotropic_stiffness_stores_no_zeros(mesh):
+    # the diagonal n00-n11 couplings of an isotropic A are exact zeros; the
+    # COO assembly stored them (two per cell, 2048 of the 7361 entries on
+    # 33**2), this one does not, and every product with the matrix keeps its bits
+    A = ms.Coefficient.isotropic(mesh, 3.0)
+    K, old = stiffness_csr(mesh, A), stiffness_csr_coo(mesh, A)
+    assert np.all(K.data != 0.0)
+    assert K.nnz == np.count_nonzero(old.data)
+    if mesh.nx == 33 and mesh.ny == 33:
+        assert old.nnz - K.nnz == 2 * 32 * 32
+    x = np.random.default_rng(11).standard_normal(mesh.n_nodes)
+    assert np.array_equal(K @ x, old @ x)
+
+
+def test_stiffness_memory_is_a_small_multiple_of_the_matrix(traced_peak):
+    # the COO assembly peaked at 10x the CSR it returned (two int64 index
+    # arrays and the values of 9 entries per element, then the CSR copy);
+    # the chunked one measures 1.9x: its (nodes x stencil) table of values,
+    # then the compression into CSR
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 257, 257)
+    A = ms.Coefficient.identity(mesh)
+    mesh.areas, mesh.grads  # cached geometry, built once per mesh
+    K, peak = traced_peak(stiffness_csr, mesh, A)
+    assert peak <= 2.5 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+
+def test_constant_coefficient_is_stored_once(traced_peak):
+    # a constant A is one d x d matrix, broadcast over the elements
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 257, 257)
+    A, peak = traced_peak(ms.Coefficient.identity, mesh)
+    assert A.matrices.shape == (mesh.n_elements, 2, 2) and not A.matrices.flags.writeable
+    assert A.matrices.strides[0] == 0  # every element reads the same d * d floats
+    assert peak < 2 ** 16  # one matrix per element would be 4 MiB
+    assert A.alpha == 1.0 and A.is_symmetric
+
+
+def test_constant_coefficient_keeps_its_own_copy(unit_square_9):
+    # the broadcast view is of a private copy: the caller's array can change
+    mat = np.array([[2.0, 0.5], [0.7, 1.0]])
+    A = ms.Coefficient.constant(unit_square_9, mat)
+    mat[0, 0] = -5.0
+    assert np.all(A.matrices[:, 0, 0] == 2.0)
+    assert not A.is_symmetric
+    assert A.alpha == pytest.approx(1.5 - np.sqrt(0.5 ** 2 + 0.6 ** 2))
 
 
 def test_norms_zero_field(unit_square_9):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import mildsing as ms
 from mildsing.mesh import CLASS_NAMES, HOLE, INTERIOR, OUTER_BOUNDARY
 
-from oracles import corrector_by_search, nodes_in_disk, perforation_by_search
+from oracles import (corrector_by_search, nodes_in_disk, perforation_by_search,
+                     write_field_csv_rows)
 
 
 class Holes:
@@ -270,6 +271,21 @@ def test_field_csv_deterministic_bytes(tmp_path):
     ms.write_field_csv(p1, u)
     ms.write_field_csv(p2, u)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("mesh", [
+    ms.perforate(ms.build_rectangle_mesh(1.0, 1.0, 17, 17), Holes(epsilon=0.25, radius=0.125)),
+    ms.build_interval_mesh(1.0, 17),
+], ids=["perforated", "interval"])
+def test_field_csv_bytes_match_row_writer(tmp_path, mesh):
+    # the column-wise writer against csv.writer row by row, byte for byte
+    values = np.random.default_rng(2).standard_normal(mesh.n_nodes)
+    values[:3] = [-0.0, 1e-300, 7.0]
+    field = ms.FieldFunction(mesh, values)
+    ms.write_field_csv(tmp_path / "new.csv", field)
+    write_field_csv_rows(tmp_path / "old.csv", field)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert mesh.dim == 1 or (mesh.node_class == HOLE).any()
 
 
 def test_mesh_is_immutable():
