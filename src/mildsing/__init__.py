@@ -64,13 +64,10 @@ from .nonlinearity import (
 from .solver import (
     SolveReport,
     SolverConfig,
-    ZeroSetReport,
     levelset_energy_certificate,
     singular_mass_certificate,
     solve_level,
     solve_singular,
-    truncated_rhs,
-    zero_set_diagnostics,
 )
 from .verification import (
     ExperimentOutcome,

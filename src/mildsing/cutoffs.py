@@ -1,10 +1,14 @@
 """Scalar cutoff calculus used throughout the solver.
 
-``tk`` clips at height ``k`` and ``gk`` keeps the excess above the clip, so
-``tk(s, k) + gk(s, k) == s`` exactly.  ``z_delta`` is the piecewise-linear
-cutoff that equals 1 on ``[0, delta]``, falls linearly to 0 on
-``[delta, 2*delta]`` and vanishes beyond; ``y_delta`` is its exact
-antiderivative (closed form, constant ``3*delta/2`` past ``2*delta``).
+``tk`` clips at height ``k`` and ``gk`` keeps the excess above the clip.
+``tk(s, k) + gk(s, k) == s`` holds exactly for ``|s| <= 2k``, where ``s - k``
+is exact (Sterbenz's lemma).  Beyond ``2k``, ``gk`` is ``s - tk(s, k)``
+rounded once, so the sum is within one unit in the last place of ``s``:
+``k = 0.1``, ``s = -0.4193598121268742`` gives ``-0.4193598121268741``.
+``z_delta`` is the piecewise-linear cutoff that equals 1 on ``[0, delta]``,
+falls linearly to 0 on ``[delta, 2*delta]`` and vanishes beyond;
+``y_delta`` is its exact antiderivative (closed form, constant
+``3*delta/2`` past ``2*delta``).
 
 All four functions accept floats or numpy arrays and are elementwise.
 """

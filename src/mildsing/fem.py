@@ -178,6 +178,39 @@ class SparseOperator:
     def lap(self) -> sp.csr_matrix:
         return _restrict(stiffness_csr(self.mesh, Coefficient.identity(self.mesh)), self.free)
 
+    def shifted(self, d: np.ndarray) -> "SparseOperator":
+        """``K + diag(d)`` on the same nodes, for ``d >= 0``, sharing this operator's V-cycle.
+
+        Only the finest level's matrix and Jacobi weights are those of
+        ``K + diag(d)``; the coarse levels are this operator's, neither
+        rebuilt nor changed.  Without coarse levels the dense solve, and on a
+        grid that does not halve the Jacobi weights, are those of ``K + diag(d)``.
+        """
+        K = self.matrix
+        data = K.data.copy()
+        data[self._diagonal_slots] += d
+        op = SparseOperator(sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape),
+                            self.free, self.mesh)
+        op.diagonal = self.diagonal + d
+        if self.precond.func is _vcycle:
+            levels, coarse_inv = self.precond.args
+            if levels:
+                _, _, P, R = levels[0]
+                levels = ((op.matrix, _OMEGA / op.diagonal, P, R),) + levels[1:]
+            else:
+                coarse_inv = np.linalg.inv(op.matrix.toarray())
+            op.precond = partial(_vcycle, levels, coarse_inv)
+        else:
+            op.precond = partial(np.multiply, 1.0 / op.diagonal)
+        return op
+
+    @cached_property
+    def _diagonal_slots(self) -> np.ndarray:
+        """Positions of the diagonal entries in ``matrix.data``, one per row."""
+        K = self.matrix
+        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+        return np.flatnonzero(K.indices == rows)
+
     def h1(self, v: np.ndarray) -> float:
         return math.sqrt(_dot(v, self.lap @ v))
 

@@ -1,21 +1,29 @@
 """Truncated fixed-point solver for ``-div A(x) Du (+ mu u) = F(x, u)``.
 
 The level-``n`` problem caps the right-hand side at height ``n`` and is
-solved by a damped Picard iteration
+solved by a damped, linearly implicit Picard iteration: with the slope
+``D = diag(m_i |dF/ds|)`` of the capped load at the current iterate ``u``,
 
-    ``u <- (1 - theta) u + theta K^-1 (m .* min(F(x, u+), n))``
+    ``(K + D) v = m .* min(F(x, u+), n) + D u``,    ``u <- u + theta (v - u)``,
 
 with nodal (vertex) quadrature ``m`` for the load, so the possibly singular
 ``F`` is only ever evaluated at nodes and the cap keeps every value finite.
-The step damping is per node, ``theta w_i`` with slope weights
-``w_i = 1 / (1 + _SLOPE_DAMPING m_i |dF/ds| / K_ii)``, and one adaptive
-``theta`` that starts at ``_THETA0``.  Every level of a solve runs on the
-one operator ``assemble_stiffness(mesh, coeff, mu)``; its cached members
-give ``m``, the CG preconditioner and the H1 seminorm of steps and iterates.
-The Picard step is inexact: each CG solve of ``K v = b(u)`` starts from the
-current iterate ``x`` and stops once its residual is at most
-``max(_CG_TOL |b|, _FORCING |b - K x|)``, i.e. once it has reduced the
-step's own residual by the forcing term ``_FORCING = 1e-2``
+``D u`` cancels at a fixed point, so the fixed points are those of the plain
+map ``u = K^-1 (m .* min(F(x, u+), n))``.  For a nonincreasing ``F`` (the
+paper's uniqueness regime) this is Newton's method on an M-function, which
+converges monotonically (Ortega & Rheinboldt 1970, ch. 13); the absolute
+slope keeps the oscillating models' ``K + D`` an M-matrix as well.  That is
+the one damping rule: ``theta`` starts at 1, halves (down to 0.05) when the
+H1 step grows by more than 1.5 times, and otherwise grows by 1.2 times up
+to 1.  As ``K + D`` is an M-matrix and ``theta <= 1``, an exact step keeps
+a nonnegative iterate nonnegative without clamping.  Every level of a solve
+runs on the one operator ``assemble_stiffness(mesh, coeff, mu)``; its cached
+members give ``m``, the H1 seminorm of steps and iterates, and the coarse
+levels of the V-cycle that preconditions each ``K + D``
+(``SparseOperator.shifted``).  The Picard step is inexact: each CG solve
+starts from the current iterate ``u`` and stops once its residual is at
+most ``max(_CG_TOL |b|, _FORCING |b - (K + D) u|)``, i.e. once it has
+reduced the step's own residual by the forcing term ``_FORCING = 1e-2``
 (Dembo, Eisenstat & Steihaug 1982).  Early steps, far from the fixed point,
 get cheap solves; near the fixed point the tolerance tightens with the
 residual down to ``_CG_TOL``, so the converged iterate is the same.
@@ -39,7 +47,6 @@ from .fem import (
     Coefficient,
     ConvergenceError,
     SparseOperator,
-    _dot,
     assemble_stiffness,
     energy_product,
     lumped_mass,
@@ -52,12 +59,9 @@ __all__ = [
     "SolverConfig",
     "LevelStats",
     "SolveReport",
-    "truncated_rhs",
     "solve_level",
     "solve_singular",
     "singular_mass_certificate",
-    "zero_set_diagnostics",
-    "ZeroSetReport",
     "levelset_energy_certificate",
 ]
 
@@ -66,10 +70,6 @@ __all__ = [
 _FORCING = 1e-2
 #: floor of each Picard step's CG tolerance, relative to ``|b|``
 _CG_TOL = 1e-11
-#: ``c0`` of the slope weights ``1 / (1 + c0 m_i |dF/ds| / K_ii)``
-_SLOPE_DAMPING = 2.0
-#: initial Picard damping factor; also the step cap while stiff nodes remain
-_THETA0 = 0.5
 #: Picard steps allowed per truncation level
 _MAX_INNER = 800
 #: truncation levels ``n = 1, 2, 4, ...`` allowed per solve
@@ -83,8 +83,8 @@ class SolverConfig:
     ``outer_tol`` bounds the level-to-level gap ``|u_2n - u_n|_H1`` relative
     to ``|u_n|_H1``, plus the absolute floor ``outer_tol_abs``.  The Picard
     loop of each level follows them: ``inner_tol`` and ``inner_tol_abs``
-    bound the undamped fixed-point residual ``|K^-1 load(u) - u|_H1`` the
-    same way, and are the outer tolerances divided by 100.  Raises
+    bound the undamped linearly implicit step ``|v - u|_H1`` the same way,
+    and are the outer tolerances divided by 100.  Raises
     ``ValueError``, with a message that starts with the field name, unless
     both tolerances are finite and ``> 0``.
     """
@@ -144,41 +144,30 @@ def _check_level(n: float) -> None:
         raise ValueError(f"truncation level must be >= 1, got {n!r}")
 
 
-def truncated_rhs(F: Nonlinearity, u: FieldFunction, n: float) -> FieldFunction:
-    """Nodal ``min(F(x, max(u, 0)), n)``: finite by construction, even at ``u = 0``."""
-    _check_level(n)
-    return FieldFunction(u.mesh, _capped(F, np.maximum(u.values, 0.0), n))
+def _slope_shift(F: Nonlinearity, s: np.ndarray, n: float, op: SparseOperator) -> np.ndarray:
+    """``m_i |dF/ds|`` of the capped right-hand side at the free nodes, at ``s >= 0``.
 
-
-def _slope_weights(F: Nonlinearity, s: np.ndarray, n: float, op: SparseOperator) -> np.ndarray:
-    """Per-node damping weights ``1 / (1 + _SLOPE_DAMPING m_i |dF/ds| / K_ii)`` at ``s >= 0``.
-
-    Oscillating nonlinearities carry slopes of either sign that dwarf the
-    local operator stiffness in the thin band where the solution is small;
-    a single global damping factor provably cannot stabilize those nodes
-    (the fixed-point Jacobian acquires eigenvalues beyond 1), while
-    slope-scaled local damping lets each such node settle into an
-    attracting branch.  The slope of the capped right-hand side is probed
-    by differences small enough to resolve the oscillation scale ``s**2``.
+    The slope is probed by central differences small enough to resolve the
+    oscillation scale ``s**2`` of the oscillating models; its absolute value
+    keeps ``K + diag(m_i |dF/ds|)`` an M-matrix whatever the sign of the slope.
     """
     free = op.free
     eps = np.minimum(1e-3 * np.maximum(s, 1e-8), 0.02 * s * s) + 1e-14
     up = _capped(F, s + eps, n)
     dn = _capped(F, np.maximum(s - eps, 0.0), n)
-    slope = np.abs(up - dn)[free] / (2.0 * eps[free])
-    return 1.0 / (1.0 + _SLOPE_DAMPING * op.ml * slope / op.diagonal)
+    return op.ml * np.abs(up - dn)[free] / (2.0 * eps[free])
 
 
 def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
                 cfg: SolverConfig = SolverConfig(),
                 u0: FieldFunction | None = None) -> tuple[FieldFunction, LevelStats]:
-    """Damped Picard iteration for the level-``n`` capped problem on ``op``.
+    """Linearly implicit, damped Picard iteration for the level-``n`` capped problem on ``op``.
 
     ``op`` is the assembled operator from ``assemble_stiffness(mesh, coeff,
     mu)``.  Non-convergence within ``_MAX_INNER`` steps is reported in the
-    returned stats (``converged=False`` with the residual oscillation
-    amplitude), not raised: near-degenerate right-hand sides legitimately
-    stall and the caller decides.  Raises ``ValueError`` when ``n < 1``.
+    returned stats (``converged=False`` with the last step's residual), not
+    raised: near-degenerate right-hand sides legitimately stall and the
+    caller decides.  Raises ``ValueError`` when ``n < 1``.
     """
     _check_level(n)
     free = op.free
@@ -186,41 +175,27 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
     x = np.zeros(free.size) if u0 is None else u0.values[free].copy()
     u_full = np.zeros(op.mesh.n_nodes)  # F is evaluated at every node
 
-    theta = _THETA0
+    theta = 1.0
     res_prev = np.inf
     res = np.inf
     cg_total = 0
     k = 0
     converged = False
-    d_prev = None
     for k in range(1, _MAX_INNER + 1):
         u_full[free] = x
         s = np.maximum(u_full, 0.0)
-        b = op.ml * _capped(F, s, n)[free]
-        v, cg = solve_cg(op, b, tol=_CG_TOL, x0=x, forcing=_FORCING)
+        shift = _slope_shift(F, s, n, op)
+        b = op.ml * _capped(F, s, n)[free] + shift * x
+        v, cg = solve_cg(op.shifted(shift), b, tol=_CG_TOL, x0=x, forcing=_FORCING)
         cg_total += cg.iterations
         d = v - x
         res = op.h1(d)
-        w = _slope_weights(F, s, n, op)
-        # stiff nodes present: full steps eject them from the attracting
-        # branches they settle into at moderate damping
-        theta_cap = _THETA0 if float(w.min(initial=1.0)) < 0.9 else 1.0
-        x = x + theta * (w * d)
+        x = x + theta * d
         if res <= cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs:
             converged = True
             break
-        oscillatory = d_prev is not None and _dot(d, d_prev) < 0.0
-        # weights already stabilize stiff nodes; only back off on gross
-        # divergence or a sign-flipping near-neutral mode, and never
-        # freeze (the capture of oscillatory nodes needs sustained steps)
-        if res > 1.5 * res_prev:
-            theta = max(0.5 * theta, 0.1 * _THETA0)
-        elif res > 0.97 * res_prev and oscillatory:
-            theta = max(0.5 * theta, 0.5 * _THETA0)
-        else:
-            theta = min(1.2 * theta, theta_cap)
+        theta = max(0.5 * theta, 0.05) if res > 1.5 * res_prev else min(1.2 * theta, 1.0)
         res_prev = res
-        d_prev = d
 
     stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
                        theta=theta, cg_iterations=cg_total)
@@ -329,43 +304,6 @@ def singular_mass_certificate(report: SolveReport, F: Nonlinearity, coeff: Coeff
     weights = z_delta(mesh.element_means(u.values), delta)
     rhs = float(np.sum(flux * weights))
     return lhs, rhs
-
-
-@dataclass
-class ZeroSetReport:
-    tol_zero: float
-    nodes: np.ndarray
-    u_values: np.ndarray
-    F_values: np.ndarray
-    f_values: np.ndarray
-    violation: bool
-
-
-def zero_set_diagnostics(report: SolveReport, F: Nonlinearity,
-                         tol_zero: float | None = None) -> ZeroSetReport:
-    """Inspect the free nodes where the solution (numerically) vanishes.
-
-    On ``{u <= tol_zero}`` the converged problem requires ``F(x, 0) = 0``;
-    the report flags a violation whenever ``f > 0`` persists there.
-    ``tol_zero`` defaults to ``1e-8 * |u|_inf``.
-    """
-    u = report.u
-    linf = float(np.abs(u.values).max())
-    if tol_zero is None:
-        tol_zero = 1e-8 * linf
-    free = u.mesh.free_nodes
-    zs = free[u.values[free] <= tol_zero]
-    capped_arg = np.maximum(u.values, tol_zero)
-    F_vals = F.evaluate(capped_arg)[zs]
-    f_vals = F.f[zs]
-    return ZeroSetReport(
-        tol_zero=float(tol_zero),
-        nodes=zs,
-        u_values=u.values[zs],
-        F_values=F_vals,
-        f_values=f_vals,
-        violation=bool(np.any(f_vals > 0.0)),
-    )
 
 
 def levelset_energy_certificate(u: FieldFunction | SolveReport, F: Nonlinearity,

@@ -50,38 +50,6 @@ def test_mass_certificate_rejects_bad_inputs(solved_square):
         ms.singular_mass_certificate(rep, F, A, neg, 0.1)
 
 
-def test_zero_set_empty_for_positive_source(solved_square):
-    mesh, A, F, rep, _ = solved_square
-    report = ms.zero_set_diagnostics(rep, F)
-    assert report.nodes.size == 0
-    assert not report.violation
-
-
-def test_zero_set_everything_for_zero_data(unit_square_9):
-    A = ms.Coefficient.identity(unit_square_9)
-    F = nonlinearity(unit_square_9, PowerLaw(1.0), f=0.0, l=0.0)
-    rep = ms.solve_singular(unit_square_9, A, F)
-    report = ms.zero_set_diagnostics(rep, F)
-    assert report.nodes.size == unit_square_9.free_nodes.size
-    assert np.all(report.F_values == 0.0)
-    assert not report.violation
-
-
-def test_zero_set_localized_source():
-    # source supported on the left half: the far right should stay (almost) dead
-    mesh = ms.build_rectangle_mesh(1.0, 1.0, 65, 65)
-    A = ms.Coefficient.identity(mesh)
-    f = np.where(mesh.nodes[:, 0] <= 0.5, 1.0, 0.0)
-    F = nonlinearity(mesh, PowerLaw(0.5), f=f)
-    rep = ms.solve_singular(mesh, A, F)
-    report = ms.zero_set_diagnostics(rep, F, tol_zero=1e-12 * rep.u.values.max())
-    if report.nodes.size:
-        assert np.all(mesh.nodes[report.nodes, 0] > 0.5)
-        assert not report.violation
-    # diffusion keeps the bulk strictly positive: the zero set is tiny
-    assert report.nodes.size <= mesh.free_nodes.size // 10
-
-
 def test_levelset_certificate_vanishes_above_sup(solved_square):
     mesh, A, F, rep, _ = solved_square
     j_top = int(np.ceil(rep.u.values.max())) + 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mildsing import gk, tk, y_delta, z_delta
 
@@ -21,6 +23,23 @@ def test_clip_values():
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 7.3])
 def test_clip_plus_excess_is_identity(k):
     assert np.array_equal(tk(SAMPLES, k) + gk(SAMPLES, k), SAMPLES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.floats(-1e12, 1e12), k=st.floats(1e-12, 1e12))
+@example(s=-0.4193598121268742, k=0.1)
+def test_clip_plus_excess_within_one_rounding(s, k):
+    # exact while s - k is exact (|s| <= 2k); beyond, gk rounds once
+    total = tk(s, k) + gk(s, k)
+    if abs(s) <= 2.0 * k:
+        assert total == s
+    else:
+        assert abs(total - s) <= np.spacing(abs(s))
+
+
+def test_clip_plus_excess_is_not_exact_beyond_twice_the_height():
+    s = -0.4193598121268742
+    assert tk(s, 0.1) + gk(s, 0.1) == -0.4193598121268741
 
 
 @pytest.mark.parametrize("j", [0, 1, 2, 3, 5, 10])

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -289,6 +290,48 @@ def test_preconditioner_dies_with_its_operator(unit_square_65, identity_65):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _walled_in_33():
+    # its 4 corner nodes touch only holes and the boundary
+    mesh = ms.perforate(ms.build_rectangle_mesh(1.0, 1.0, 33, 33),
+                        SimpleNamespace(epsilon=0.125, strategy="resolved", radius=0.115))
+    return mesh, 7.0
+
+
+@pytest.mark.parametrize("case,precond,levels", [
+    (_walled_in_33, fem._vcycle, 3),
+    (lambda: (ms.build_interval_mesh(1.0, 65), 0.0), fem._vcycle, 3),
+    (lambda: (ms.build_rectangle_mesh(1.0, 1.0, 12, 12), 0.0), np.multiply, None),
+    (lambda: (ms.build_rectangle_mesh(1.0, 1.0, 5, 5), 2.0), fem._vcycle, 0),
+], ids=["perforated-mu", "interval", "jacobi-12", "coarsest-only"])
+def test_shifted_operator_cg_matches_direct_solve(case, precond, levels):
+    # K + diag(d) borrows K's coarse levels; with its own finest level (or
+    # dense solve, or Jacobi weights) CG solves the shifted system in at most
+    # half the iterations K's preconditioner takes, and K's stays as it was
+    mesh, mu = case()
+    op = ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh), mu)
+    rng = np.random.default_rng(3)
+    r = rng.standard_normal(op.n)
+    before, data = op.precond(r), op.matrix.data.copy()
+    assert op.precond.func is precond
+    if levels is not None:
+        assert len(op.precond.args[0]) == levels
+    d = rng.random(op.n) * (rng.random(op.n) < 0.7) * 10.0 * op.diagonal
+    lone = np.diff((op.matrix != 0).indptr) == 1
+    assert lone.sum() == (4 if case is _walled_in_33 else 0)
+    rhs = np.where(lone, 0.0, rng.random(op.n))
+    shifted = op.shifted(d)
+    x, stats = ms.solve_cg(shifted, rhs, tol=1e-13)
+    unshifted = ms.SparseOperator(shifted.matrix, op.free, mesh)
+    unshifted.precond = op.precond
+    assert 2 * stats.iterations <= ms.solve_cg(unshifted, rhs, tol=1e-13)[1].iterations
+    exact = spsolve((op.matrix + sp.diags(d)).tocsc(), rhs)
+    assert np.abs(x - exact).max() <= 1e-10 * np.abs(exact).max()
+    assert np.all(x[lone] == 0.0)
+    assert shifted.precond.func is precond
+    assert np.array_equal(op.precond(r), before)
+    assert np.array_equal(op.matrix.data, data)
 
 
 @st.composite
