@@ -2,7 +2,8 @@
 
 Stiffness and mass matrices use exact quadrature (P1 gradients are constant
 per element), and are assembled straight into CSR one chunk of elements at a
-time, so no array of nine entries per element is ever built.  Dirichlet
+time, so no array of nine entries per element is ever built; a constant
+coefficient, and the mass, repeat the element matrices of one cell.  Dirichlet
 conditions are imposed by row/column elimination, which keeps the operator
 SPD and hole-node values exactly zero.  The linear solver is conjugate
 gradients preconditioned by one geometric-multigrid V-cycle (Tatebe 1993):
@@ -222,36 +223,39 @@ class SparseOperator:
 
 
 def stiffness_csr(mesh: Mesh, coeff: Coefficient) -> sp.csr_matrix:
-    """Full stiffness matrix ``K_ij = sum_T |T| (A grad phi_j) . grad phi_i``."""
+    """Full stiffness matrix ``K_ij = sum_T |T| (A grad phi_j) . grad phi_i``.
 
-    def local(s: slice) -> np.ndarray:
-        grads = mesh.grads[s]
-        out = np.einsum("e,evd,edc,ewc->evw", mesh.areas[s], grads, coeff.matrices[s], grads)
+    A constant ``A`` has the element matrices of :attr:`Mesh.cell` on every cell."""
+
+    def local(areas: np.ndarray, grads: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        out = np.einsum("e,evd,edc,ewc->evw", areas, grads, mats, grads)
         if coeff.is_symmetric:
             # contraction order is not symmetry-preserving at the last ulp
             out = 0.5 * (out + out.transpose(0, 2, 1))
         return out
 
-    return _assemble(mesh, local)
+    if coeff.matrices.strides[0] == 0:  # a constant A: one matrix for every element
+        cell = local(*mesh.cell, coeff.matrices[: mesh.dim])
+        return _assemble(mesh, lambda s: cell)
+    return _assemble(mesh, lambda s: local(mesh.areas[s], mesh.grads[s], coeff.matrices[s]))
 
 
 def _stencil(mesh: Mesh) -> np.ndarray:
     """Sorted node-index differences ``q - p`` of the vertex pairs of the elements, 0 included.
 
     The stencil of the mesh graph: 7 offsets on a rectangle, 3 on an interval.
+    Those of the first cell: every cell's node indices are a shift of its.
     """
     v, w = np.triu_indices(mesh.dim + 1, 1)
-    found = {0}
-    for s in mesh.element_chunks():
-        el = mesh.elements[s]
-        d = el[:, w] - el[:, v]
-        lo = int(d.min())
-        found.update((np.flatnonzero(np.bincount((d - lo).ravel())) + lo).tolist())
-    return np.array(sorted(found | {-d for d in found}))
+    cell = mesh.elements[: mesh.dim]
+    d = (cell[:, w] - cell[:, v]).ravel()
+    return np.unique(np.concatenate([[0], d, -d]))
 
 
 def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
     """CSR matrix summing the element matrices ``local(s)``, shape ``(len, nv, nv)``, per chunk.
+
+    A ``local(s)`` of shape ``(dim, nv, nv)`` is one cell's, added on every cell of the chunk.
 
     Goes straight to CSR, one chunk of elements at a time (``Mesh.element_chunks``):
     node ``p`` has one slot per stencil offset ``d`` (:func:`_stencil`), for the
@@ -265,12 +269,14 @@ def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
     span = int(offsets[-1])
     column = np.zeros(2 * span + 1, dtype=np.intp)
     column[offsets + span] = np.arange(offsets.size)
+    cell = mesh.elements[: mesh.dim]
+    cell_slot = column[cell[:, None, :] - cell[:, :, None] + span]  # the same for every cell
     n = mesh.n_nodes
     data = np.zeros((n, offsets.size))
     for s in mesh.element_chunks():
-        el = mesh.elements[s]
-        slot = el[:, :, None] * offsets.size + column[el[:, None, :] - el[:, :, None] + span]
-        np.add.at(data.ravel(), slot.ravel(), local(s).ravel())
+        slot = (mesh.elements[s] * offsets.size).reshape(-1, *cell.shape, 1) + cell_slot
+        vals = np.broadcast_to(local(s).reshape(-1, *cell_slot.shape), slot.shape)
+        np.add.at(data.ravel(), slot.ravel(), vals.ravel())
     keep = data != 0.0
     data = data[keep]
     index = np.int32 if n * offsets.size <= np.iinfo(np.int32).max else np.int64
@@ -360,7 +366,8 @@ def mass_csr(mesh: Mesh) -> sp.csr_matrix:
     """Full consistent P1 mass matrix (exact quadrature)."""
     nv = mesh.dim + 1
     local_unit = (np.ones((nv, nv)) + np.eye(nv)) / ((nv) * (nv + 1))
-    return _assemble(mesh, lambda s: mesh.areas[s, None, None] * local_unit)
+    cell = mesh.cell[0][:, None, None] * local_unit
+    return _assemble(mesh, lambda s: cell)
 
 
 def lumped_mass(mesh: Mesh) -> np.ndarray:
@@ -539,12 +546,18 @@ def _l2_norm(mesh: Mesh, values: np.ndarray) -> float:
     return float(np.sqrt(np.sum(mesh.areas * per_el)))
 
 
-def energy_product(u: FieldFunction, coeff: Coefficient, v: FieldFunction | None = None) -> float:
-    """``sum_T |T| (A Du) . Dv`` over all elements (``v = u`` by default)."""
+def _element_energy(coeff: Coefficient, u: FieldFunction,
+                    v: FieldFunction | None = None) -> np.ndarray:
+    """Per element ``|T| (A Du) . Dv`` (``v = u`` by default)."""
     mesh = u.mesh
     gu = np.einsum("evd,ev->ed", mesh.grads, u.values[mesh.elements])
     gv = gu if v is None else np.einsum("evd,ev->ed", mesh.grads, v.values[mesh.elements])
-    return float(np.sum(mesh.areas * np.einsum("ed,edc,ec->e", gu, coeff.matrices, gv)))
+    return mesh.areas * np.einsum("ed,edc,ec->e", gu, coeff.matrices, gv)
+
+
+def energy_product(u: FieldFunction, coeff: Coefficient, v: FieldFunction | None = None) -> float:
+    """``sum_T |T| (A Du) . Dv`` over all elements (``v = u`` by default)."""
+    return float(np.sum(_element_energy(coeff, u, v)))
 
 
 def norms(u: FieldFunction, coeff: Coefficient) -> Norms:

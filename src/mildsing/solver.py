@@ -47,6 +47,7 @@ from .fem import (
     Coefficient,
     ConvergenceError,
     SparseOperator,
+    _element_energy,
     assemble_stiffness,
     energy_product,
     lumped_mass,
@@ -298,11 +299,8 @@ def singular_mass_certificate(report: SolveReport, F: Nonlinearity, coeff: Coeff
     capped = _capped(F, np.maximum(u.values, 0.0), report.n_final)
     lhs = float(np.sum(ml[mask] * capped[mask] * phi.values[mask]))
 
-    gu = np.einsum("evd,ev->ed", mesh.grads, u.values[mesh.elements])
-    gp = np.einsum("evd,ev->ed", mesh.grads, phi.values[mesh.elements])
-    flux = mesh.areas * np.einsum("ed,edc,ec->e", gu, coeff.matrices, gp)
     weights = z_delta(mesh.element_means(u.values), delta)
-    rhs = float(np.sum(flux * weights))
+    rhs = float(np.sum(_element_energy(coeff, u, phi) * weights))
     return lhs, rhs
 
 

@@ -4,6 +4,8 @@ These deliberately avoid every package code path they are used to check:
 the two-point boundary value oracle integrates the ODE with an adaptive
 Runge-Kutta scheme and bisection, the disk-node count enumerates grid
 points directly, and the hole lattice is searched hole by hole.  The
+element geometry is each element's own formula, evaluated on every element
+rather than on one cell.  The
 assembly and the field-CSV writer are the earlier, direct implementations:
 a COO matrix with nine entries per element, summed by the COO -> CSR
 conversion, and ``csv.writer`` row by row.  The slope-weighted Picard level
@@ -164,6 +166,34 @@ def corrector_by_search(mesh_eps, epsilon, radius, rho):
         w = np.clip(np.log(d / radius) / math.log(rho / radius), 0.0, 1.0)
     w[mesh_eps.node_class == HOLE] = 0.0
     return w
+
+
+def element_areas(mesh):
+    """Element measures from each element's own vertices: triangle areas, segment lengths."""
+    verts = mesh.nodes[mesh.elements]
+    if mesh.dim == 1:
+        return np.abs(verts[:, 1, 0] - verts[:, 0, 0])
+    e1 = verts[:, 1] - verts[:, 0]
+    e2 = verts[:, 2] - verts[:, 0]
+    return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def element_grads(mesh):
+    """P1 basis gradients from each element's own vertices, shape ``(n_elements, dim + 1, dim)``."""
+    verts = mesh.nodes[mesh.elements]
+    out = np.empty((mesh.n_elements, mesh.dim + 1, mesh.dim))
+    if mesh.dim == 1:
+        h = verts[:, 1, 0] - verts[:, 0, 0]
+        out[:, 0, 0] = -1.0 / h
+        out[:, 1, 0] = 1.0 / h
+        return out
+    x = verts[..., 0]
+    y = verts[..., 1]
+    two_a = 2.0 * element_areas(mesh)[:, None]
+    # grad phi_i = (y_j - y_k, x_k - x_j) / (2 |T|), (i, j, k) cyclic
+    out[:, :, 0] = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1) / two_a
+    out[:, :, 1] = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1) / two_a
+    return out
 
 
 def stiffness_csr_coo(mesh, coeff):

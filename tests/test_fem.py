@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 from types import SimpleNamespace
 
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 import mildsing as ms
 from mildsing import fem
 from mildsing.fem import lumped_mass, mass_csr, stiffness_csr
+from mildsing.mesh import _CHUNK
 
-from oracles import mass_csr_coo, stiffness_csr_coo
+from oracles import element_areas, element_grads, mass_csr_coo, stiffness_csr_coo
 
 
 def nodal_load(mesh, fn):
@@ -335,40 +337,105 @@ def test_shifted_operator_cg_matches_direct_solve(case, precond, levels):
 
 
 @st.composite
-def assembly_problems(draw):
-    """``(mesh, A, mu, bit_exact)``: an interval, a unit square or a 2 x 1 rectangle.
+def structured_meshes(draw):
+    """An interval, a unit square or a 2 x 1 rectangle with 2 to 33 nodes on its short side.
 
-    Node counts are odd or even; the square may carry holes from
-    :func:`draw_holes`.  ``A`` is coercive: a random multiple of the identity,
-    or a random symmetric positive definite matrix, plus a random
-    antisymmetric one half of the time, per element or constant.
-    ``bit_exact``: an interval, or an isotropic ``A`` on a grid with
-    ``2**k + 1`` nodes per axis.
+    Node counts are odd or even; the square may carry holes from :func:`draw_holes`.
     """
     nx = draw(st.integers(2, 33))
     shape = draw(st.sampled_from(["interval", "square", "rectangle"]))
     if shape == "interval":
-        mesh = ms.build_interval_mesh(1.0, nx)
-    elif shape == "square":
-        mesh = draw_holes(draw, ms.build_rectangle_mesh(1.0, 1.0, nx, nx))
-    else:
-        mesh = ms.build_rectangle_mesh(2.0, 1.0, 2 * nx - 1, nx)
+        return ms.build_interval_mesh(1.0, nx)
+    if shape == "square":
+        return draw_holes(draw, ms.build_rectangle_mesh(1.0, 1.0, nx, nx))
+    return ms.build_rectangle_mesh(2.0, 1.0, 2 * nx - 1, nx)
+
+
+def on_dyadic_grid(mesh):
+    """Whether ``h`` is a power of two and every node coordinate an exact multiple of it."""
+    return math.frexp(mesh.h)[0] == 0.5 and np.array_equal(
+        mesh.nodes, np.round(mesh.nodes / mesh.h) * mesh.h)
+
+
+def spd_matrices(rng, count, dim, antisymmetric=False):
+    """``count`` random symmetric positive definite ``dim x dim`` matrices, each plus a
+    random antisymmetric one if ``antisymmetric``."""
+    B, C = rng.standard_normal((2, count, dim, dim))
+    spd = B @ B.transpose(0, 2, 1)
+    mats = 0.5 * (spd + spd.transpose(0, 2, 1)) + 0.1 * np.eye(dim)
+    return mats + (C - C.transpose(0, 2, 1)) if antisymmetric else mats
+
+
+@st.composite
+def assembly_problems(draw):
+    """``(mesh, A, mu, bit_exact)`` on a mesh from :func:`structured_meshes`.
+
+    ``A`` is coercive: a random multiple of the identity, or a random
+    symmetric positive definite matrix, plus a random antisymmetric one half
+    of the time, per element or constant.  ``bit_exact``: an interval, or an
+    isotropic ``A`` on a grid with ``2**k + 1`` nodes per axis.
+    """
+    mesh = draw(structured_meshes())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["isotropic", "constant", "per element"]))
     if kind == "isotropic":
         A = ms.Coefficient.isotropic(mesh, float(np.exp(rng.uniform(-3.0, 3.0))))
     else:
         count = 1 if kind == "constant" else mesh.n_elements
-        B, C = rng.standard_normal((2, count, mesh.dim, mesh.dim))
-        spd = B @ B.transpose(0, 2, 1)
-        mats = 0.5 * (spd + spd.transpose(0, 2, 1)) + 0.1 * np.eye(mesh.dim)
-        if draw(st.booleans()):
-            mats += C - C.transpose(0, 2, 1)
+        mats = spd_matrices(rng, count, mesh.dim, draw(st.booleans()))
         A = (ms.Coefficient.constant(mesh, mats[0]) if kind == "constant"
              else ms.Coefficient.from_matrices(mesh, mats))
     mu = draw(st.sampled_from([0.0, draw(st.floats(0.0, 1e3))]))
-    dyadic = (nx - 1) & (nx - 2) == 0
-    return mesh, A, mu, mesh.dim == 1 or (kind == "isotropic" and dyadic)
+    return mesh, A, mu, mesh.dim == 1 or (kind == "isotropic" and on_dyadic_grid(mesh))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mesh=structured_meshes())
+def test_cell_geometry_matches_each_elements_own(mesh):
+    # Mesh.areas and Mesh.grads repeat the first cell's.  Where every node is an
+    # exact multiple of a dyadic h, each element's own formula gives the same
+    # bits.  Elsewhere each linspace node is off by up to about eps * width, and
+    # an edge by twice that, relative to h.  The bound is 2 eps L / h relative,
+    # L = max(width, height); the largest measured over every mesh drawn here
+    # is 0.94 eps L / h, on the 31**2 square.
+    areas, grads = element_areas(mesh), element_grads(mesh)
+    if on_dyadic_grid(mesh):
+        assert np.array_equal(mesh.areas, areas)
+        assert np.array_equal(mesh.grads, grads)
+    else:
+        bound = 2.0 * np.finfo(float).eps * max(mesh.width, mesh.height) / mesh.h
+        assert np.all(np.abs(mesh.areas - areas) <= bound * areas)
+        assert np.all(np.abs(mesh.grads - grads) <= bound * np.abs(grads))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mesh=structured_meshes(), kind=st.sampled_from(["isotropic", "spd", "spd + antisymmetric"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_constant_coefficient_stiffness_matches_per_element_path(mesh, kind, seed):
+    # a constant A takes its element matrices from one cell; the same A tiled
+    # per element takes the general path, element by element: bit for bit equal
+    rng = np.random.default_rng(seed)
+    if kind == "isotropic":
+        mat = float(np.exp(rng.uniform(-3.0, 3.0))) * np.eye(mesh.dim)
+    else:
+        mat = spd_matrices(rng, 1, mesh.dim, kind == "spd + antisymmetric")[0]
+    K = stiffness_csr(mesh, ms.Coefficient.constant(mesh, mat))
+    tiled = ms.Coefficient.from_matrices(mesh, np.tile(mat, (mesh.n_elements, 1, 1)))
+    assert tiled.matrices.strides[0] != 0
+    general = stiffness_csr(mesh, tiled)
+    assert np.array_equal(K.data, general.data)
+    assert np.array_equal(K.indices, general.indices)
+    assert np.array_equal(K.indptr, general.indptr)
+
+
+def test_constant_coefficient_assembly_builds_no_element_gradients():
+    # a constant A needs the gradients of one cell, not of every element (25 MB
+    # at 513**2).  Assembly scatters whole cells per chunk, so _CHUNK must stay
+    # a multiple of a cell's element count: 2 in 2-D, 1 in 1-D.
+    assert _CHUNK % 2 == 0
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 129, 129)
+    ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh), 50.0)
+    assert "grads" not in mesh.__dict__
 
 
 @settings(max_examples=200, deadline=None)
