@@ -10,7 +10,7 @@ reproduces the limit absorption term ``mu u`` and its corrector at desk
 scale.
 """
 
-from .cutoffs import gk, tk, y_delta, z_delta
+from .cutoffs import gk, tk, z_delta
 from .fem import (
     CGStats,
     Coefficient,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
-import io
 import json
 import os
 import sys
@@ -129,16 +128,6 @@ class RunConfig:
                     why = (f"unknown key (choose from {', '.join(known)})" if known
                            else "unknown section")
                     raise ConfigError(section, key, why)
-
-    def to_text(self) -> str:
-        """Canonical serialization; ``parse_config`` round-trips it unchanged."""
-        out = io.StringIO()
-        for section, kv in self.sections.items():
-            out.write(f"[{section}]\n")
-            for key, value in kv.items():
-                out.write(f"{key} = {value}\n")
-            out.write("\n")
-        return out.getvalue()
 
 
 def parse_config(text: str, path: str | None = None) -> RunConfig:

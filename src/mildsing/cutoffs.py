@@ -6,18 +6,16 @@ is exact (Sterbenz's lemma).  Beyond ``2k``, ``gk`` is ``s - tk(s, k)``
 rounded once, so the sum is within one unit in the last place of ``s``:
 ``k = 0.1``, ``s = -0.4193598121268742`` gives ``-0.4193598121268741``.
 ``z_delta`` is the piecewise-linear cutoff that equals 1 on ``[0, delta]``,
-falls linearly to 0 on ``[delta, 2*delta]`` and vanishes beyond;
-``y_delta`` is its exact antiderivative (closed form, constant
-``3*delta/2`` past ``2*delta``).
+falls linearly to 0 on ``[delta, 2*delta]`` and vanishes beyond.
 
-All four functions accept floats or numpy arrays and are elementwise.
+All three functions accept floats or numpy arrays and are elementwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["tk", "gk", "z_delta", "y_delta"]
+__all__ = ["tk", "gk", "z_delta"]
 
 
 def _check_positive(value: float, name: str) -> None:
@@ -42,17 +40,6 @@ def z_delta(s, delta: float):
     _check_positive(delta, "delta")
     s = np.asarray(s, dtype=float)
     out = np.clip(2.0 - s / delta, 0.0, 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def y_delta(s, delta: float):
-    """Exact antiderivative of ``z_delta`` from 0: saturates at ``3*delta/2``."""
-    _check_positive(delta, "delta")
-    s = np.asarray(s, dtype=float)
-    mid = 2.0 * s - 0.5 * delta - s * s / (2.0 * delta)
-    out = np.where(s <= delta, s, np.where(s <= 2.0 * delta, mid, 1.5 * delta))
     if out.ndim == 0:
         return float(out)
     return out

@@ -3,7 +3,9 @@
 Stiffness and mass matrices use exact quadrature (P1 gradients are constant
 per element), and are assembled straight into CSR one chunk of elements at a
 time, so no array of nine entries per element is ever built; a constant
-coefficient, and the mass, repeat the element matrices of one cell.  Dirichlet
+coefficient, and the mass, repeat the element matrices of one cell.  Norms,
+the lumped mass and a per-element coefficient read the geometry a chunk at a
+time (``Mesh.chunk_geometry``); energies are ``mesh.element_energy``.  Dirichlet
 conditions are imposed by row/column elimination, which keeps the operator
 SPD and hole-node values exactly zero.  The linear solver is conjugate
 gradients preconditioned by one geometric-multigrid V-cycle (Tatebe 1993):
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import FieldFunction, Mesh, h1_seminorm
+from .mesh import FieldFunction, Mesh, element_energy, h1_seminorm
 
 __all__ = [
     "Coefficient",
@@ -140,7 +142,8 @@ class SparseOperator:
 
     Cached on first use, once per operator: ``diagonal``, the CG
     preconditioner ``precond``, the lumped mass ``ml`` at the free nodes and
-    the identity-coefficient stiffness ``lap``.
+    the identity-coefficient stiffness ``lap`` (``matrix`` itself when ``A = I``
+    and ``mu = 0``).
     ``h1(v) = sqrt(v' lap v)`` is the H1 seminorm of a free-node vector (it
     vanishes at the other nodes).
     """
@@ -237,7 +240,7 @@ def stiffness_csr(mesh: Mesh, coeff: Coefficient) -> sp.csr_matrix:
     if coeff.matrices.strides[0] == 0:  # a constant A: one matrix for every element
         cell = local(*mesh.cell, coeff.matrices[: mesh.dim])
         return _assemble(mesh, lambda s: cell)
-    return _assemble(mesh, lambda s: local(mesh.areas[s], mesh.grads[s], coeff.matrices[s]))
+    return _assemble(mesh, lambda s: local(*mesh.chunk_geometry(s), coeff.matrices[s]))
 
 
 def _stencil(mesh: Mesh) -> np.ndarray:
@@ -374,7 +377,8 @@ def lumped_mass(mesh: Mesh) -> np.ndarray:
     """Diagonal (vertex-quadrature) mass: ``|T| / (dim + 1)`` scattered to vertices."""
     nv = mesh.dim + 1
     out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.elements.ravel(), np.repeat(mesh.areas / nv, nv))
+    for s in mesh.element_chunks():
+        np.add.at(out, mesh.elements[s].ravel(), np.repeat(mesh.chunk_geometry(s)[0] / nv, nv))
     return out
 
 
@@ -394,6 +398,8 @@ def assemble_stiffness(mesh: Mesh, coeff: Coefficient, mu: float = 0.0) -> Spars
     op = SparseOperator(_restrict(stiffness_csr(mesh, coeff), free), free, mesh)
     if mu != 0.0:
         op.matrix = (op.matrix + sp.diags(mu * op.ml)).tocsr()
+    elif coeff.matrices.strides[0] == 0 and np.array_equal(coeff.matrices[0], np.eye(mesh.dim)):
+        op.lap = op.matrix  # the identity stiffness itself
     return op
 
 
@@ -536,34 +542,26 @@ class Norms(NamedTuple):
 
 def l2_norm(u: FieldFunction) -> float:
     """L2 norm via the consistent mass matrix (exact for P1 fields)."""
-    return _l2_norm(u.mesh, u.values)
-
-
-def _l2_norm(mesh: Mesh, values: np.ndarray) -> float:
-    nv = mesh.dim + 1
-    uv = values[mesh.elements]
-    per_el = (uv.sum(axis=1) ** 2 + (uv * uv).sum(axis=1)) / (nv * (nv + 1))
-    return float(np.sqrt(np.sum(mesh.areas * per_el)))
-
-
-def _element_energy(coeff: Coefficient, u: FieldFunction,
-                    v: FieldFunction | None = None) -> np.ndarray:
-    """Per element ``|T| (A Du) . Dv`` (``v = u`` by default)."""
     mesh = u.mesh
-    gu = np.einsum("evd,ev->ed", mesh.grads, u.values[mesh.elements])
-    gv = gu if v is None else np.einsum("evd,ev->ed", mesh.grads, v.values[mesh.elements])
-    return mesh.areas * np.einsum("ed,edc,ec->e", gu, coeff.matrices, gv)
+    nv = mesh.dim + 1
+    per_el = np.empty(mesh.n_elements)
+    for s in mesh.element_chunks():
+        uv = u.values[mesh.elements[s]]
+        per_el[s] = mesh.chunk_geometry(s)[0] * (
+            (uv.sum(axis=1) ** 2 + (uv * uv).sum(axis=1)) / (nv * (nv + 1)))
+    return float(np.sqrt(np.sum(per_el)))
 
 
 def energy_product(u: FieldFunction, coeff: Coefficient, v: FieldFunction | None = None) -> float:
-    """``sum_T |T| (A Du) . Dv`` over all elements (``v = u`` by default)."""
-    return float(np.sum(_element_energy(coeff, u, v)))
+    """``sum_T |T| Du . (A Dv)`` over all elements (``v = u`` by default): ``u' K v``."""
+    return float(np.sum(element_energy(u.mesh, u.values, None if v is None else v.values,
+                                       coeff.matrices)))
 
 
 def norms(u: FieldFunction, coeff: Coefficient) -> Norms:
     """L2 (consistent mass), H1 seminorm, nodal L-infinity and the A-energy ``int A Du.Du``."""
     return Norms(
-        l2=_l2_norm(u.mesh, u.values),
+        l2=l2_norm(u),
         h1semi=h1_seminorm(u),
         linf=float(np.abs(u.values).max()) if u.mesh.n_nodes else 0.0,
         energy=energy_product(u, coeff),

@@ -103,33 +103,21 @@ def strange_term_formula(dim: int, C0: float) -> float:
 
 @dataclass(frozen=True)
 class PerforationSpec:
-    """One lattice of holes: period ``2 * epsilon``, critical radius scaling.
+    """One 2-D lattice of holes: period ``2 * epsilon``, prescribed absorption ``target_mu``.
 
-    Exactly one of ``C0`` and ``target_mu`` must be given; a prescribed
-    ``target_mu`` fixes ``C0 = pi / (2 mu)`` (dim 2) and switches the radius
-    to the resolvable prescribed-``mu`` family.
+    The radius follows the resolvable prescribed-``mu`` family with
+    ``C0 = pi / (2 mu)``, so the holes' capacity density is ``target_mu``.
     """
 
     epsilon: float
-    dim: int = 2
-    C0: float | None = None
-    target_mu: float | None = None
+    target_mu: float
     strategy: str = "resolved"
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError("perforations need dim >= 2 (no 1-D corrector family exists)")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if (self.C0 is None) == (self.target_mu is None):
-            raise ValueError("give exactly one of C0 and target_mu")
-        if self.target_mu is not None:
-            if self.target_mu <= 0:
-                raise ValueError("target_mu must be positive")
-            if self.dim == 2:
-                object.__setattr__(self, "C0", math.pi / (2.0 * self.target_mu))
-            else:
-                object.__setattr__(self, "C0", 2.0 * self.target_mu / math.pi)
+        if self.target_mu <= 0:
+            raise ValueError("target_mu must be positive")
         if self.strategy not in ("resolved", "collapsed"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not self.radius < self.epsilon:
@@ -138,14 +126,16 @@ class PerforationSpec:
             )
 
     @property
+    def C0(self) -> float:
+        return math.pi / (2.0 * self.target_mu)
+
+    @property
     def radius(self) -> float:
-        if self.target_mu is not None:
-            return prescribed_mu_radius(self.epsilon, self.dim, self.C0)
-        return radius_law(self.epsilon, self.dim, self.C0)
+        return prescribed_mu_radius(self.epsilon, 2, self.C0)
 
     @property
     def mu(self) -> float:
-        return strange_term_formula(self.dim, self.C0)
+        return strange_term_formula(2, self.C0)
 
 
 def discrete_capacity(R_outer: float, r_inner: float, mesh_h: float) -> float:
@@ -265,12 +255,8 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     specs = sorted(spec_list, key=lambda s: -s.epsilon)
     if len(specs) < 2:
         raise ValueError("sweep needs at least 2 perforation specs")
-    mus = {s.target_mu for s in specs}
-    if len(mus) != 1 or None in mus:
+    if len({s.target_mu for s in specs}) != 1:
         raise ValueError("all specs must share one prescribed target_mu")
-    dims = {s.dim for s in specs}
-    if dims != {mesh.dim}:
-        raise ValueError(f"spec dim {sorted(dims)} does not match the {mesh.dim}-D mesh")
     mu = specs[0].mu
 
     limit = solve_singular(mesh, coeff, F, cfg, mu=mu)

@@ -15,7 +15,10 @@ Each rectangle cell is split along the same diagonal into two right
 triangles, which makes the stiffness matrix of ``-div(a I D.)`` with
 elementwise-constant ``a > 0`` an M-matrix and hence gives a discrete weak
 maximum principle.  Every element is a translate of one of the first cell's
-(``Mesh.cell``), so the geometry is computed on that cell and repeated.
+(``Mesh.cell``), so the geometry is computed on that cell, and one tile of it
+serves every chunk of elements (``Mesh.chunk_geometry``).  ``element_energy``
+is the one per-element form ``|T| Dv . (A Dw)`` behind every energy and H1
+seminorm in the package.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "build_interval_mesh",
     "perforate",
     "extend_by_zero",
+    "element_energy",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -110,10 +114,12 @@ class Mesh:
     def element_chunks(self) -> list[slice]:
         """Slices of at most ``_CHUNK`` consecutive elements that cover them all, in order.
 
-        Assembly runs over these, so its temporaries stay a few MB at any mesh
-        size.  Each chunk is whole cells (``_CHUNK`` is even).
+        Assembly and the per-element forms run over these, so their
+        temporaries stay a few MB at any mesh size.  Each chunk is whole cells
+        (``_CHUNK`` is even).
         """
-        return [slice(s, s + _CHUNK) for s in range(0, self.n_elements, _CHUNK)]
+        n = self.n_elements
+        return [slice(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
 
     @cached_property
     def cell(self) -> tuple[np.ndarray, np.ndarray]:
@@ -139,25 +145,25 @@ class Mesh:
         return areas, grads
 
     @cached_property
-    def areas(self) -> np.ndarray:
-        """Element measures (triangle areas, segment lengths): :attr:`cell`'s, repeated.
+    def _chunk_tile(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`cell` repeated over one full chunk (or the whole mesh, if smaller)."""
+        reps = min(_CHUNK, self.n_elements) // self.dim
+        out = np.tile(self.cell[0], reps), np.tile(self.cell[1], (reps, 1, 1))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
-        Bit-identical to each element's own formula where every node coordinate is an
-        exact multiple of a dyadic ``h`` (a ``2**k + 1`` grid of a dyadic width); elsewhere,
-        with rounded ``linspace`` nodes, within ``2 eps max(width, height) / h`` relative.
+    def chunk_geometry(self, s: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Element measures and P1 gradients of chunk ``s`` of :meth:`element_chunks`.
+
+        Read-only views of one cached tile of :attr:`cell`, which serves every
+        chunk: each starts on a cell.  Bit-identical to each element's own
+        formula where every node coordinate is an exact multiple of a dyadic
+        ``h`` (a ``2**k + 1`` grid of a dyadic width); elsewhere, with rounded
+        ``linspace`` nodes, within ``2 eps max(width, height) / h`` relative.
         """
-        out = np.tile(self.cell[0], self.n_elements // self.dim)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def grads(self) -> np.ndarray:
-        """P1 basis gradients, shape ``(n_elements, dim + 1, dim)``: :attr:`cell`'s, repeated.
-
-        Bit-identical to each element's own formula, or within a bound, as :attr:`areas`."""
-        out = np.tile(self.cell[1], (self.n_elements // self.dim, 1, 1))
-        out.setflags(write=False)
-        return out
+        areas, grads = self._chunk_tile
+        return areas[: s.stop - s.start], grads[: s.stop - s.start]
 
     @cached_property
     def omega_eps_elements(self) -> np.ndarray:
@@ -361,18 +367,32 @@ class FieldFunction:
     __rmul__ = __mul__
 
 
+def element_energy(mesh: Mesh, v: np.ndarray, w: np.ndarray | None = None,
+                   mats: np.ndarray | None = None) -> np.ndarray:
+    """Per element ``|T| Dv . (A Dw)`` of nodal values ``v``, ``w`` (``w = v`` by default).
+
+    ``mats`` holds ``A`` per element, shape ``(n_elements, dim, dim)``; None is
+    ``A = I``.  Built one chunk of :meth:`Mesh.element_chunks` at a time.
+    """
+    out = np.empty(mesh.n_elements)
+    for s in mesh.element_chunks():
+        areas, grads = mesh.chunk_geometry(s)
+        gv = np.einsum("evd,ev->ed", grads, v[mesh.elements[s]])
+        gw = gv if w is None else np.einsum("evd,ev->ed", grads, w[mesh.elements[s]])
+        if mats is None:
+            out[s] = areas * np.einsum("ed,ed->e", gv, gw)
+        else:
+            out[s] = areas * np.einsum("ed,edc,ec->e", gv, mats[s], gw)
+    return out
+
+
 def h1_seminorm(u: FieldFunction | np.ndarray, mesh: Mesh | None = None) -> float:
     """Discrete H1 seminorm ``(sum_T |T| |Du|_T^2)^(1/2)`` over all elements."""
     if isinstance(u, FieldFunction):
         mesh, values = u.mesh, u.values
     else:
         values = u
-    return _h1_seminorm_on(mesh, values, slice(None))
-
-
-def _h1_seminorm_on(mesh: Mesh, values: np.ndarray, element_mask: np.ndarray | slice) -> float:
-    grad = np.einsum("evd,ev->ed", mesh.grads[element_mask], values[mesh.elements[element_mask]])
-    return float(np.sqrt(np.sum(mesh.areas[element_mask] * np.einsum("ed,ed->e", grad, grad))))
+    return float(np.sqrt(np.sum(element_energy(mesh, values))))
 
 
 def extend_by_zero(u: FieldFunction) -> FieldFunction:
@@ -388,8 +408,9 @@ def extend_by_zero(u: FieldFunction) -> FieldFunction:
     if np.any(u.values[hole] != 0.0):
         bad = int(np.flatnonzero(hole & (u.values != 0.0))[0])
         raise ValueError(f"nonzero value {u.values[bad]!r} at hole node {bad}")
-    full = h1_seminorm(u)
-    on_eps = _h1_seminorm_on(mesh, u.values, mesh.omega_eps_elements)
+    energy = element_energy(mesh, u.values)
+    full = float(np.sqrt(np.sum(energy)))
+    on_eps = float(np.sqrt(np.sum(energy[mesh.omega_eps_elements])))
     if abs(full - on_eps) > 1e-13 * max(full, 1e-300):
         raise AssertionError(
             f"extension is not an isometry: |u|_H1(Omega)={full!r} vs |u|_H1(Omega_eps)={on_eps!r}"

@@ -47,13 +47,12 @@ from .fem import (
     Coefficient,
     ConvergenceError,
     SparseOperator,
-    _element_energy,
     assemble_stiffness,
     energy_product,
     lumped_mass,
     solve_cg,
 )
-from .mesh import FieldFunction, Mesh, h1_seminorm
+from .mesh import FieldFunction, Mesh, element_energy, h1_seminorm
 from .nonlinearity import Nonlinearity
 
 __all__ = [
@@ -300,7 +299,7 @@ def singular_mass_certificate(report: SolveReport, F: Nonlinearity, coeff: Coeff
     lhs = float(np.sum(ml[mask] * capped[mask] * phi.values[mask]))
 
     weights = z_delta(mesh.element_means(u.values), delta)
-    rhs = float(np.sum(_element_energy(coeff, u, phi) * weights))
+    rhs = float(np.sum(element_energy(mesh, u.values, phi.values, coeff.matrices) * weights))
     return lhs, rhs
 
 

@@ -196,10 +196,17 @@ def element_grads(mesh):
     return out
 
 
+def tiled_cell(mesh):
+    """``(areas, grads)`` of every element: :attr:`Mesh.cell`'s, repeated over the cells."""
+    areas, grads = mesh.cell
+    reps = mesh.n_elements // mesh.dim
+    return np.tile(areas, reps), np.tile(grads, (reps, 1, 1))
+
+
 def stiffness_csr_coo(mesh, coeff):
     """Full stiffness matrix ``K_ij = sum_T |T| (A grad phi_j) . grad phi_i``."""
-    grads = mesh.grads
-    local = np.einsum("e,evd,edc,ewc->evw", mesh.areas, grads, coeff.matrices, grads)
+    areas, grads = tiled_cell(mesh)
+    local = np.einsum("e,evd,edc,ewc->evw", areas, grads, coeff.matrices, grads)
     if coeff.is_symmetric:
         # contraction order is not symmetry-preserving at the last ulp
         local = 0.5 * (local + local.transpose(0, 2, 1))
@@ -214,7 +221,7 @@ def mass_csr_coo(mesh):
     """Full consistent P1 mass matrix (exact quadrature)."""
     nv = mesh.dim + 1
     local_unit = (np.ones((nv, nv)) + np.eye(nv)) / ((nv) * (nv + 1))
-    local = mesh.areas[:, None, None] * local_unit
+    local = tiled_cell(mesh)[0][:, None, None] * local_unit
     rows = np.repeat(mesh.elements, nv, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, nv)).ravel()
     M = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))

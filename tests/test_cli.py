@@ -85,12 +85,6 @@ def write(tmp_path, name, text):
     return path
 
 
-def test_config_roundtrip():
-    cfg = parse_config(SOLVE_CONFIG)
-    again = parse_config(cfg.to_text())
-    assert again.sections == cfg.sections
-
-
 def test_zero_problem_run_exits_clean(tmp_path):
     path = write(tmp_path, "zero.ini", ZERO_CONFIG)
     out = tmp_path / "out"
@@ -224,7 +218,8 @@ def test_every_solver_field_is_parsed():
 
 def test_auto_rate_solve_shares_its_operator(tmp_path, fem_calls):
     # rate = auto takes lambda_1 of the operator the solve then runs on: one
-    # assembly for it, one for the H1 seminorm, and one multigrid hierarchy
+    # assembly, which is also the H1 seminorm's matrix (A = I, mu = 0), and
+    # one multigrid hierarchy
     path = write(tmp_path, "eigen.ini", """\
 [experiment]
 kind = solve
@@ -241,7 +236,7 @@ f = 0.5
 l = 1.0
 """)
     assert run(path, out_dir=tmp_path / "out") == 0
-    assert fem_calls.count("stiffness_csr") == 2
+    assert fem_calls.count("stiffness_csr") == 1
     assert fem_calls.count("_multigrid") == 1
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mildsing import gk, tk, y_delta, z_delta
+from mildsing import gk, tk, z_delta
 
 SAMPLES = np.concatenate([
     np.linspace(-50.0, 50.0, 401),
@@ -71,20 +71,3 @@ def test_cutoff_is_nonincreasing():
     z = z_delta(s, 0.1)
     assert np.all(np.diff(z) <= 0.0)
     assert np.all((z >= 0.0) & (z <= 1.0))
-
-
-@pytest.mark.parametrize("delta", [0.05, 0.1, 1.0, 3.7])
-def test_antiderivative_matches_quadrature(delta):
-    # independent check: trapezoid quadrature of z_delta on a fine grid
-    s_end = 3.0 * delta
-    grid = np.linspace(0.0, s_end, 30001)
-    z = z_delta(grid, delta)
-    quad = np.concatenate([[0.0], np.cumsum(0.5 * (z[1:] + z[:-1]) * np.diff(grid))])
-    assert np.allclose(y_delta(grid, delta), quad, atol=1e-8 * delta)
-
-
-def test_antiderivative_saturates():
-    delta = 0.1
-    assert y_delta(2.0 * delta, delta) == pytest.approx(1.5 * delta, rel=1e-15)
-    assert y_delta(5.0, delta) == pytest.approx(1.5 * delta, rel=1e-15)
-    assert y_delta(17.0, delta) == y_delta(23.0, delta)

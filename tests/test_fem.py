@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mildsing as ms
@@ -68,7 +68,7 @@ def test_mass_partition_of_unity():
 def test_mass_local_block_values():
     # one cell = two triangles of area t: diagonal t/6, off-diagonal t/12
     m = ms.build_rectangle_mesh(1.0, 1.0, 2, 2)
-    t = m.areas[0]
+    t = m.cell[0][0]
     M = mass_csr(m).toarray()
     assert M[1, 0] == pytest.approx(t / 12.0, rel=1e-14)
     # node 0 belongs to both triangles
@@ -79,6 +79,28 @@ def test_lumped_rows_equal_consistent_rows():
     m = ms.build_rectangle_mesh(1.0, 1.0, 17, 17)
     consistent = np.asarray(mass_csr(m).sum(axis=1)).ravel()
     assert np.allclose(lumped_mass(m), consistent, rtol=1e-13)
+
+
+@pytest.mark.parametrize("mesh", [ms.build_rectangle_mesh(1.0, 1.0, 101, 101),
+                                  ms.build_rectangle_mesh(2.0, 1.0, 65, 33),
+                                  ms.build_interval_mesh(1.0, 40001)],
+                         ids=["chunks 16384+3616", "one chunk", "interval, 3 chunks"])
+def test_element_forms_match_their_matrices(mesh):
+    # the chunked per-element forms against the assembled matrices, chunk
+    # boundaries included: h1^2 = u'Ku for A = I, l2^2 = u'Mu, and the
+    # A-energy sum |T| Du . (A Dv) = u'K_A v for a nonsymmetric A that
+    # differs on every element
+    rng = np.random.default_rng(17)
+    u, v = (ms.FieldFunction(mesh, rng.standard_normal(mesh.n_nodes)) for _ in range(2))
+    mats = spd_matrices(rng, mesh.n_elements, mesh.dim, antisymmetric=True)
+    A = ms.Coefficient.from_matrices(mesh, mats)
+    K, M = stiffness_csr(mesh, A), mass_csr(mesh)
+    K_I = stiffness_csr(mesh, ms.Coefficient.identity(mesh))
+    assert ms.h1_seminorm(u) ** 2 == pytest.approx(u.values @ (K_I @ u.values), rel=1e-12)
+    assert ms.l2_norm(u) ** 2 == pytest.approx(u.values @ (M @ u.values), rel=1e-12)
+    scale = math.sqrt(ms.energy_product(u, A) * ms.energy_product(v, A))
+    assert abs(ms.energy_product(u, A, v) - u.values @ (K @ v.values)) <= 1e-12 * scale
+    assert ms.energy_product(u, A) == pytest.approx(u.values @ (K @ u.values), rel=1e-12)
 
 
 def test_cg_zero_rhs_zero_iterations(unit_square_65, identity_65):
@@ -391,21 +413,31 @@ def assembly_problems(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(mesh=structured_meshes())
+@example(mesh=ms.build_rectangle_mesh(1.0, 1.0, 101, 101))  # chunks of 16384 and 3616
+@example(mesh=ms.build_rectangle_mesh(3.0, 1.0, 193, 65))  # dyadic: 16384 and 8192
 def test_cell_geometry_matches_each_elements_own(mesh):
-    # Mesh.areas and Mesh.grads repeat the first cell's.  Where every node is an
-    # exact multiple of a dyadic h, each element's own formula gives the same
-    # bits.  Elsewhere each linspace node is off by up to about eps * width, and
-    # an edge by twice that, relative to h.  The bound is 2 eps L / h relative,
-    # L = max(width, height); the largest measured over every mesh drawn here
-    # is 0.94 eps L / h, on the 31**2 square.
+    # Mesh.chunk_geometry repeats the first cell's over each chunk, the last one
+    # a prefix of the same tile.  Where every node is an exact multiple of a
+    # dyadic h, each element's own formula gives the same bits.  Elsewhere each
+    # linspace node is off by up to about eps * width, and an edge by twice
+    # that, relative to h.  The bound is 2 eps L / h relative, L = max(width,
+    # height); the largest measured over every mesh drawn here is 0.94 eps L / h,
+    # on the 31**2 square.
     areas, grads = element_areas(mesh), element_grads(mesh)
-    if on_dyadic_grid(mesh):
-        assert np.array_equal(mesh.areas, areas)
-        assert np.array_equal(mesh.grads, grads)
-    else:
-        bound = 2.0 * np.finfo(float).eps * max(mesh.width, mesh.height) / mesh.h
-        assert np.all(np.abs(mesh.areas - areas) <= bound * areas)
-        assert np.all(np.abs(mesh.grads - grads) <= bound * np.abs(grads))
+    chunks = mesh.element_chunks()
+    assert [s.start for s in chunks] == list(range(0, mesh.n_elements, _CHUNK))
+    assert [s.stop for s in chunks] == [s.start for s in chunks[1:]] + [mesh.n_elements]
+    bound = 2.0 * np.finfo(float).eps * max(mesh.width, mesh.height) / mesh.h
+    for s in chunks:
+        got_areas, got_grads = mesh.chunk_geometry(s)
+        assert got_areas.shape == areas[s].shape and got_grads.shape == grads[s].shape
+        assert got_grads.flags.c_contiguous  # einsum sums in the order of the strides
+        if on_dyadic_grid(mesh):
+            assert np.array_equal(got_areas, areas[s])
+            assert np.array_equal(got_grads, grads[s])
+        else:
+            assert np.all(np.abs(got_areas - areas[s]) <= bound * areas[s])
+            assert np.all(np.abs(got_grads - grads[s]) <= bound * np.abs(grads[s]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -429,13 +461,15 @@ def test_constant_coefficient_stiffness_matches_per_element_path(mesh, kind, see
 
 
 def test_constant_coefficient_assembly_builds_no_element_gradients():
-    # a constant A needs the gradients of one cell, not of every element (25 MB
-    # at 513**2).  Assembly scatters whole cells per chunk, so _CHUNK must stay
-    # a multiple of a cell's element count: 2 in 2-D, 1 in 1-D.
+    # a constant A, and the mass, need the geometry of one cell, not even the
+    # chunk tile.  Assembly scatters whole cells per chunk, and one tile of
+    # cells serves every chunk, so _CHUNK must stay a multiple of a cell's
+    # element count: 2 in 2-D, 1 in 1-D.
     assert _CHUNK % 2 == 0
     mesh = ms.build_rectangle_mesh(1.0, 1.0, 129, 129)
-    ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh), 50.0)
-    assert "grads" not in mesh.__dict__
+    stiffness_csr(mesh, ms.Coefficient.identity(mesh))
+    mass_csr(mesh)
+    assert "_chunk_tile" not in mesh.__dict__
 
 
 @settings(max_examples=200, deadline=None)
@@ -491,12 +525,31 @@ def test_stiffness_memory_is_a_small_multiple_of_the_matrix(traced_peak):
     # the COO assembly peaked at 10x the CSR it returned (two int64 index
     # arrays and the values of 9 entries per element, then the CSR copy);
     # the chunked one measures 1.9x: its (nodes x stencil) table of values,
-    # then the compression into CSR
+    # then the compression into CSR.  A per-element A adds one chunk's
+    # geometry tile and element matrices: 2.4x (3.9x with whole-mesh tiles)
     mesh = ms.build_rectangle_mesh(1.0, 1.0, 257, 257)
-    A = ms.Coefficient.identity(mesh)
-    mesh.areas, mesh.grads  # cached geometry, built once per mesh
-    K, peak = traced_peak(stiffness_csr, mesh, A)
-    assert peak <= 2.5 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+    per_element = np.tile(np.eye(2), (mesh.n_elements, 1, 1))
+    for A in (ms.Coefficient.identity(mesh), ms.Coefficient.from_matrices(mesh, per_element)):
+        K, peak = traced_peak(stiffness_csr, mesh, A)
+        assert peak <= 2.5 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+
+@pytest.fixture(scope="module")
+def field_513():
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 513, 513)
+    return ms.FieldFunction(mesh, np.random.default_rng(3).standard_normal(mesh.n_nodes))
+
+
+@pytest.mark.parametrize("name", ["h1_seminorm", "energy_product", "l2_norm", "lumped_mass"])
+def test_norms_read_geometry_a_chunk_at_a_time(traced_peak, field_513, name):
+    # one (n_elements,) array of per-element values (4 MiB at 513**2) plus one
+    # chunk's temporaries; with whole-mesh geometry tiles and gathers these
+    # peaked at 44, 20, 32 and 18 MiB
+    u, mesh = field_513, field_513.mesh
+    args = {"h1_seminorm": (u,), "energy_product": (u, ms.Coefficient.identity(mesh)),
+            "l2_norm": (u,), "lumped_mass": (mesh,)}[name]
+    _, peak = traced_peak(getattr(ms, name), *args)
+    assert peak <= 8 * 2 ** 20
 
 
 def test_constant_coefficient_is_stored_once(traced_peak):

@@ -48,15 +48,17 @@ def test_prescribed_mu_roundtrip():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        PerforationSpec(epsilon=0.125, dim=1, target_mu=50.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         PerforationSpec(epsilon=0.125)
-    with pytest.raises(ValueError):
-        PerforationSpec(epsilon=0.125, C0=1.0, target_mu=50.0)
-    # raw 2-D law at these parameters gives r > eps: geometrically impossible
-    with pytest.raises(ValueError):
-        PerforationSpec(epsilon=0.125, C0=math.pi / 100.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        PerforationSpec(epsilon=0.0, target_mu=50.0)
+    with pytest.raises(ValueError, match="target_mu"):
+        PerforationSpec(epsilon=0.125, target_mu=0.0)
+    with pytest.raises(ValueError, match="strategy"):
+        PerforationSpec(epsilon=0.125, target_mu=50.0, strategy="square")
+    # so large a mu rounds exp(-C0 / eps**2) to 1: the hole would fill its cell
+    with pytest.raises(ValueError, match="strictly inside"):
+        PerforationSpec(epsilon=0.125, target_mu=1e300)
 
 
 def test_discrete_capacity_annulus_oracle():
@@ -201,12 +203,6 @@ def test_homogenization_validates_specs():
         ms.homogenization_experiment(mesh, A, F, [
             PerforationSpec(epsilon=0.25, target_mu=50.0),
             PerforationSpec(epsilon=0.125, target_mu=60.0),
-        ])
-    # 3-D radius law on a 2-D mesh: those holes' capacity density is not mu
-    with pytest.raises(ValueError, match="does not match the 2-D mesh"):
-        ms.homogenization_experiment(mesh, A, F, [
-            PerforationSpec(epsilon=0.125, dim=3, target_mu=50.0),
-            PerforationSpec(epsilon=0.0625, dim=3, target_mu=50.0),
         ])
 
 
