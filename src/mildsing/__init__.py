@@ -35,7 +35,6 @@ from .homogenization import (
     discrete_capacity,
     homogenization_experiment,
     prescribed_mu_radius,
-    radius_law,
     strange_term_formula,
 )
 from .mesh import (

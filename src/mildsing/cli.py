@@ -280,7 +280,7 @@ def _epsilon_list(cfg: RunConfig) -> list[float]:
 
 
 def _solve_outcome(op, coeff, F, scfg, energy_tol, out_dir) -> ExperimentOutcome:
-    report = _schedule(op, coeff, F, scfg, None, 0.0)
+    report = _schedule(op, F, scfg)
     nn = norms(report.u, coeff)
     min_u = float(report.u.values.min())
     passed = bool(min_u >= -1e-12 and report.energy_identity_residual <= energy_tol)

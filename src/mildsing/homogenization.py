@@ -4,10 +4,9 @@ A lattice of tiny holes of period ``2 * epsilon`` whose radius follows the
 critical scaling contributes, in the limit, a zeroth-order absorption
 ``mu u`` whose density equals the asymptotic capacity density of the holes:
 
-* ``radius_law``: ``r = C0 * eps**3`` (dim 3) and ``r = exp(-C0 / eps**2)``
-  (dim 2) - the scaling family itself;
-* ``strange_term_formula``: ``mu = (pi / 2) C0`` (dim 3) and
-  ``mu = pi / (2 C0)`` (dim 2).
+``r = exp(-C0 / eps**2)`` in 2-D gives ``mu = pi / (2 C0)``
+(``strange_term_formula``); the 3-D law ``r = C0 eps**3`` gives
+``mu = (pi / 2) C0``, but only 2-D meshes are perforated here.
 
 The limit problem ``-div A Du + mu u = F(x, u)`` is
 ``solve_singular(..., mu=mu)``.
@@ -49,7 +48,6 @@ from .verification import ExperimentOutcome
 
 __all__ = [
     "PerforationSpec",
-    "radius_law",
     "strange_term_formula",
     "prescribed_mu_radius",
     "discrete_capacity",
@@ -61,44 +59,22 @@ __all__ = [
 ]
 
 
-def radius_law(epsilon: float, dim: int, C0: float) -> float:
-    """Critical hole radius: ``C0 * eps**(dim/(dim-2))`` for dim 3, ``exp(-C0/eps**2)`` for dim 2."""
-    if dim not in (2, 3):
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
-    if C0 <= 0 or epsilon <= 0:
-        raise ValueError("C0 and epsilon must be positive")
-    if dim == 3:
-        return C0 * epsilon**3
-    return math.exp(-C0 / epsilon**2)
+def prescribed_mu_radius(epsilon: float, C0: float) -> float:
+    """Radius ``eps * exp(-C0 / eps**2)`` of the resolvable prescribed-``mu`` family.
 
-
-def prescribed_mu_radius(epsilon: float, dim: int, C0: float) -> float:
-    """Radius of the resolvable prescribed-``mu`` family.
-
-    In 2-D this is ``eps * exp(-C0 / eps**2)``: the unique radius for which
-    the per-cell capacity density ``2 pi / ln(eps/r) / (2 eps)**2`` equals
-    ``pi / (2 C0)`` exactly at finite ``eps``.  In 3-D the polynomial law is
-    already resolvable and is returned unchanged.
+    The unique radius for which the per-cell capacity density
+    ``2 pi / ln(eps/r) / (2 eps)**2`` equals ``pi / (2 C0)`` exactly at finite ``eps``.
     """
-    if dim == 3:
-        return radius_law(epsilon, dim, C0)
-    if dim != 2:
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
     if C0 <= 0 or epsilon <= 0:
         raise ValueError("C0 and epsilon must be positive")
     return epsilon * math.exp(-C0 / epsilon**2)
 
 
-def strange_term_formula(dim: int, C0: float) -> float:
-    """Limit absorption density ``mu`` of the critical lattice of disk/ball holes."""
+def strange_term_formula(C0: float) -> float:
+    """Limit absorption density ``mu = pi / (2 C0)`` of the critical 2-D lattice of disk holes."""
     if C0 <= 0:
         raise ValueError("C0 must be positive")
-    if dim == 2:
-        return math.pi / (2.0 * C0)
-    if dim == 3:
-        # surface of the unit sphere is 4 pi: 4 pi * (3 - 2) / 2**3 * C0
-        return 0.5 * math.pi * C0
-    raise ValueError(f"dim must be 2 or 3, got {dim}")
+    return math.pi / (2.0 * C0)
 
 
 @dataclass(frozen=True)
@@ -131,11 +107,7 @@ class PerforationSpec:
 
     @property
     def radius(self) -> float:
-        return prescribed_mu_radius(self.epsilon, 2, self.C0)
-
-    @property
-    def mu(self) -> float:
-        return strange_term_formula(2, self.C0)
+        return prescribed_mu_radius(self.epsilon, self.C0)
 
 
 def discrete_capacity(R_outer: float, r_inner: float, mesh_h: float) -> float:
@@ -257,7 +229,7 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
         raise ValueError("sweep needs at least 2 perforation specs")
     if len({s.target_mu for s in specs}) != 1:
         raise ValueError("all specs must share one prescribed target_mu")
-    mu = specs[0].mu
+    mu = specs[0].target_mu
 
     limit = solve_singular(mesh, coeff, F, cfg, mu=mu)
     naive = solve_singular(mesh, coeff, F, cfg)

@@ -354,17 +354,8 @@ class FieldFunction:
         cols = [mesh.nodes[:, d] for d in range(mesh.dim)]
         return cls(mesh, np.asarray(fn(*cols), dtype=float) + np.zeros(mesh.n_nodes))
 
-    def __add__(self, other: "FieldFunction") -> "FieldFunction":
-        return FieldFunction(self.mesh, self.values + other.values)
-
     def __sub__(self, other: "FieldFunction") -> "FieldFunction":
         return FieldFunction(self.mesh, self.values - other.values)
-
-    def __mul__(self, other) -> "FieldFunction":
-        vals = other.values if isinstance(other, FieldFunction) else other
-        return FieldFunction(self.mesh, self.values * vals)
-
-    __rmul__ = __mul__
 
 
 def element_energy(mesh: Mesh, v: np.ndarray, w: np.ndarray | None = None,
@@ -386,13 +377,9 @@ def element_energy(mesh: Mesh, v: np.ndarray, w: np.ndarray | None = None,
     return out
 
 
-def h1_seminorm(u: FieldFunction | np.ndarray, mesh: Mesh | None = None) -> float:
+def h1_seminorm(u: FieldFunction) -> float:
     """Discrete H1 seminorm ``(sum_T |T| |Du|_T^2)^(1/2)`` over all elements."""
-    if isinstance(u, FieldFunction):
-        mesh, values = u.mesh, u.values
-    else:
-        values = u
-    return float(np.sqrt(np.sum(element_energy(mesh, values))))
+    return float(np.sqrt(np.sum(element_energy(u.mesh, u.values))))
 
 
 def extend_by_zero(u: FieldFunction) -> FieldFunction:

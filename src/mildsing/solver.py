@@ -17,10 +17,12 @@ the one damping rule: ``theta`` starts at 1, halves (down to 0.05) when the
 H1 step grows by more than 1.5 times, and otherwise grows by 1.2 times up
 to 1.  As ``K + D`` is an M-matrix and ``theta <= 1``, an exact step keeps
 a nonnegative iterate nonnegative without clamping.  Every level of a solve
-runs on the one operator ``assemble_stiffness(mesh, coeff, mu)``; its cached
-members give ``m``, the H1 seminorm of steps and iterates, and the coarse
-levels of the V-cycle that preconditions each ``K + D``
-(``SparseOperator.shifted``).  The Picard step is inexact: each CG solve
+runs on the one operator ``assemble_stiffness(mesh, coeff, mu)``, and the
+schedule reads everything from it: its cached members give ``m``, the H1
+seminorm of steps, iterates and level gaps, and the coarse levels of the
+V-cycle that preconditions each ``K + D`` (``SparseOperator.shifted``), and
+its own quadratic form ``x'Kx`` is the energy side of the energy identity
+``x'Kx = sum m_i min(F_i, n) x_i``.  The Picard step is inexact: each CG solve
 starts from the current iterate ``u`` and stops once its residual is at
 most ``max(_CG_TOL |b|, _FORCING |b - (K + D) u|)``, i.e. once it has
 reduced the step's own residual by the forcing term ``_FORCING = 1e-2``
@@ -48,7 +50,7 @@ from .fem import (
     ConvergenceError,
     SparseOperator,
     assemble_stiffness,
-    energy_product,
+    _dot,
     lumped_mass,
     solve_cg,
 )
@@ -122,12 +124,18 @@ class SolveReport:
 
     u: FieldFunction
     n_final: float
-    outer_iters: int
-    inner_iters: int
     energy_identity_residual: float
     history: list[float]
     h1_norms: list[float]
     level_stats: list[LevelStats] = field(repr=False, default_factory=list)
+
+    @property
+    def outer_iters(self) -> int:
+        return len(self.level_stats)
+
+    @property
+    def inner_iters(self) -> int:
+        return sum(st.iterations for st in self.level_stats)
 
     @property
     def final_gap(self) -> float:
@@ -202,16 +210,6 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
     return FieldFunction(op.mesh, op.scatter(x)), stats
 
 
-def _energy_identity_residual(u: FieldFunction, coeff: Coefficient, F: Nonlinearity,
-                              cap: float, ml: np.ndarray, mu: float) -> float:
-    rhs_vals = _capped(F, np.maximum(u.values, 0.0), cap)
-    rhs_e = float(np.sum(ml * rhs_vals * u.values))
-    lhs_e = energy_product(u, coeff)
-    if mu != 0.0:
-        lhs_e += mu * float(np.sum(ml * u.values * u.values))
-    return abs(lhs_e - rhs_e) / max(abs(lhs_e), 1e-300)
-
-
 def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
                    cfg: SolverConfig = SolverConfig(), u0: FieldFunction | None = None,
                    mu: float = 0.0) -> SolveReport:
@@ -222,24 +220,27 @@ def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     inner iteration stalls or the level sequence is not Cauchy within
     ``_MAX_LEVELS`` levels.
     """
-    return _schedule(assemble_stiffness(mesh, coeff, mu), coeff, F, cfg, u0, mu)
+    return _schedule(assemble_stiffness(mesh, coeff, mu), F, cfg, u0)
 
 
-def _schedule(op: SparseOperator, coeff: Coefficient, F: Nonlinearity, cfg: SolverConfig,
-              u0: FieldFunction | None, mu: float) -> SolveReport:
-    """``solve_singular`` on its operator ``op = assemble_stiffness(mesh, coeff, mu)``."""
+def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverConfig(),
+              u0: FieldFunction | None = None) -> SolveReport:
+    """``solve_singular`` on its operator ``op``; norms and the energy identity are ``op``'s.
+
+    Levels are measured with ``op.h1``, the seminorm the Picard loop stops
+    on, and the energy identity residual is ``|x'Kx - sum m_i min(F_i, n) x_i|
+    / |x'Kx|`` on the free-node values ``x``, with ``K = op.matrix``.
+    """
+    free = op.free
     u = u0
+    x = None
     n = 1.0
     history: list[float] = []
     h1_norms: list[float] = []
     stats_list: list[LevelStats] = []
-    inner_total = 0
-    h1_prev = 0.0
-    converged = False
     for level in range(_MAX_LEVELS):
-        u_new, st = solve_level(op, F, n, cfg, u0=u)
+        u, st = solve_level(op, F, n, cfg, u0=u)
         stats_list.append(st)
-        inner_total += st.iterations
         if not st.converged:
             raise ConvergenceError(
                 f"fixed point at truncation level {n} not reached in {_MAX_INNER} steps: "
@@ -247,30 +248,25 @@ def _schedule(op: SparseOperator, coeff: Coefficient, F: Nonlinearity, cfg: Solv
                 iterations=st.iterations,
                 residual=st.residual,
             )
-        h1n = h1_seminorm(u_new)
-        h1_norms.append(h1n)
+        x_new = u.values[free]
+        h1_norms.append(op.h1(x_new))
         if level > 0:
-            gap = h1_seminorm(u_new - u)
-            history.append(gap)
-            if gap <= cfg.outer_tol * h1_prev + cfg.outer_tol_abs:
-                u = u_new
-                converged = True
+            history.append(op.h1(x_new - x))
+            if history[-1] <= cfg.outer_tol * h1_norms[-2] + cfg.outer_tol_abs:
                 break
-        u = u_new
-        h1_prev = h1n
+        x = x_new
         n *= 2.0
-    if not converged:
+    else:
         raise ConvergenceError(
             f"truncation levels not Cauchy after {_MAX_LEVELS} levels",
             history=history,
         )
-    resid = _energy_identity_residual(u, coeff, F, n, lumped_mass(op.mesh), mu)
+    lhs = _dot(x_new, op.matrix @ x_new)
+    rhs = _dot(op.ml * _capped(F, np.maximum(u.values, 0.0), n)[free], x_new)
     return SolveReport(
         u=u,
         n_final=n,
-        outer_iters=len(stats_list),
-        inner_iters=inner_total,
-        energy_identity_residual=resid,
+        energy_identity_residual=abs(lhs - rhs) / max(abs(lhs), 1e-300),
         history=history,
         h1_norms=h1_norms,
         level_stats=stats_list,
@@ -299,11 +295,11 @@ def singular_mass_certificate(report: SolveReport, F: Nonlinearity, coeff: Coeff
     lhs = float(np.sum(ml[mask] * capped[mask] * phi.values[mask]))
 
     weights = z_delta(mesh.element_means(u.values), delta)
-    rhs = float(np.sum(element_energy(mesh, u.values, phi.values, coeff.matrices) * weights))
+    rhs = float(np.sum(element_energy(mesh, phi.values, u.values, coeff.matrices) * weights))
     return lhs, rhs
 
 
-def levelset_energy_certificate(u: FieldFunction | SolveReport, F: Nonlinearity,
+def levelset_energy_certificate(report: SolveReport, F: Nonlinearity,
                                 coeff: Coefficient, j_list) -> list[tuple[float, float]]:
     """Per level ``j``: ``(alpha |D excess_{j+1}(u)|_2^2, 2 int h excess_{j+1}(u))``.
 
@@ -312,14 +308,13 @@ def levelset_energy_certificate(u: FieldFunction | SolveReport, F: Nonlinearity,
     <= the second in the continuum; discretization slack is the caller's
     to judge.
     """
-    if isinstance(u, SolveReport):
-        u = u.u
+    u = report.u
     mesh = u.mesh
     ml = lumped_mass(mesh)
     out = []
     for j in j_list:
         G = gk(u.values, float(j) + 1.0)
-        lhs = coeff.alpha * h1_seminorm(G, mesh) ** 2
+        lhs = coeff.alpha * h1_seminorm(FieldFunction(mesh, G)) ** 2
         rhs = 2.0 * float(np.sum(ml * F.h * G))
         out.append((float(lhs), rhs))
     return out

@@ -68,21 +68,20 @@ class ExperimentOutcome:
         }
 
 
-def estimate_lambda_mono(F: Nonlinearity, s_grid: np.ndarray | None = None) -> float:
-    """Smallest ``lam >= 0`` with ``F(x, s) - lam s`` nonincreasing along the grid.
+def estimate_lambda_mono(F: Nonlinearity) -> float:
+    """Smallest ``lam >= 0`` with ``F(x, s) - lam s`` nonincreasing along ``DEFAULT_S_GRID``.
 
     Computed as the largest positive difference quotient of ``F`` in ``s``
     over all nodes and adjacent grid pairs (0 when all are nonpositive,
     ``inf`` when ``F`` is not finite on the grid).
     """
-    grid = DEFAULT_S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
-    gv = np.asarray(F.g(grid), dtype=float)
+    gv = np.asarray(F.g(DEFAULT_S_GRID), dtype=float)
     if not np.all(np.isfinite(gv)):
         return float("inf")
     fmax = float(F.f.max()) if F.f.size else 0.0
     if fmax == 0.0:
         return 0.0
-    q = np.diff(gv) / np.diff(grid)
+    q = np.diff(gv) / np.diff(DEFAULT_S_GRID)
     qmax = float(q.max())
     return max(0.0, fmax * qmax)
 
@@ -137,8 +136,8 @@ def comparison_experiment(mesh: Mesh, coeff: Coefficient, F1: Nonlinearity,
             f"neither side is almost nonincreasing below the margin: "
             f"lambda_mono=({lam_a!r}, {lam_b!r}) vs 0.9*lambda1={LAMBDA_MARGIN * lam1!r}"
         )
-    r1 = _schedule(op, coeff, F1, cfg, None, 0.0)
-    r2 = _schedule(op, coeff, F2, cfg, None, 0.0)
+    r1 = _schedule(op, F1, cfg)
+    r2 = _schedule(op, F2, cfg)
     violation = float((r1.u.values - r2.u.values).max())
     linf2 = float(np.abs(r2.u.values).max())
     tol = 1e-8 * linf2
@@ -182,7 +181,7 @@ def uniqueness_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
         starts.append(FieldFunction(mesh, big * rng.random(mesh.n_nodes)))
     starts = starts[:n_starts]
 
-    reports = [_schedule(op, coeff, F, cfg, s, 0.0) for s in starts]
+    reports = [_schedule(op, F, cfg, s) for s in starts]
     ref_norm = h1_seminorm(reports[0].u)
     gap = 0.0
     for i in range(len(reports)):
@@ -278,7 +277,7 @@ def stability_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
     op = assemble_stiffness(mesh, coeff)
-    ref = _schedule(op, coeff, F, cfg, None, 0.0)
+    ref = _schedule(op, F, cfg)
     ref_norm = h1_seminorm(ref.u)
     stab_tol = 10.0 * (cfg.outer_tol * ref_norm + cfg.outer_tol_abs)
 

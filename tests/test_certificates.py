@@ -3,7 +3,10 @@ import pytest
 
 import mildsing as ms
 from mildsing import FieldFunction, PowerLaw, nonlinearity
+from mildsing.cutoffs import z_delta
 from mildsing.verification import _lambda1
+
+from oracles import element_areas, element_grads
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +51,32 @@ def test_mass_certificate_rejects_bad_inputs(solved_square):
     neg = FieldFunction(mesh, -np.ones(mesh.n_nodes))
     with pytest.raises(ValueError):
         ms.singular_mass_certificate(rep, F, A, neg, 0.1)
+
+
+def test_mass_certificate_takes_A_Du_dot_Dphi():
+    # sum_T |T| (A Du) . Dphi z_delta(u_bar) by hand, from each element's own
+    # geometry.  For this nonsymmetric A the orientation Du . (A Dphi) differs
+    # by 0.6 sum_T |T| z_delta Du x Dphi, the discrete form of an integral that
+    # vanishes in the continuum; the asymmetric load keeps it from vanishing
+    # by symmetry here too (1.1e-3 relative)
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 17, 17)
+    mat = np.array([[1.0, 0.3], [-0.3, 1.0]])
+    A = ms.Coefficient.constant(mesh, mat)
+    F = nonlinearity(mesh, PowerLaw(0.5), f=1.0 + 3.0 * mesh.nodes[:, 0] * mesh.nodes[:, 1] ** 2)
+    rep = ms.solve_singular(mesh, A, F)
+    phi = FieldFunction.from_callable(mesh, lambda x, y: x * (1 - x) * y * (1 - y) * (1 + 3 * x))
+    delta = 0.02
+    _, rhs = ms.singular_mass_certificate(rep, F, A, phi, delta)
+
+    areas, grads = element_areas(mesh), element_grads(mesh)
+    u = rep.u.values[mesh.elements]
+    du = np.einsum("evd,ev->ed", grads, u)
+    dphi = np.einsum("evd,ev->ed", grads, phi.values[mesh.elements])
+    weights = areas * z_delta(u.mean(axis=1), delta)
+    by_hand = float(np.sum(weights * np.einsum("dc,ec,ed->e", mat, du, dphi)))
+    transposed = float(np.sum(weights * np.einsum("dc,ec,ed->e", mat, dphi, du)))
+    assert rhs == pytest.approx(by_hand, rel=1e-12)
+    assert abs(by_hand - transposed) > 1e-4 * abs(by_hand)
 
 
 def test_levelset_certificate_vanishes_above_sup(solved_square):

@@ -503,6 +503,40 @@ def test_assembly_matches_coo_oracle(problem):
             assert np.all(np.abs(new.data - old.data) <= 1e-15 * np.abs(old.data))
 
 
+@st.composite
+def energy_problems(draw):
+    """``(mesh, A, mu, seed)``: a mesh from :func:`structured_meshes` and an ``A`` per element.
+
+    Each element's ``A`` is a random positive multiple of the identity, a
+    random symmetric positive definite matrix, or one plus a random
+    antisymmetric matrix; ``mu`` is zero or random.
+    """
+    mesh = draw(structured_meshes())
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["isotropic", "spd", "nonsymmetric"]))
+    if kind == "isotropic":
+        a = np.exp(rng.uniform(-3.0, 3.0, mesh.n_elements))
+        mats = np.einsum("e,ij->eij", a, np.eye(mesh.dim))
+    else:
+        mats = spd_matrices(rng, mesh.n_elements, mesh.dim, kind == "nonsymmetric")
+    mu = draw(st.sampled_from([0.0, draw(st.floats(0.0, 1e3))]))
+    return mesh, ms.Coefficient.from_matrices(mesh, mats), mu, seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=energy_problems())
+def test_operator_quadratic_form_is_the_energy(problem):
+    # the solver's energy identity reads x'Kx off the operator: it must be the
+    # A-energy of u plus the lumped absorption mu sum m_i u_i**2
+    mesh, A, mu, seed = problem
+    op = ms.assemble_stiffness(mesh, A, mu)
+    x = np.random.default_rng(seed).standard_normal(op.n)
+    u = ms.FieldFunction(mesh, op.scatter(x))
+    energy = ms.energy_product(u, A) + mu * float(np.sum(lumped_mass(mesh) * u.values ** 2))
+    assert fem._dot(x, op.matrix @ x) == pytest.approx(energy, rel=1e-12)
+
+
 @pytest.mark.parametrize("mesh", [ms.build_rectangle_mesh(1.0, 1.0, 33, 33),
                                   ms.build_rectangle_mesh(2.0, 1.0, 33, 17),
                                   ms.build_interval_mesh(1.0, 17)],

@@ -9,39 +9,23 @@ from mildsing.homogenization import prescribed_mu_radius
 from mildsing.mesh import h1_seminorm
 
 
-def test_radius_law_dim3():
-    assert ms.radius_law(0.1, 3, 1.0) == pytest.approx(1e-3, rel=1e-14)
-
-
-def test_radius_law_dim2():
-    assert ms.radius_law(0.5, 2, 1.0) == pytest.approx(math.exp(-4.0), rel=1e-14)
-
-
-def test_radius_law_rejects_bad_args():
-    with pytest.raises(ValueError):
-        ms.radius_law(0.1, 4, 1.0)
-    with pytest.raises(ValueError):
-        ms.radius_law(-0.1, 2, 1.0)
-
-
 def test_prescribed_mu_radius_value():
     # C0 = pi/100 at eps = 1/8: r = eps * exp(-C0/eps^2) ~ 0.0167
     c0 = math.pi / 100.0
-    r = prescribed_mu_radius(0.125, 2, c0)
+    r = prescribed_mu_radius(0.125, c0)
     assert r == pytest.approx(0.125 * math.exp(-64.0 * c0), rel=1e-14)
     assert r == pytest.approx(0.0167, abs=1e-4)
 
 
 def test_strange_term_formula_values():
-    assert ms.strange_term_formula(2, 1.0) == pytest.approx(math.pi / 2.0, rel=1e-14)
-    assert ms.strange_term_formula(3, 1.0) == pytest.approx(math.pi / 2.0, rel=1e-14)
-    assert ms.strange_term_formula(2, math.pi / 100.0) == pytest.approx(50.0, rel=1e-14)
+    assert ms.strange_term_formula(1.0) == pytest.approx(math.pi / 2.0, rel=1e-14)
+    assert ms.strange_term_formula(math.pi / 100.0) == pytest.approx(50.0, rel=1e-14)
 
 
 def test_prescribed_mu_roundtrip():
     spec = PerforationSpec(epsilon=0.125, target_mu=50.0)
     assert spec.C0 == pytest.approx(math.pi / 100.0, rel=1e-14)
-    assert ms.strange_term_formula(2, spec.C0) == pytest.approx(50.0, rel=1e-12)
+    assert ms.strange_term_formula(spec.C0) == pytest.approx(50.0, rel=1e-12)
     # the prescribed radius makes the per-cell capacity density exactly mu
     density = 2.0 * math.pi / math.log(spec.epsilon / spec.radius) / (2 * spec.epsilon) ** 2
     assert density == pytest.approx(50.0, rel=1e-12)
@@ -153,6 +137,8 @@ def fast_sweep():
 def test_homogenization_sweep_passes(fast_sweep, tmp_path):
     mesh, A, F, out = fast_sweep
     assert out.passed
+    # the limit solve takes target_mu itself: pi / (2 C0) gives 49.99999999999999
+    assert out.detail.mu == out.metrics["mu"] == 50.0
     assert out.metrics["eL2_decreasing"]
     assert out.metrics["defect_rel_error"] <= 0.25
     assert out.metrics["beats_naive_limit"]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mildsing as ms
-from mildsing import FieldFunction, PowerLaw, nonlinearity
+from mildsing import FieldFunction, PowerLaw, nonlinearity, solver
 from mildsing.solver import _capped
 
 from oracles import PEAK_GAMMA_1, PEAK_GAMMA_HALF, shooting_solution, solve_singular_weighted
@@ -141,6 +141,21 @@ def test_warm_started_levels_match_report_history(interval, interval_A):
     assert all(st.converged for st in rep.level_stats)
 
 
+def test_schedule_solves_every_level_through_solve_level(monkeypatch, interval, interval_A):
+    # the oracle solve_singular_weighted patches solver.solve_level: every level
+    # of the schedule must go through that module-level name
+    calls = []
+
+    def counted(*args, _original=solver.solve_level, **kwargs):
+        calls.append(args[2])
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_level", counted)
+    rep = ms.solve_singular(interval, interval_A, nonlinearity(interval, PowerLaw(0.5), f=1.0))
+    assert len(calls) == rep.outer_iters > 1
+    assert calls == [level.n for level in rep.level_stats]
+
+
 @pytest.mark.parametrize("mu", [-1.0, float("nan")])
 def test_solve_singular_rejects_bad_mu(unit_square_9, mu):
     A = ms.Coefficient.identity(unit_square_9)
@@ -240,7 +255,7 @@ def test_system_seminorm_equals_h1_seminorm(case):
         assert abs(op.lap - op.matrix).max() > 0.0  # the norm is not the operator's
         d = np.random.default_rng(11).standard_normal(op.n)
         full = op.scatter(d)
-        assert op.h1(d) == pytest.approx(ms.h1_seminorm(full, mesh), rel=1e-12)
+        assert op.h1(d) == pytest.approx(ms.h1_seminorm(FieldFunction(mesh, full)), rel=1e-12)
 
 
 @st.composite
