@@ -18,7 +18,6 @@ from .fem import (
     IndefiniteOperatorError,
     Norms,
     SparseOperator,
-    assemble_mass,
     assemble_stiffness,
     energy_product,
     first_eigenpair,

@@ -19,6 +19,15 @@ eigenpair iteration, are single-threaded: they go through ``_dot``, an
 long vectors (from about 129**2 entries in OpenBLAS); at these sizes that
 costs more CPU time than it saves wall time, and it makes the last digits of
 every result depend on the BLAS thread count.
+
+Every product of the Picard step's CG solves (the V-cycle's, ``A x0`` and
+``A p``) and of ``SparseOperator.h1`` is ``_matvec``: it calls scipy's private
+CSR kernel ``scipy.sparse._sparsetools.csr_matvec``, the one ``M @ x`` runs,
+without the per-call dispatch of ``scipy.sparse``, which costs 2-3 times the
+kernel's own time on the small multigrid levels.  The import is at module
+top, so a scipy without the kernel fails at import.  ``SparseOperator.shifted``
+writes ``K + diag(d)`` into one buffer per operator ``K``: its result is
+valid until the next ``shifted`` call on the same ``K``.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .mesh import FieldFunction, Mesh, element_energy, h1_seminorm
 
@@ -41,7 +51,6 @@ __all__ = [
     "ConvergenceError",
     "IndefiniteOperatorError",
     "assemble_stiffness",
-    "assemble_mass",
     "stiffness_csr",
     "check_m_matrix",
     "mass_csr",
@@ -152,6 +161,11 @@ class SparseOperator:
     free: np.ndarray
     mesh: Mesh
 
+    def __post_init__(self) -> None:
+        # every product reads the CSR arrays directly (:func:`_matvec`)
+        if self.matrix.format != "csr":
+            raise TypeError(f"SparseOperator needs a CSR matrix, got {self.matrix.format!r}")
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
@@ -189,12 +203,12 @@ class SparseOperator:
         ``K + diag(d)``; the coarse levels are this operator's, neither
         rebuilt nor changed.  Without coarse levels the dense solve, and on a
         grid that does not halve the Jacobi weights, are those of ``K + diag(d)``.
+        Every call rewrites and returns the same operator, built on the first
+        call: a result is valid until the next ``shifted`` call on this one.
         """
-        K = self.matrix
-        data = K.data.copy()
-        data[self._diagonal_slots] += d
-        op = SparseOperator(sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape),
-                            self.free, self.mesh)
+        op = self._shift
+        np.copyto(op.matrix.data, self.matrix.data)
+        op.matrix.data[self._diagonal_slots] += d
         op.diagonal = self.diagonal + d
         if self.precond.func is _vcycle:
             levels, coarse_inv = self.precond.args
@@ -209,6 +223,13 @@ class SparseOperator:
         return op
 
     @cached_property
+    def _shift(self) -> "SparseOperator":
+        """The operator :meth:`shifted` rewrites: ``K``'s pattern with its own data."""
+        K = self.matrix
+        return SparseOperator(sp.csr_matrix((K.data.copy(), K.indices, K.indptr), shape=K.shape),
+                              self.free, self.mesh)
+
+    @cached_property
     def _diagonal_slots(self) -> np.ndarray:
         """Positions of the diagonal entries in ``matrix.data``, one per row."""
         K = self.matrix
@@ -216,7 +237,9 @@ class SparseOperator:
         return np.flatnonzero(K.indices == rows)
 
     def h1(self, v: np.ndarray) -> float:
-        return math.sqrt(_dot(v, self.lap @ v))
+        if v.shape != (self.n,):
+            raise ValueError(f"h1 of a vector of shape {v.shape}, expected ({self.n},)")
+        return math.sqrt(_dot(v, _matvec(self.lap, v)))
 
     def scatter(self, x_free: np.ndarray) -> np.ndarray:
         """Embed a free-node vector into the full nodal vector (zeros elsewhere)."""
@@ -308,15 +331,27 @@ def _prolongation(shape: tuple[int, ...]) -> tuple[sp.csr_matrix, tuple[int, ...
     ``ceil(i / 2)``: the coarse node itself, an axis-edge midpoint, or the midpoint of a
     cell diagonal ``n00``-``n11``, which is an edge of both triangulations.  Nodes are
     row-major, as in :mod:`mesh`; a 1-D ``shape`` gives the 3-point interpolation.
+    A row holds its two parents in ascending order, or one entry 1 where they
+    coincide (every coordinate even): the CSR arrays are written by arithmetic.
     """
     coarse = tuple((s + 1) // 2 for s in shape)
-    idx = np.indices(shape).reshape(len(shape), -1)
-    rows = np.tile(np.arange(idx.shape[1]), 2)
-    cols = np.concatenate([np.ravel_multi_index(idx // 2, coarse),
-                           np.ravel_multi_index((idx + 1) // 2, coarse)])
-    P = sp.coo_matrix((np.full(rows.size, 0.5), (rows, cols)),
-                      shape=(idx.shape[1], math.prod(coarse)))
-    return P.tocsr(), coarse
+    n = math.prod(shape)
+    index = np.int32 if 2 * n <= np.iinfo(np.int32).max else np.int64
+    lo = hi = np.zeros((), dtype=index)  # row-major raveling, one axis at a time
+    for s, c in zip(shape, coarse):
+        i = np.arange(s, dtype=index)
+        lo = (lo[..., None] * index(c) + i // 2).ravel()
+        hi = (hi[..., None] * index(c) + (i + 1) // 2).ravel()
+    two = lo != hi
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(two + index(1), out=indptr[1:])
+    first = indptr[:-1]
+    indices = np.empty(indptr[-1], dtype=index)
+    indices[first] = lo
+    indices[first[two] + 1] = hi[two]
+    data = np.full(indices.size, 0.5)
+    data[first[~two]] = 1.0
+    return sp.csr_matrix((data, indices, indptr), shape=(n, math.prod(coarse))), coarse
 
 
 def _multigrid(A: sp.csr_matrix, free: np.ndarray, shape: tuple[int, ...]) -> partial | None:
@@ -360,9 +395,20 @@ def _vcycle(levels: tuple, coarse_inv: np.ndarray, r: np.ndarray, k: int = 0) ->
         return np.einsum("ij,j->i", coarse_inv, r)
     A, wdinv, P, R = levels[k]
     x = wdinv * r
-    x += P @ _vcycle(levels, coarse_inv, R @ (r - A @ x), k + 1)
-    x += wdinv * (r - A @ x)
+    x += _matvec(P, _vcycle(levels, coarse_inv, _matvec(R, r - _matvec(A, x)), k + 1))
+    x += wdinv * (r - _matvec(A, x))
     return x
+
+
+def _matvec(M: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``M @ x`` for a CSR ``M``: the same kernel, into a fresh zero vector.
+
+    The kernel reads ``M.shape[1]`` entries of ``x`` unchecked: callers pass
+    a vector of that length.
+    """
+    y = np.zeros(M.shape[0])
+    csr_matvec(M.shape[0], M.shape[1], M.indptr, M.indices, M.data, x, y)
+    return y
 
 
 def mass_csr(mesh: Mesh) -> sp.csr_matrix:
@@ -403,15 +449,6 @@ def assemble_stiffness(mesh: Mesh, coeff: Coefficient, mu: float = 0.0) -> Spars
     return op
 
 
-def assemble_mass(mesh: Mesh, lumped: bool = False) -> SparseOperator:
-    """Mass operator over the free nodes; ``lumped=True`` gives the diagonal variant."""
-    free = mesh.free_nodes
-    if lumped:
-        mat = sp.diags(lumped_mass(mesh)[free]).tocsr()
-        return SparseOperator(mat, free, mesh)
-    return SparseOperator(_restrict(mass_csr(mesh), free), free, mesh)
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """``a . b`` in one thread, independent of the BLAS thread count."""
     return float(np.einsum("i,i->", a, b))
@@ -443,7 +480,9 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
     if bnorm == 0.0:
         return np.zeros(n), CGStats(0)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = rhs - A @ x
+    if x.shape != (n,):
+        raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
+    r = rhs - _matvec(A, x)
     res = math.sqrt(_dot(r, r))
     stop = max(tol * bnorm, forcing * res)
     if res <= stop:
@@ -452,7 +491,7 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
     p = z.copy()
     rz = _dot(r, z)
     for it in range(1, maxit + 1):
-        Ap = A @ p
+        Ap = _matvec(A, p)
         pAp = _dot(p, Ap)
         if pAp <= 0.0:
             raise IndefiniteOperatorError(

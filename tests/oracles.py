@@ -8,7 +8,9 @@ element geometry is each element's own formula, evaluated on every element
 rather than on one cell.  The
 assembly and the field-CSV writer are the earlier, direct implementations:
 a COO matrix with nine entries per element, summed by the COO -> CSR
-conversion, and ``csv.writer`` row by row.  The slope-weighted Picard level
+conversion, and ``csv.writer`` row by row.  ``evaluate_masked`` is the
+earlier ``Nonlinearity.evaluate``, which gathers through the mask ``f > 0``.
+The slope-weighted Picard level
 is the earlier damping of ``solve_level``: explicit steps scaled per node by
 slope weights, under an adaptive step factor, a step cap and an oscillation
 test.
@@ -245,6 +247,15 @@ def write_field_csv_rows(path, field):
                     FLOAT_FMT % values[i],
                 ]
             )
+
+
+def evaluate_masked(F: Nonlinearity, s: np.ndarray) -> np.ndarray:
+    """Nodal ``F(x, s(x))``: ``l``, plus ``f g(s)`` through the boolean mask ``f > 0``."""
+    out = F.l.copy()
+    pos = F.f > 0.0
+    if pos.any():
+        out[pos] += F.f[pos] * F.g(s[pos])
+    return out
 
 
 #: ``c0`` of the slope weights ``1 / (1 + c0 m_i |dF/ds| / K_ii)``

@@ -18,6 +18,12 @@ from mildsing.mesh import _CHUNK
 from oracles import element_areas, element_grads, mass_csr_coo, stiffness_csr_coo
 
 
+def mass_operator(K, lumped=False):
+    """The mass over ``K``'s free nodes: consistent, or lumped (``K.ml``) with ``lumped``."""
+    mat = sp.diags(K.ml).tocsr() if lumped else fem._restrict(mass_csr(K.mesh), K.free)
+    return ms.SparseOperator(mat, K.free, K.mesh)
+
+
 def nodal_load(mesh, fn):
     f = ms.FieldFunction.from_callable(mesh, fn)
     return (lumped_mass(mesh) * f.values)[mesh.free_nodes]
@@ -144,11 +150,22 @@ def test_cg_detects_indefiniteness(unit_square_9):
         ms.solve_cg(bad, np.ones(bad.n))
 
 
+def test_operator_rejects_what_the_kernel_cannot_read(unit_square_9):
+    # products read the CSR arrays unchecked: a CSC matrix, or a vector of
+    # the wrong length, is refused before it reaches the kernel
+    K = ms.assemble_stiffness(unit_square_9, ms.Coefficient.identity(unit_square_9))
+    with pytest.raises(TypeError, match="CSR"):
+        ms.SparseOperator(K.matrix.tocsc(), K.free, K.mesh)
+    with pytest.raises(ValueError, match="x0 has shape"):
+        ms.solve_cg(K, np.ones(K.n), x0=np.ones(K.n - 1))
+    with pytest.raises(ValueError, match="h1 of a vector"):
+        K.h1(np.ones(K.n + 1))
+
+
 def test_eigen_square_oracle(unit_square_65, identity_65):
     K = ms.assemble_stiffness(unit_square_65, identity_65)
     for lumped in (False, True):
-        M = ms.assemble_mass(unit_square_65, lumped=lumped)
-        lam, phi = ms.first_eigenpair(K, M)
+        lam, phi = ms.first_eigenpair(K, mass_operator(K, lumped))
         assert abs(lam - 2.0 * np.pi ** 2) <= 0.01 * 2.0 * np.pi ** 2
         assert phi.values.min() >= -1e-10
         assert float(phi.values @ (ms.lumped_mass(unit_square_65) * phi.values)) == pytest.approx(
@@ -158,8 +175,7 @@ def test_eigen_square_oracle(unit_square_65, identity_65):
 def test_eigen_interval_oracle(unit_interval_257):
     m = unit_interval_257
     K = ms.assemble_stiffness(m, ms.Coefficient.identity(m))
-    M = ms.assemble_mass(m)
-    lam, _ = ms.first_eigenpair(K, M)
+    lam, _ = ms.first_eigenpair(K, mass_operator(K))
     assert abs(lam - np.pi ** 2) <= 0.01 * np.pi ** 2
 
 
@@ -167,7 +183,7 @@ def test_eigen_scales_exactly_with_coefficient():
     m = ms.build_rectangle_mesh(1.0, 1.0, 33, 33)
     K1 = ms.assemble_stiffness(m, ms.Coefficient.identity(m))
     K2 = ms.assemble_stiffness(m, ms.Coefficient.isotropic(m, 2.0))
-    M = ms.assemble_mass(m)
+    M = mass_operator(K1)
     lam1, _ = ms.first_eigenpair(K1, M)
     lam2, _ = ms.first_eigenpair(K2, M)
     assert lam2 == pytest.approx(2.0 * lam1, rel=1e-13)
@@ -175,7 +191,7 @@ def test_eigen_scales_exactly_with_coefficient():
 
 def test_rayleigh_quotient_lower_bound(unit_square_65, identity_65):
     K = ms.assemble_stiffness(unit_square_65, identity_65)
-    M = ms.assemble_mass(unit_square_65)
+    M = mass_operator(K)
     lam, _ = ms.first_eigenpair(K, M, tol=1e-12)
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -627,6 +643,65 @@ def test_norms_sine_l2(unit_square_65, identity_65):
     assert n.energy == pytest.approx(n.h1semi ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("case", [
+    _walled_in_33,
+    lambda: (ms.build_interval_mesh(1.0, 65), 0.0),
+    lambda: (ms.build_rectangle_mesh(1.0, 1.0, 12, 12), 0.0),
+    lambda: (ms.build_rectangle_mesh(1.0, 1.0, 5, 5), 2.0),
+], ids=["perforated-mu", "interval", "jacobi-12", "coarsest-only"])
+def test_shifted_rewrites_one_system_and_leaves_its_operator(case):
+    # every shifted call rewrites the one K + diag(d) in place, bit for bit the
+    # system a first call builds, and K's data, diagonal and V-cycle stay as they were
+    mesh, mu = case()
+    op = ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh), mu)
+    rng = np.random.default_rng(5)
+    r = rng.standard_normal(op.n)
+    data, diagonal, before = op.matrix.data.copy(), op.diagonal.copy(), op.precond(r)
+    first = op.shifted(np.zeros(op.n))
+    for _ in range(12):
+        d = rng.random(op.n) * (rng.random(op.n) < 0.7) * 10.0 * op.diagonal
+        shifted = op.shifted(d)
+        assert shifted is first
+        fresh = ms.SparseOperator(op.matrix.copy(), op.free, mesh).shifted(d)
+        assert shifted.matrix.data.tobytes() == fresh.matrix.data.tobytes()
+        assert np.array_equal(shifted.matrix.toarray(), (op.matrix + sp.diags(d)).toarray())
+        assert shifted.diagonal.tobytes() == (op.diagonal + d).tobytes()
+        assert shifted.precond(r).tobytes() == fresh.precond(r).tobytes()
+    assert op.matrix.data.tobytes() == data.tobytes()
+    assert op.diagonal.tobytes() == diagonal.tobytes()
+    assert op.precond(r).tobytes() == before.tobytes()
+
+
+@st.composite
+def matvec_problems(draw):
+    """A :func:`multigrid_problems` operator, or the same grid with a per-element anisotropic ``A``."""
+    mesh, A, mu, seed = draw(multigrid_problems())
+    if draw(st.booleans()):
+        B = np.random.default_rng(seed).uniform(-1.0, 1.0, (mesh.n_elements, mesh.dim, mesh.dim))
+        A = ms.Coefficient.from_matrices(mesh, B @ B.transpose(0, 2, 1) + 0.1 * np.eye(mesh.dim))
+    return mesh, A, mu, seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=matvec_problems())
+def test_matvec_is_the_sparse_product_bit_for_bit(problem):
+    # every matrix a solve multiplies by: the operator, its shifted system, the
+    # identity stiffness and each V-cycle level's A, P and R; and one CSR with
+    # int64 indices
+    mesh, A, mu, seed = problem
+    op = ms.assemble_stiffness(mesh, A, mu)
+    rng = np.random.default_rng(seed)
+    mats = [op.matrix, op.lap, op.shifted(rng.random(op.n)).matrix]
+    if op.precond.func is fem._vcycle:
+        mats += [M for A_k, _, P, R in op.precond.args[0] for M in (A_k, P, R)]
+    wide = op.matrix.copy()
+    wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
+    mats.append(wide)
+    for M in mats:
+        x = rng.standard_normal(M.shape[1])
+        assert fem._matvec(M, x).tobytes() == (M @ x).tobytes()
+
+
 def test_galerkin_residual_orthogonality(unit_square_65, identity_65):
     # residual of the converged solve is orthogonal to the discrete space
     m = unit_square_65
@@ -639,7 +714,7 @@ def test_galerkin_residual_orthogonality(unit_square_65, identity_65):
 
 def test_eigen_nonconvergence_carries_history(unit_square_65, identity_65):
     K = ms.assemble_stiffness(unit_square_65, identity_65)
-    M = ms.assemble_mass(unit_square_65)
+    M = mass_operator(K)
     with pytest.raises(ms.ConvergenceError) as err:
         ms.first_eigenpair(K, M, tol=1e-16, maxit=2)
     assert len(err.value.history) >= 2

@@ -6,6 +6,8 @@ import pytest
 import mildsing as ms
 from mildsing import EigenTruncation, OscillatingPower, PowerLaw, TableMap, nonlinearity
 
+from oracles import evaluate_masked
+
 
 @pytest.fixture(scope="module")
 def mesh():
@@ -111,3 +113,26 @@ def test_estimate_lambda_mono_infinite_on_blowup(mesh):
     F = replace(nonlinearity(mesh, PowerLaw(0.5), f=1.0),
                 g=lambda s: np.where(s < 1e-3, np.inf, s ** -0.5))
     assert ms.estimate_lambda_mono(F) == np.inf
+
+
+@pytest.mark.parametrize("g", [PowerLaw(0.5), OscillatingPower(1.0),
+                               TableMap((0.0, 0.5, 2.0), (3.0, 1.0, 0.25))],
+                         ids=["power", "oscillating", "table"])
+@pytest.mark.parametrize("support", ["everywhere", "subset", "nowhere"])
+def test_evaluate_matches_masked_formula(g, support):
+    # every node, or the cached index of f > 0, rounds as the mask formula;
+    # an f = 0 node gives l even where g(0) = inf
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 17, 17)
+    rng = np.random.default_rng(11)
+    n = mesh.n_nodes
+    f = rng.uniform(0.5, 2.0, n) * {"everywhere": 1.0, "subset": rng.random(n) < 0.5,
+                                    "nowhere": 0.0}[support]
+    F = nonlinearity(mesh, g, f=f, l=rng.uniform(0.0, 1.0, n))
+    s = rng.uniform(0.0, 3.0, n)
+    s[rng.random(n) < 0.2] = 0.0
+    got = F.evaluate(s)
+    assert got.tobytes() == evaluate_masked(F, s).tobytes()
+    singular = (s == 0.0) & (F.f > 0.0)
+    assert singular.any() == (support != "nowhere")
+    assert np.all(np.isinf(got[singular]) == (not isinstance(g, TableMap)))
+    assert np.all(got[F.f == 0.0] == F.l[F.f == 0.0])

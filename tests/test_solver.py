@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -290,3 +291,27 @@ def test_linearly_implicit_steps_match_slope_weighted_steps(problem):
     gap = ms.h1_seminorm(rep.u - ref.u)
     assert gap <= 10.0 * (cfg.outer_tol * ms.h1_seminorm(ref.u) + cfg.outer_tol_abs)
     assert rep.u.values.min() >= -1e-12
+
+
+def test_picard_steps_build_no_sparse_matrix(monkeypatch):
+    # a step rewrites its shifted system in place: the CSR matrices a level
+    # builds are its operator's set-up (V-cycle, shifted buffer), whatever its steps
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 33, 33)
+    F = nonlinearity(mesh, ms.OscillatingPower(1.0), f=1.0)
+    built = []
+    init = sp.csr_matrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
+    counts, steps = [], []
+    for n in (1.0, 64.0):
+        op = ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh))
+        built.clear()
+        _, st = solver.solve_level(op, F, n)
+        counts.append(len(built))
+        steps.append(st.iterations)
+    assert steps[0] < steps[1]
+    assert counts[0] == counts[1]
