@@ -25,9 +25,9 @@ Every product of the Picard step's CG solves (the V-cycle's, ``A x0`` and
 CSR kernel ``scipy.sparse._sparsetools.csr_matvec``, the one ``M @ x`` runs,
 without the per-call dispatch of ``scipy.sparse``, which costs 2-3 times the
 kernel's own time on the small multigrid levels.  The import is at module
-top, so a scipy without the kernel fails at import.  ``SparseOperator.shifted``
+top, so a scipy without the kernel fails at import.  ``SparseOperator._shifted``
 writes ``K + diag(d)`` into one buffer per operator ``K``: its result is
-valid until the next ``shifted`` call on the same ``K``.
+valid until the next ``_shifted`` call on the same ``K``.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ class SparseOperator:
     def lap(self) -> sp.csr_matrix:
         return _restrict(stiffness_csr(self.mesh, Coefficient.identity(self.mesh)), self.free)
 
-    def shifted(self, d: np.ndarray) -> "SparseOperator":
+    def _shifted(self, d: np.ndarray) -> "SparseOperator":
         """``K + diag(d)`` on the same nodes, for ``d >= 0``, sharing this operator's V-cycle.
 
         Only the finest level's matrix and Jacobi weights are those of
@@ -204,7 +204,8 @@ class SparseOperator:
         rebuilt nor changed.  Without coarse levels the dense solve, and on a
         grid that does not halve the Jacobi weights, are those of ``K + diag(d)``.
         Every call rewrites and returns the same operator, built on the first
-        call: a result is valid until the next ``shifted`` call on this one.
+        call: a result is valid until the next ``_shifted`` call on this one,
+        which is why the method is private to :func:`solver.solve_level`.
         """
         op = self._shift
         np.copyto(op.matrix.data, self.matrix.data)
@@ -224,7 +225,7 @@ class SparseOperator:
 
     @cached_property
     def _shift(self) -> "SparseOperator":
-        """The operator :meth:`shifted` rewrites: ``K``'s pattern with its own data."""
+        """The operator :meth:`_shifted` rewrites: ``K``'s pattern with its own data."""
         K = self.matrix
         return SparseOperator(sp.csr_matrix((K.data.copy(), K.indices, K.indptr), shape=K.shape),
                               self.free, self.mesh)

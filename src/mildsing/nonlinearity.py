@@ -17,7 +17,6 @@ so downstream code can rely on the invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -146,22 +145,12 @@ class Nonlinearity:
         for arr in (self.f, self.l, self.h):
             arr.setflags(write=False)
 
-    @cached_property
-    def _positive(self) -> np.ndarray:
-        """Indices of the nodes where ``f > 0``: the only ones where ``g`` is evaluated."""
-        return np.flatnonzero(self.f > 0.0)
-
     def evaluate(self, s: np.ndarray) -> np.ndarray:
-        """Nodal ``F(x, s(x))`` for a full nodal vector ``s`` (``+inf`` allowed where ``s = 0``).
-
-        ``g`` is evaluated where ``f > 0`` only, so ``f = 0`` with ``g = inf``
-        gives ``l``; where ``f > 0`` everywhere that is every node, unindexed.
-        """
-        pos = self._positive
-        if pos.size == self.f.size:
-            return self.l + self.f * self.g(s)
+        """Nodal ``F(x, s(x))`` for a full nodal vector ``s`` (``+inf`` allowed where ``s = 0``)."""
         out = self.l.copy()
-        out[pos] += self.f[pos] * self.g(s[pos])
+        pos = self.f > 0.0
+        if pos.any():
+            out[pos] += self.f[pos] * self.g(s[pos])
         return out
 
     def evaluate_at(self, s: float) -> np.ndarray:

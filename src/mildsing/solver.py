@@ -20,7 +20,7 @@ a nonnegative iterate nonnegative without clamping.  Every level of a solve
 runs on the one operator ``assemble_stiffness(mesh, coeff, mu)``, and the
 schedule reads everything from it: its cached members give ``m``, the H1
 seminorm of steps, iterates and level gaps, and the coarse levels of the
-V-cycle that preconditions each ``K + D`` (``SparseOperator.shifted``), and
+V-cycle that preconditions each ``K + D`` (``SparseOperator._shifted``), and
 its own quadratic form ``x'Kx`` is the energy side of the energy identity
 ``x'Kx = sum m_i min(F_i, n) x_i``.  The Picard step is inexact: each CG solve
 starts from the current iterate ``u`` and stops once its residual is at
@@ -194,7 +194,7 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
         s = np.maximum(u_full, 0.0)
         shift = _slope_shift(F, s, n, op)
         b = op.ml * _capped(F, s, n)[free] + shift * x
-        v, cg = solve_cg(op.shifted(shift), b, tol=_CG_TOL, x0=x, forcing=_FORCING)
+        v, cg = solve_cg(op._shifted(shift), b, tol=_CG_TOL, x0=x, forcing=_FORCING)
         cg_total += cg.iterations
         d = v - x
         res = op.h1(d)

@@ -1,8 +1,10 @@
 import tracemalloc
 
 import pytest
+import scipy.sparse as sp
 
 import mildsing as ms
+from mildsing.fem import _restrict, mass_csr
 
 #: collected (number, name, passed, detail) rows from the acceptance module
 ACCEPTANCE_RESULTS = []
@@ -23,6 +25,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"criterion {num:2d} [{'PASS' if passed else 'FAIL'}] {name}{tail}"
         )
+
+
+def mass_operator(K, lumped=False):
+    """The mass over ``K``'s free nodes: consistent, or lumped (``K.ml``) with ``lumped``."""
+    mat = sp.diags(K.ml).tocsr() if lumped else _restrict(mass_csr(K.mesh), K.free)
+    return ms.SparseOperator(mat, K.free, K.mesh)
 
 
 @pytest.fixture

@@ -6,11 +6,10 @@ Runge-Kutta scheme and bisection, the disk-node count enumerates grid
 points directly, and the hole lattice is searched hole by hole.  The
 element geometry is each element's own formula, evaluated on every element
 rather than on one cell.  The
-assembly and the field-CSV writer are the earlier, direct implementations:
-a COO matrix with nine entries per element, summed by the COO -> CSR
-conversion, and ``csv.writer`` row by row.  ``evaluate_masked`` is the
-earlier ``Nonlinearity.evaluate``, which gathers through the mask ``f > 0``.
-The slope-weighted Picard level
+assembly, the multigrid prolongation and the field-CSV writer are the
+earlier, direct implementations: a COO matrix with nine entries per element
+(two per fine node for the prolongation), summed by the COO -> CSR
+conversion, and ``csv.writer`` row by row.  The slope-weighted Picard level
 is the earlier damping of ``solve_level``: explicit steps scaled per node by
 slope weights, under an adaptive step factor, a step cap and an oscillation
 test.
@@ -230,6 +229,18 @@ def mass_csr_coo(mesh):
     return M.tocsr()
 
 
+def prolongation_coo(shape):
+    """P1 interpolation onto ``shape`` from every other node: ``0.5`` at both parents per node."""
+    coarse = tuple((s + 1) // 2 for s in shape)
+    idx = np.indices(shape).reshape(len(shape), -1)
+    rows = np.tile(np.arange(idx.shape[1]), 2)
+    cols = np.concatenate([np.ravel_multi_index(idx // 2, coarse),
+                           np.ravel_multi_index((idx + 1) // 2, coarse)])
+    P = sp.coo_matrix((np.full(rows.size, 0.5), (rows, cols)),
+                      shape=(idx.shape[1], math.prod(coarse)))
+    return P.tocsr()
+
+
 def write_field_csv_rows(path, field):
     """Dump ``(node index, x, y, class, value)`` rows with 17-digit floats."""
     mesh, values = field.mesh, field.values
@@ -247,15 +258,6 @@ def write_field_csv_rows(path, field):
                     FLOAT_FMT % values[i],
                 ]
             )
-
-
-def evaluate_masked(F: Nonlinearity, s: np.ndarray) -> np.ndarray:
-    """Nodal ``F(x, s(x))``: ``l``, plus ``f g(s)`` through the boolean mask ``f > 0``."""
-    out = F.l.copy()
-    pos = F.f > 0.0
-    if pos.any():
-        out[pos] += F.f[pos] * F.g(s[pos])
-    return out
 
 
 #: ``c0`` of the slope weights ``1 / (1 + c0 m_i |dF/ds| / K_ii)``

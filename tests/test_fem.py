@@ -15,13 +15,9 @@ from mildsing import fem
 from mildsing.fem import lumped_mass, mass_csr, stiffness_csr
 from mildsing.mesh import _CHUNK
 
-from oracles import element_areas, element_grads, mass_csr_coo, stiffness_csr_coo
-
-
-def mass_operator(K, lumped=False):
-    """The mass over ``K``'s free nodes: consistent, or lumped (``K.ml``) with ``lumped``."""
-    mat = sp.diags(K.ml).tocsr() if lumped else fem._restrict(mass_csr(K.mesh), K.free)
-    return ms.SparseOperator(mat, K.free, K.mesh)
+from conftest import mass_operator
+from oracles import (element_areas, element_grads, mass_csr_coo, prolongation_coo,
+                     stiffness_csr_coo)
 
 
 def nodal_load(mesh, fn):
@@ -361,7 +357,7 @@ def test_shifted_operator_cg_matches_direct_solve(case, precond, levels):
     lone = np.diff((op.matrix != 0).indptr) == 1
     assert lone.sum() == (4 if case is _walled_in_33 else 0)
     rhs = np.where(lone, 0.0, rng.random(op.n))
-    shifted = op.shifted(d)
+    shifted = op._shifted(d)
     x, stats = ms.solve_cg(shifted, rhs, tol=1e-13)
     unshifted = ms.SparseOperator(shifted.matrix, op.free, mesh)
     unshifted.precond = op.precond
@@ -643,6 +639,18 @@ def test_norms_sine_l2(unit_square_65, identity_65):
     assert n.energy == pytest.approx(n.h1semi ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(5, 5), (7, 7), (9, 9), (13, 13), (33, 33), (513, 513),
+                                   (65, 33), (33, 65), (3,), (5,), (7,), (257,), (599,)])
+def test_prolongation_matches_the_coo_build(shape):
+    # the CSR arrays written by arithmetic are those the COO -> CSR conversion
+    # gives, dtypes included; a coarse node is one entry 1, not 0.5 + 0.5
+    P, coarse = fem._prolongation(shape)
+    ref = prolongation_coo(shape)
+    assert P.shape == ref.shape and coarse == tuple((s + 1) // 2 for s in shape)
+    for got, want in ((P.indptr, ref.indptr), (P.indices, ref.indices), (P.data, ref.data)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("case", [
     _walled_in_33,
     lambda: (ms.build_interval_mesh(1.0, 65), 0.0),
@@ -650,19 +658,19 @@ def test_norms_sine_l2(unit_square_65, identity_65):
     lambda: (ms.build_rectangle_mesh(1.0, 1.0, 5, 5), 2.0),
 ], ids=["perforated-mu", "interval", "jacobi-12", "coarsest-only"])
 def test_shifted_rewrites_one_system_and_leaves_its_operator(case):
-    # every shifted call rewrites the one K + diag(d) in place, bit for bit the
+    # every _shifted call rewrites the one K + diag(d) in place, bit for bit the
     # system a first call builds, and K's data, diagonal and V-cycle stay as they were
     mesh, mu = case()
     op = ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh), mu)
     rng = np.random.default_rng(5)
     r = rng.standard_normal(op.n)
     data, diagonal, before = op.matrix.data.copy(), op.diagonal.copy(), op.precond(r)
-    first = op.shifted(np.zeros(op.n))
+    first = op._shifted(np.zeros(op.n))
     for _ in range(12):
         d = rng.random(op.n) * (rng.random(op.n) < 0.7) * 10.0 * op.diagonal
-        shifted = op.shifted(d)
+        shifted = op._shifted(d)
         assert shifted is first
-        fresh = ms.SparseOperator(op.matrix.copy(), op.free, mesh).shifted(d)
+        fresh = ms.SparseOperator(op.matrix.copy(), op.free, mesh)._shifted(d)
         assert shifted.matrix.data.tobytes() == fresh.matrix.data.tobytes()
         assert np.array_equal(shifted.matrix.toarray(), (op.matrix + sp.diags(d)).toarray())
         assert shifted.diagonal.tobytes() == (op.diagonal + d).tobytes()
@@ -691,7 +699,7 @@ def test_matvec_is_the_sparse_product_bit_for_bit(problem):
     mesh, A, mu, seed = problem
     op = ms.assemble_stiffness(mesh, A, mu)
     rng = np.random.default_rng(seed)
-    mats = [op.matrix, op.lap, op.shifted(rng.random(op.n)).matrix]
+    mats = [op.matrix, op.lap, op._shifted(rng.random(op.n)).matrix]
     if op.precond.func is fem._vcycle:
         mats += [M for A_k, _, P, R in op.precond.args[0] for M in (A_k, P, R)]
     wide = op.matrix.copy()

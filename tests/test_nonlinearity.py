@@ -6,8 +6,6 @@ import pytest
 import mildsing as ms
 from mildsing import EigenTruncation, OscillatingPower, PowerLaw, TableMap, nonlinearity
 
-from oracles import evaluate_masked
-
 
 @pytest.fixture(scope="module")
 def mesh():
@@ -119,9 +117,9 @@ def test_estimate_lambda_mono_infinite_on_blowup(mesh):
                                TableMap((0.0, 0.5, 2.0), (3.0, 1.0, 0.25))],
                          ids=["power", "oscillating", "table"])
 @pytest.mark.parametrize("support", ["everywhere", "subset", "nowhere"])
-def test_evaluate_matches_masked_formula(g, support):
-    # every node, or the cached index of f > 0, rounds as the mask formula;
-    # an f = 0 node gives l even where g(0) = inf
+def test_evaluate_is_l_plus_f_g_where_f_is_positive(g, support):
+    # where f > 0, evaluate rounds as l + f g(s) over every node; where f = 0
+    # it gives l, also at s = 0 nodes, where g is +inf unless g is a table
     mesh = ms.build_rectangle_mesh(1.0, 1.0, 17, 17)
     rng = np.random.default_rng(11)
     n = mesh.n_nodes
@@ -131,8 +129,11 @@ def test_evaluate_matches_masked_formula(g, support):
     s = rng.uniform(0.0, 3.0, n)
     s[rng.random(n) < 0.2] = 0.0
     got = F.evaluate(s)
-    assert got.tobytes() == evaluate_masked(F, s).tobytes()
-    singular = (s == 0.0) & (F.f > 0.0)
+    pos = F.f > 0.0
+    with np.errstate(invalid="ignore"):  # 0 * inf at the f = 0, s = 0 nodes
+        full = F.l + F.f * F.g(s)
+    assert got[pos].tobytes() == full[pos].tobytes()
+    assert got[~pos].tobytes() == F.l[~pos].tobytes()
+    singular = (s == 0.0) & pos
     assert singular.any() == (support != "nowhere")
     assert np.all(np.isinf(got[singular]) == (not isinstance(g, TableMap)))
-    assert np.all(got[F.f == 0.0] == F.l[F.f == 0.0])
