@@ -161,15 +161,14 @@ def _write_text(path, text: str) -> None:
 def build_mesh(cfg: RunConfig) -> Mesh:
     dim = cfg.get_int("mesh", "dim", 2)
     nx = cfg.get_int("mesh", "nx", required=True)
-    if dim == 1:
-        length = cfg.get_float("mesh", "width", 1.0, positive=True)
-        return build_interval_mesh(length, nx)
-    if dim != 2:
+    if dim not in (1, 2):
         raise ConfigError("mesh", "dim", f"dim must be 1 or 2, got {dim}")
-    ny = cfg.get_int("mesh", "ny", nx)
-    width = cfg.get_float("mesh", "width", 1.0, positive=True)
-    height = cfg.get_float("mesh", "height", 1.0, positive=True)
     try:
+        if dim == 1:
+            return build_interval_mesh(cfg.get_float("mesh", "width", 1.0, positive=True), nx)
+        ny = cfg.get_int("mesh", "ny", nx)
+        width = cfg.get_float("mesh", "width", 1.0, positive=True)
+        height = cfg.get_float("mesh", "height", 1.0, positive=True)
         return build_rectangle_mesh(width, height, nx, ny)
     except ValueError as exc:
         raise ConfigError("mesh", "nx", str(exc)) from None
@@ -467,17 +466,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="mildsing",
                                      description="singular semilinear elliptic experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run one experiment config")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--threads", type=int, default=1)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_suite = sub.add_parser("suite", help="run a manifest of configs")
-    p_suite.add_argument("--manifest", required=True)
-    p_suite.add_argument("--out", default=None)
-    p_suite.add_argument("--threads", type=int, default=1)
-    p_suite.add_argument("--seed", type=int, default=0)
+    for name, source, text in (("run", "--config", "run one experiment config"),
+                               ("suite", "--manifest", "run a manifest of configs")):
+        command = sub.add_parser(name, help=text)
+        command.add_argument(source, required=True)
+        command.add_argument("--out", default=None)
+        command.add_argument("--threads", type=int, default=1)
+        command.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
     if args.command == "run":
         return run(args.config, out_dir=args.out, threads=args.threads, seed=args.seed)
     return suite(args.manifest, out_dir=args.out, threads=args.threads, seed=args.seed)

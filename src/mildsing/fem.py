@@ -21,25 +21,26 @@ costs more CPU time than it saves wall time, and it makes the last digits of
 every result depend on the BLAS thread count.
 
 Every product of the Picard step's CG solves (the V-cycle's, ``A x0`` and
-``A p``) and of ``SparseOperator.h1`` is ``_matvec``: it calls scipy's private
-CSR kernel ``scipy.sparse._sparsetools.csr_matvec``, the one ``M @ x`` runs,
+``A p``) and of ``SparseOperator.h1`` is ``_matvec``: scipy's private CSR
+kernel ``scipy.sparse._sparsetools.csr_matvec``, the one ``M @ x`` runs,
 without the per-call dispatch of ``scipy.sparse``, which costs 2-3 times the
-kernel's own time on the small multigrid levels.  The import is at module
-top, so a scipy without the kernel fails at import.  ``SparseOperator._shifted``
-writes ``K + diag(d)`` into one buffer per operator ``K``: its result is
-valid until the next ``_shifted`` call on the same ``K``.
+kernel's own time on the small multigrid levels.  The restriction ``P' r``
+runs the CSC kernel on ``P``'s own arrays (``_rmatvec``), so no level keeps
+``P'``.  A scipy without the kernels fails at import.  Each operator ``K``
+builds one V-cycle hierarchy, shared with the ``K + diag(d)`` that
+``K._shifted`` rewrites in place, valid until the next call on ``K``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .mesh import FieldFunction, Mesh, element_energy, h1_seminorm
 
@@ -149,10 +150,10 @@ class Coefficient:
 class SparseOperator:
     """Sparse matrix over the free (non-Dirichlet, non-hole) nodes.
 
-    Cached on first use, once per operator: ``diagonal``, the CG
-    preconditioner ``precond``, the lumped mass ``ml`` at the free nodes and
-    the identity-coefficient stiffness ``lap`` (``matrix`` itself when ``A = I``
-    and ``mu = 0``).
+    Cached on first use, once per operator: ``diagonal``, the V-cycle of
+    ``precond`` (shared with ``_shifted``), the lumped mass ``ml`` at the free
+    nodes and the identity-coefficient stiffness ``lap`` (``matrix`` itself
+    when ``A = I`` and ``mu = 0``).
     ``h1(v) = sqrt(v' lap v)`` is the H1 seminorm of a free-node vector (it
     vanishes at the other nodes).
     """
@@ -175,18 +176,18 @@ class SparseOperator:
         return self.matrix.diagonal()
 
     @cached_property
-    def precond(self):
-        """CG preconditioner ``r -> z``: one V-cycle of :func:`_multigrid`, else Jacobi.
+    def _hierarchy(self) -> tuple | None:
+        m = self.mesh
+        return _multigrid(self.matrix, self.free, (m.nx,) if m.dim == 1 else (m.ny, m.nx))
 
-        Jacobi, ``z = (1 / diag) * r``, remains only for a grid that does not halve
-        down to ``_COARSEST`` unknowns; every shipped size has ``2**k + 1``
-        nodes per axis and halves.  The callable holds the hierarchy but not
-        the operator, so it dies with it.
-        """
-        mesh = self.mesh
-        shape = (mesh.nx,) if mesh.dim == 1 else (mesh.ny, mesh.nx)
-        return (_multigrid(self.matrix, self.free, shape)
-                or partial(np.multiply, 1.0 / self.diagonal))
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        return (1.0 if self._hierarchy is None else _OMEGA) / self.diagonal
+
+    def precond(self, r: np.ndarray) -> np.ndarray:
+        """CG preconditioner ``r -> z``: one V-cycle, or Jacobi ``r / diag`` without a hierarchy."""
+        h = self._hierarchy
+        return self._weights * r if h is None else _vcycle(self.matrix, self._weights, *h, r)
 
     @cached_property
     def ml(self) -> np.ndarray:
@@ -199,28 +200,18 @@ class SparseOperator:
     def _shifted(self, d: np.ndarray) -> "SparseOperator":
         """``K + diag(d)`` on the same nodes, for ``d >= 0``, sharing this operator's V-cycle.
 
-        Only the finest level's matrix and Jacobi weights are those of
-        ``K + diag(d)``; the coarse levels are this operator's, neither
-        rebuilt nor changed.  Without coarse levels the dense solve, and on a
-        grid that does not halve the Jacobi weights, are those of ``K + diag(d)``.
-        Every call rewrites and returns the same operator, built on the first
-        call: a result is valid until the next ``_shifted`` call on this one,
-        which is why the method is private to :func:`solver.solve_level`.
+        Only ``matrix.data``, ``diagonal`` and the finest smoother weights are
+        rewritten; the coarse levels are ``K``'s, by reference, and an operator
+        that is its own coarsest level inverts ``K + diag(d)`` again.  Every
+        call returns the same operator, built on the first: a result is valid
+        until the next ``_shifted`` call on this one, which is why the method
+        is private to :func:`solver.solve_level`.
         """
-        op = self._shift
-        np.copyto(op.matrix.data, self.matrix.data)
-        op.matrix.data[self._diagonal_slots] += d
-        op.diagonal = self.diagonal + d
-        if self.precond.func is _vcycle:
-            levels, coarse_inv = self.precond.args
-            if levels:
-                _, _, P, R = levels[0]
-                levels = ((op.matrix, _OMEGA / op.diagonal, P, R),) + levels[1:]
-            else:
-                coarse_inv = np.linalg.inv(op.matrix.toarray())
-            op.precond = partial(_vcycle, levels, coarse_inv)
-        else:
-            op.precond = partial(np.multiply, 1.0 / op.diagonal)
+        op, h = self._shift, self._hierarchy
+        # only the diagonal: the other entries are K's, copied once by _shift
+        op.diagonal = op.matrix.data[self._diagonal_slots] = self.diagonal + d
+        op._weights = (1.0 if h is None else _OMEGA) / op.diagonal
+        op._hierarchy = ((), np.linalg.inv(op.matrix.toarray())) if h and not h[0] else h
         return op
 
     @cached_property
@@ -355,17 +346,17 @@ def _prolongation(shape: tuple[int, ...]) -> tuple[sp.csr_matrix, tuple[int, ...
     return sp.csr_matrix((data, indices, indptr), shape=(n, math.prod(coarse))), coarse
 
 
-def _multigrid(A: sp.csr_matrix, free: np.ndarray, shape: tuple[int, ...]) -> partial | None:
-    """Symmetric V(1,1) cycle for ``A`` over the ``free`` nodes of the grid ``shape``, or None.
+def _multigrid(A: sp.csr_matrix, free: np.ndarray, shape: tuple[int, ...]) -> tuple | None:
+    """Coarse levels ``(P, A_c, w_c)`` of a V(1,1) cycle for ``A`` on the grid ``shape``, or None.
 
-    Each level keeps the coarse interior nodes whose column of the prolongation,
-    restricted to the level's free nodes, is nonzero, and the Galerkin operator
-    ``P' A P`` on them; holes, ``mu`` and anisotropic ``A`` need no special case.
-    A node with no neighbour in ``A`` (one walled in by holes) gets no
-    interpolated correction: the smoother alone solves it, so a zero load there
-    leaves it exactly zero.  Halving stops at ``_COARSEST`` unknowns.  None when
-    a grid with more unknowns has an even axis or fewer than 5 nodes on one: it
-    does not halve.
+    Each level keeps the coarse interior nodes whose column of the prolongation
+    ``P``, restricted to the finer level's ``free`` nodes, is nonzero, ``A_c = P' A P``
+    on them and ``w_c = _OMEGA / diag A_c``; holes, ``mu`` and anisotropic ``A``
+    need no special case.  A node with no neighbour in ``A`` (one walled in by
+    holes) gets no interpolated correction: the smoother alone solves it, so a
+    zero load there leaves it exactly zero.  Halving stops at ``_COARSEST``
+    unknowns, whose inverse comes second.  None when a grid with more unknowns has
+    an even axis or fewer than 5 nodes on one (no shipped size): it does not halve.
     """
     levels = []
     while A.shape[0] > _COARSEST:
@@ -378,26 +369,26 @@ def _multigrid(A: sp.csr_matrix, free: np.ndarray, shape: tuple[int, ...]) -> pa
         interior = np.all((idx > 0) & (idx < np.array(shape)[:, None] - 1), axis=0)
         free = np.flatnonzero(interior & (P.getnnz(axis=0) > 0))
         P = P[:, free].tocsr()
-        R = P.T.tocsr()
-        levels.append((A, _OMEGA / A.diagonal(), P, R))
         # sorted: the order in which the product stores a row, and so the
         # rounding of every matvec, must not depend on explicit zeros in A
-        A = (R @ A @ P).tocsr().sorted_indices()
-    return partial(_vcycle, tuple(levels), np.linalg.inv(A.toarray()))
+        A = (P.T.tocsr() @ A @ P).tocsr().sorted_indices()
+        levels.append((P, A, _OMEGA / A.diagonal()))
+    return tuple(levels), np.linalg.inv(A.toarray())
 
 
-def _vcycle(levels: tuple, coarse_inv: np.ndarray, r: np.ndarray, k: int = 0) -> np.ndarray:
-    """Level ``k`` of the V-cycle on ``r`` from a zero guess: smooth, correct, smooth.
+def _vcycle(A: sp.csr_matrix, w: np.ndarray, levels: tuple, coarse_inv: np.ndarray,
+            r: np.ndarray, k: int = 0) -> np.ndarray:
+    """V-cycle on ``r`` from a zero guess on the level ``A``, weights ``w``, above ``levels[k]``.
 
-    A module function bound by ``partial``: a closure calling itself would be a
-    reference cycle and keep every hierarchy alive until a garbage collection.
+    A module function: a closure calling itself would be a reference cycle
+    and keep every hierarchy alive until a garbage collection.
     """
     if k == len(levels):
         return np.einsum("ij,j->i", coarse_inv, r)
-    A, wdinv, P, R = levels[k]
-    x = wdinv * r
-    x += _matvec(P, _vcycle(levels, coarse_inv, _matvec(R, r - _matvec(A, x)), k + 1))
-    x += wdinv * (r - _matvec(A, x))
+    P, A_c, w_c = levels[k]
+    x = w * r
+    x += _matvec(P, _vcycle(A_c, w_c, levels, coarse_inv, _rmatvec(P, r - _matvec(A, x)), k + 1))
+    x += w * (r - _matvec(A, x))
     return x
 
 
@@ -409,6 +400,13 @@ def _matvec(M: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     """
     y = np.zeros(M.shape[0])
     csr_matvec(M.shape[0], M.shape[1], M.indptr, M.indices, M.data, x, y)
+    return y
+
+
+def _rmatvec(P: sp.csr_matrix, r: np.ndarray) -> np.ndarray:
+    """``P' r`` from ``P``'s CSR arrays, read as those of ``P'`` in CSC: no level keeps ``P'``."""
+    y = np.zeros(P.shape[1])
+    csc_matvec(P.shape[1], P.shape[0], P.indptr, P.indices, P.data, r, y)
     return y
 
 

@@ -147,15 +147,20 @@ class Nonlinearity:
 
     def evaluate(self, s: np.ndarray) -> np.ndarray:
         """Nodal ``F(x, s(x))`` for a full nodal vector ``s`` (``+inf`` allowed where ``s = 0``)."""
-        out = self.l.copy()
-        pos = self.f > 0.0
-        if pos.any():
-            out[pos] += self.f[pos] * self.g(s[pos])
-        return out
+        return _evaluate(self.g, self.f, self.l, s)
 
     def evaluate_at(self, s: float) -> np.ndarray:
         """Nodal values of ``F(x, s)`` for one scalar ``s``."""
         return self.evaluate(np.full(self.mesh.n_nodes, float(s)))
+
+
+def _evaluate(g: ScalarMap, f: np.ndarray, l: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``F = l + f g(s)`` where ``f > 0``, else ``l``, on any nodes: ``f``, ``l``, ``s`` at them."""
+    out = l.copy()
+    pos = f > 0.0
+    if pos.any():
+        out[pos] += f[pos] * g(s[pos])
+    return out
 
 
 def _as_nodal(mesh: Mesh, data, name: str) -> np.ndarray:

@@ -15,20 +15,21 @@ converges monotonically (Ortega & Rheinboldt 1970, ch. 13); the absolute
 slope keeps the oscillating models' ``K + D`` an M-matrix as well.  That is
 the one damping rule: ``theta`` starts at 1, halves (down to 0.05) when the
 H1 step grows by more than 1.5 times, and otherwise grows by 1.2 times up
-to 1.  As ``K + D`` is an M-matrix and ``theta <= 1``, an exact step keeps
-a nonnegative iterate nonnegative without clamping.  Every level of a solve
-runs on the one operator ``assemble_stiffness(mesh, coeff, mu)``, and the
-schedule reads everything from it: its cached members give ``m``, the H1
-seminorm of steps, iterates and level gaps, and the coarse levels of the
-V-cycle that preconditions each ``K + D`` (``SparseOperator._shifted``), and
-its own quadratic form ``x'Kx`` is the energy side of the energy identity
-``x'Kx = sum m_i min(F_i, n) x_i``.  The Picard step is inexact: each CG solve
-starts from the current iterate ``u`` and stops once its residual is at
-most ``max(_CG_TOL |b|, _FORCING |b - (K + D) u|)``, i.e. once it has
-reduced the step's own residual by the forcing term ``_FORCING = 1e-2``
-(Dembo, Eisenstat & Steihaug 1982).  Early steps, far from the fixed point,
-get cheap solves; near the fixed point the tolerance tightens with the
-residual down to ``_CG_TOL``, so the converged iterate is the same.
+to 1.  As ``K + D`` is an M-matrix and ``theta <= 1``, an exact step keeps a
+nonnegative iterate nonnegative without clamping.  Every level of a solve runs
+on the one operator ``assemble_stiffness(mesh, coeff, mu)``, and the schedule
+reads everything from it: its cached members give ``m``, the H1 seminorm of
+steps, iterates and level gaps, and the V-cycle that each ``K + D`` shares
+(``SparseOperator._shifted``), and its own quadratic form ``x'Kx`` is the
+energy side of the energy identity ``x'Kx = sum m_i min(F_i, n) x_i``.  ``f``
+and ``l`` are gathered at the free nodes once per level, so ``F`` never runs
+at a Dirichlet or hole node.  The Picard step is inexact: each CG solve starts
+from the current iterate ``u`` and stops once its residual is at most
+``max(_CG_TOL |b|, _FORCING |b - (K + D) u|)``, i.e. once it has reduced the
+step's own residual by the forcing term ``_FORCING = 1e-2`` (Dembo, Eisenstat
+& Steihaug 1982).  Early steps, far from the fixed point, get cheap solves;
+near the fixed point the tolerance tightens with the residual down to
+``_CG_TOL``, so the converged iterate is the same.
 Levels follow the doubling schedule ``n = 1, 2, 4, ...`` with warm starts,
 at most ``_MAX_LEVELS`` of them; the outer iteration stops when consecutive
 levels are Cauchy in the H1 seminorm to ``SolverConfig.outer_tol``.  That is
@@ -41,6 +42,7 @@ limit problem ``-div A Du + mu u = F(x, u)`` of shrinking perforations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -55,7 +57,7 @@ from .fem import (
     solve_cg,
 )
 from .mesh import FieldFunction, Mesh, element_energy, h1_seminorm
-from .nonlinearity import Nonlinearity
+from .nonlinearity import Nonlinearity, _evaluate
 
 __all__ = [
     "SolverConfig",
@@ -142,9 +144,9 @@ class SolveReport:
         return self.history[-1] if self.history else 0.0
 
 
-def _capped(F: Nonlinearity, s: np.ndarray, n: float) -> np.ndarray:
-    """Nodal ``min(F(x, s), n)`` for ``s >= 0``."""
-    return np.minimum(F.evaluate(s), float(n))
+def _capped(F, s: np.ndarray, n: float) -> np.ndarray:
+    """``min(F(s), n)`` for ``s >= 0``: ``F`` is ``Nonlinearity.evaluate`` or its free-node form."""
+    return np.minimum(F(s), float(n))
 
 
 def _check_level(n: float) -> None:
@@ -152,18 +154,17 @@ def _check_level(n: float) -> None:
         raise ValueError(f"truncation level must be >= 1, got {n!r}")
 
 
-def _slope_shift(F: Nonlinearity, s: np.ndarray, n: float, op: SparseOperator) -> np.ndarray:
-    """``m_i |dF/ds|`` of the capped right-hand side at the free nodes, at ``s >= 0``.
+def _slope_shift(F, s: np.ndarray, n: float, ml: np.ndarray) -> np.ndarray:
+    """``m_i |dF/ds|`` of the capped right-hand side at ``s >= 0``, over the nodes of ``s``, ``ml``.
 
     The slope is probed by central differences small enough to resolve the
     oscillation scale ``s**2`` of the oscillating models; its absolute value
     keeps ``K + diag(m_i |dF/ds|)`` an M-matrix whatever the sign of the slope.
     """
-    free = op.free
     eps = np.minimum(1e-3 * np.maximum(s, 1e-8), 0.02 * s * s) + 1e-14
     up = _capped(F, s + eps, n)
     dn = _capped(F, np.maximum(s - eps, 0.0), n)
-    return op.ml * np.abs(up - dn)[free] / (2.0 * eps[free])
+    return ml * np.abs(up - dn) / (2.0 * eps)
 
 
 def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
@@ -178,10 +179,8 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
     caller decides.  Raises ``ValueError`` when ``n < 1``.
     """
     _check_level(n)
-    free = op.free
-
-    x = np.zeros(free.size) if u0 is None else u0.values[free].copy()
-    u_full = np.zeros(op.mesh.n_nodes)  # F is evaluated at every node
+    F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # gathered once
+    x = np.zeros(op.n) if u0 is None else u0.values[op.free]
 
     theta = 1.0
     res_prev = np.inf
@@ -190,10 +189,9 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
     k = 0
     converged = False
     for k in range(1, _MAX_INNER + 1):
-        u_full[free] = x
-        s = np.maximum(u_full, 0.0)
-        shift = _slope_shift(F, s, n, op)
-        b = op.ml * _capped(F, s, n)[free] + shift * x
+        s = np.maximum(x, 0.0)
+        shift = _slope_shift(F_free, s, n, op.ml)
+        b = op.ml * _capped(F_free, s, n) + shift * x
         v, cg = solve_cg(op._shifted(shift), b, tol=_CG_TOL, x0=x, forcing=_FORCING)
         cg_total += cg.iterations
         d = v - x
@@ -231,7 +229,7 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
     on, and the energy identity residual is ``|x'Kx - sum m_i min(F_i, n) x_i|
     / |x'Kx|`` on the free-node values ``x``, with ``K = op.matrix``.
     """
-    free = op.free
+    F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # for the energy identity
     u = u0
     x = None
     n = 1.0
@@ -248,7 +246,7 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
                 iterations=st.iterations,
                 residual=st.residual,
             )
-        x_new = u.values[free]
+        x_new = u.values[op.free]
         h1_norms.append(op.h1(x_new))
         if level > 0:
             history.append(op.h1(x_new - x))
@@ -262,7 +260,7 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
             history=history,
         )
     lhs = _dot(x_new, op.matrix @ x_new)
-    rhs = _dot(op.ml * _capped(F, np.maximum(u.values, 0.0), n)[free], x_new)
+    rhs = _dot(op.ml * _capped(F_free, np.maximum(x_new, 0.0), n), x_new)
     return SolveReport(
         u=u,
         n_final=n,
@@ -291,7 +289,7 @@ def singular_mass_certificate(report: SolveReport, F: Nonlinearity, coeff: Coeff
     mesh = u.mesh
     ml = lumped_mass(mesh)
     mask = u.values <= delta
-    capped = _capped(F, np.maximum(u.values, 0.0), report.n_final)
+    capped = _capped(F.evaluate, np.maximum(u.values, 0.0), report.n_final)
     lhs = float(np.sum(ml[mask] * capped[mask] * phi.values[mask]))
 
     weights = z_delta(mesh.element_means(u.values), delta)

@@ -96,7 +96,7 @@ def _lambda1(op: SparseOperator) -> tuple[float, FieldFunction]:
     The lumped mass ``op.ml`` matches the nodal quadrature used for nonlinear
     loads, so the eigenpair is the one the fixed-point map actually sees.  An
     exactly symmetric ``K`` is its own symmetric part, so ``op`` itself, and
-    the preconditioner it caches, serve the eigenpair and later solves alike.
+    the V-cycle hierarchy it caches, serve the eigenpair and later solves alike.
     """
     K = op.matrix
     M = SparseOperator(sp.diags(op.ml).tocsr(), op.free, op.mesh)

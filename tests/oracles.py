@@ -279,8 +279,8 @@ def _slope_weights(F: Nonlinearity, s: np.ndarray, n: float, op: SparseOperator)
     """
     free = op.free
     eps = np.minimum(1e-3 * np.maximum(s, 1e-8), 0.02 * s * s) + 1e-14
-    up = _capped(F, s + eps, n)
-    dn = _capped(F, np.maximum(s - eps, 0.0), n)
+    up = _capped(F.evaluate, s + eps, n)
+    dn = _capped(F.evaluate, np.maximum(s - eps, 0.0), n)
     slope = np.abs(up - dn)[free] / (2.0 * eps[free])
     return 1.0 / (1.0 + _SLOPE_DAMPING * op.ml * slope / op.diagonal)
 
@@ -312,7 +312,7 @@ def solve_level_weighted(op: SparseOperator, F: Nonlinearity, n: float,
     for k in range(1, _MAX_INNER + 1):
         u_full[free] = x
         s = np.maximum(u_full, 0.0)
-        b = op.ml * _capped(F, s, n)[free]
+        b = op.ml * _capped(F.evaluate, s, n)[free]
         v, cg = solve_cg(op, b, tol=_CG_TOL, x0=x, forcing=_FORCING)
         cg_total += cg.iterations
         d = v - x

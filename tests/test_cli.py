@@ -113,6 +113,14 @@ def test_source_without_nonlinearity_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o" / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("mesh", ["dim = 1\nnx = 1", "nx = 1\nny = 1"], ids=["1d", "2d"])
+def test_too_few_nodes_is_config_error(tmp_path, capsys, mesh):
+    # a mesh of one node is a mistake in the config, in either dimension
+    path = write(tmp_path, "one.ini", SOLVE_CONFIG.replace("dim = 1\nnx = 129", mesh))
+    assert run(path, out_dir=tmp_path / "o") == 2
+    assert "[mesh] nx: need at least 2 nodes" in capsys.readouterr().err
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert run(tmp_path / "nope.ini", out_dir=tmp_path / "o") == 2
 
@@ -376,6 +384,23 @@ def test_main_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", [["run", "--config", "x.ini"],
+                                     ["suite", "--manifest", "configs/manifest.txt"]],
+                         ids=["run", "suite"])
+def test_main_rejects_threads_below_one(monkeypatch, capsys, command, threads):
+    # a usage error, found before any run or thread pool starts
+    def started(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(mildsing.cli, "run", started)
+    monkeypatch.setattr(mildsing.cli, "suite", started)
+    with pytest.raises(SystemExit) as err:
+        main(command + ["--threads", threads])
+    assert err.value.code == 2
+    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
 
 
 def test_main_run_subcommand(tmp_path):

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -281,7 +282,7 @@ def test_multigrid_cg_matches_dense_solve(problem):
     # system; only a 2-D grid that cannot halve (12**2) keeps Jacobi
     mesh, A, mu, seed = problem
     op = ms.assemble_stiffness(mesh, A, mu)
-    assert op.precond.func is (np.multiply if mesh.dim == 2 and mesh.nx == 12 else fem._vcycle)
+    assert (op._hierarchy is None) == (mesh.dim == 2 and mesh.nx == 12)
     rng = np.random.default_rng(seed)
     x, y, rhs = rng.standard_normal((3, op.n))
     sol, _ = ms.solve_cg(op, rhs, tol=1e-13)
@@ -310,20 +311,22 @@ def test_walled_in_node_stays_exactly_zero():
     lone = np.diff((op.matrix != 0).indptr) == 1
     assert lone.sum() == 4
     x, _ = ms.solve_cg(op, np.where(lone, 0.0, op.ml))
-    assert op.precond.func is fem._vcycle
+    assert op._hierarchy is not None
     assert np.all(x[lone] == 0.0)
 
 
 def test_preconditioner_dies_with_its_operator(unit_square_65, identity_65):
     # the hierarchy must not sit in a reference cycle: reference counting
-    # alone frees it once its operator is gone
+    # alone frees it, and the shifted system that shares it, once its
+    # operator is gone
     gc.disable()
     try:
         op = ms.assemble_stiffness(unit_square_65, identity_65)
-        ms.solve_cg(op, op.ml)
-        ref = weakref.ref(op.precond)
-        del op
-        assert ref() is None
+        ms.solve_cg(op._shifted(op.ml), op.ml)
+        levels, coarse_inv = op._hierarchy
+        refs = [weakref.ref(coarse_inv), weakref.ref(levels[0][1].data)]
+        del op, levels, coarse_inv
+        assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
 
@@ -335,24 +338,25 @@ def _walled_in_33():
     return mesh, 7.0
 
 
-@pytest.mark.parametrize("case,precond,levels", [
-    (_walled_in_33, fem._vcycle, 3),
-    (lambda: (ms.build_interval_mesh(1.0, 65), 0.0), fem._vcycle, 3),
-    (lambda: (ms.build_rectangle_mesh(1.0, 1.0, 12, 12), 0.0), np.multiply, None),
-    (lambda: (ms.build_rectangle_mesh(1.0, 1.0, 5, 5), 2.0), fem._vcycle, 0),
+@pytest.mark.parametrize("case,levels", [
+    (_walled_in_33, 3),
+    (lambda: (ms.build_interval_mesh(1.0, 65), 0.0), 3),
+    (lambda: (ms.build_rectangle_mesh(1.0, 1.0, 12, 12), 0.0), None),
+    (lambda: (ms.build_rectangle_mesh(1.0, 1.0, 5, 5), 2.0), 0),
 ], ids=["perforated-mu", "interval", "jacobi-12", "coarsest-only"])
-def test_shifted_operator_cg_matches_direct_solve(case, precond, levels):
-    # K + diag(d) borrows K's coarse levels; with its own finest level (or
-    # dense solve, or Jacobi weights) CG solves the shifted system in at most
-    # half the iterations K's preconditioner takes, and K's stays as it was
+def test_shifted_operator_cg_matches_direct_solve(case, levels):
+    # K + diag(d) shares K's coarse levels by reference; with its own finest
+    # level (or dense solve, or Jacobi weights) CG solves the shifted system
+    # in at most half the iterations K's preconditioner takes, and K's stays
+    # as it was; levels None is Jacobi, 0 is K as its own coarsest level
     mesh, mu = case()
     op = ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh), mu)
     rng = np.random.default_rng(3)
     r = rng.standard_normal(op.n)
     before, data = op.precond(r), op.matrix.data.copy()
-    assert op.precond.func is precond
+    assert (op._hierarchy is None) == (levels is None)
     if levels is not None:
-        assert len(op.precond.args[0]) == levels
+        assert len(op._hierarchy[0]) == levels
     d = rng.random(op.n) * (rng.random(op.n) < 0.7) * 10.0 * op.diagonal
     lone = np.diff((op.matrix != 0).indptr) == 1
     assert lone.sum() == (4 if case is _walled_in_33 else 0)
@@ -365,7 +369,11 @@ def test_shifted_operator_cg_matches_direct_solve(case, precond, levels):
     exact = spsolve((op.matrix + sp.diags(d)).tocsc(), rhs)
     assert np.abs(x - exact).max() <= 1e-10 * np.abs(exact).max()
     assert np.all(x[lone] == 0.0)
-    assert shifted.precond.func is precond
+    assert (shifted._hierarchy is None) == (levels is None)
+    if levels is not None:
+        # the coarse levels are K's own objects; a coarsest-only K + diag(d) has its own inverse
+        assert shifted._hierarchy[0] is op._hierarchy[0]
+        assert (shifted._hierarchy[1] is op._hierarchy[1]) == (levels > 0)
     assert np.array_equal(op.precond(r), before)
     assert np.array_equal(op.matrix.data, data)
 
@@ -693,21 +701,25 @@ def matvec_problems(draw):
 @settings(max_examples=100, deadline=None)
 @given(problem=matvec_problems())
 def test_matvec_is_the_sparse_product_bit_for_bit(problem):
-    # every matrix a solve multiplies by: the operator, its shifted system, the
-    # identity stiffness and each V-cycle level's A, P and R; and one CSR with
-    # int64 indices
+    # every product a solve makes: by the operator, its shifted system, the
+    # identity stiffness and each V-cycle level's P and A, and by one CSR with
+    # int64 indices; and each level's restriction, pinned to the transpose
+    # built as CSR, which no level keeps
     mesh, A, mu, seed = problem
     op = ms.assemble_stiffness(mesh, A, mu)
     rng = np.random.default_rng(seed)
     mats = [op.matrix, op.lap, op._shifted(rng.random(op.n)).matrix]
-    if op.precond.func is fem._vcycle:
-        mats += [M for A_k, _, P, R in op.precond.args[0] for M in (A_k, P, R)]
+    levels = () if op._hierarchy is None else op._hierarchy[0]
+    mats += [M for P, A_c, _ in levels for M in (P, A_c)]
     wide = op.matrix.copy()
     wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
     mats.append(wide)
-    for M in mats:
-        x = rng.standard_normal(M.shape[1])
-        assert fem._matvec(M, x).tobytes() == (M @ x).tobytes()
+    products = [(M.shape[1], partial(fem._matvec, M), M.__matmul__) for M in mats]
+    products += [(P.shape[0], partial(fem._rmatvec, P), partial(fem._matvec, P.T.tocsr()))
+                 for P, _, _ in levels]
+    for size, got, want in products:
+        x = rng.standard_normal(size)
+        assert got(x).tobytes() == want(x).tobytes()
 
 
 def test_galerkin_residual_orthogonality(unit_square_65, identity_65):

@@ -16,7 +16,7 @@ from test_fem import draw_holes
 
 def truncated_rhs(F, u, n):
     """Nodal ``min(F(x, max(u, 0)), n)``, the load of every Picard step."""
-    return FieldFunction(u.mesh, _capped(F, np.maximum(u.values, 0.0), n))
+    return FieldFunction(u.mesh, _capped(F.evaluate, np.maximum(u.values, 0.0), n))
 
 
 @pytest.fixture(scope="module")
@@ -315,3 +315,24 @@ def test_picard_steps_build_no_sparse_matrix(monkeypatch):
         steps.append(st.iterations)
     assert steps[0] < steps[1]
     assert counts[0] == counts[1]
+
+
+def test_g_sees_only_free_node_vectors():
+    # every evaluation of a solve, each Picard step's load and slope probes
+    # and the energy identity, runs g on the free nodes alone: never on a
+    # Dirichlet or hole node whose value would be thrown away
+    mesh, _ = _perforated_anisotropic()
+    op = ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh))
+    assert op.n < (mesh.nx - 2) ** 2  # the holes remove nodes too
+    seen = []
+
+    class Recorded(PowerLaw):
+        def __call__(self, s):
+            seen.append(len(s))
+            return super().__call__(s)
+
+    F = nonlinearity(mesh, Recorded(0.5), f=1.0)
+    seen.clear()  # construction checks F on the whole mesh
+    rep = ms.solve_singular(mesh, ms.Coefficient.identity(mesh), F)
+    assert len(seen) == 3 * rep.inner_iters + 1
+    assert set(seen) == {op.n}
