@@ -301,7 +301,8 @@ def _solve_outcome(op, coeff, F, scfg, energy_tol, out_dir) -> ExperimentOutcome
     stats_lines = [
         json.dumps({"level": st.n, "iterations": st.iterations, "residual": st.residual,
                     "converged": st.converged, "theta": st.theta,
-                    "cg_iterations": st.cg_iterations}, sort_keys=True)
+                    "cg_iterations": st.cg_iterations, "accelerated": st.accelerated},
+                   sort_keys=True)
         for st in report.level_stats
     ]
     _atomic(os.path.join(out_dir, "solver_stats.jsonl"), _write_text,

@@ -14,11 +14,12 @@ is the tested oracle behind every linear solve in the package: the Picard
 iteration and the eigenpair call it.
 
 Every CG reduction (dot products and 2-norms), and the inner products of the
-eigenpair iteration, are single-threaded: they go through ``_dot``, an
-``einsum`` with a fixed summation order.  BLAS ``ddot`` threads itself on
-long vectors (from about 129**2 entries in OpenBLAS); at these sizes that
-costs more CPU time than it saves wall time, and it makes the last digits of
-every result depend on the BLAS thread count.
+eigenpair iteration, are single-threaded: they go through ``_dot``, numpy's
+core ``c_einsum`` (the kernel ``np.einsum`` runs, without its Python
+wrapper) with a fixed summation order.  BLAS ``ddot`` threads itself on long
+vectors (from about 129**2 entries in OpenBLAS); at these sizes that costs
+more CPU time than it saves wall time, and it makes the last digits of every
+result depend on the BLAS thread count.
 
 Every product of the Picard step's CG solves (the V-cycle's, ``A x0`` and
 ``A p``) and of ``SparseOperator.h1`` is ``_matvec``: scipy's private CSR
@@ -26,9 +27,9 @@ kernel ``scipy.sparse._sparsetools.csr_matvec``, the one ``M @ x`` runs,
 without the per-call dispatch of ``scipy.sparse``, which costs 2-3 times the
 kernel's own time on the small multigrid levels.  The restriction ``P' r``
 runs the CSC kernel on ``P``'s own arrays (``_rmatvec``), so no level keeps
-``P'``.  A scipy without the kernels fails at import.  Each operator ``K``
-builds one V-cycle hierarchy, shared with the ``K + diag(d)`` that
-``K._shifted`` rewrites in place, valid until the next call on ``K``.
+``P'``.  A numpy or scipy without these kernels fails at import.  Each
+operator ``K`` builds one V-cycle hierarchy, shared with the ``K + diag(d)``
+that ``K._shifted`` rewrites in place, valid until the next call on ``K``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from numpy._core.multiarray import c_einsum
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .mesh import FieldFunction, Mesh, element_energy, h1_seminorm
@@ -450,7 +452,7 @@ def assemble_stiffness(mesh: Mesh, coeff: Coefficient, mu: float = 0.0) -> Spars
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """``a . b`` in one thread, independent of the BLAS thread count."""
-    return float(np.einsum("i,i->", a, b))
+    return float(c_einsum("i,i->", a, b))
 
 
 @dataclass

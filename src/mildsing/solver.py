@@ -30,6 +30,23 @@ step's own residual by the forcing term ``_FORCING = 1e-2`` (Dembo, Eisenstat
 & Steihaug 1982).  Early steps, far from the fixed point, get cheap solves;
 near the fixed point the tolerance tightens with the residual down to
 ``_CG_TOL``, so the converged iterate is the same.
+The damping rule also accelerates a level's linear tail: after ``_TAIL_STEPS``
+consecutive steps with ``theta = 1`` and an H1 step ratio in
+``_TAIL_RATIO``, each step is a type-II Anderson step (Walker & Ni 2011) of
+depth ``_TAIL_DEPTH`` on the free-node iterate ``x`` and its residual
+``d = v - x`` (``_AndersonTail``), until the condition breaks and the
+history is dropped.  An Anderson step after which the H1 step grows by more
+than 1.5 times is undone: the iterate goes back to the plain step it
+replaced, with ``theta`` and the previous step as they were, so a failed
+extrapolation costs one linear solve and cannot trap the level in a cycle of
+overshoots.  The stopping test reads the plain step's ``|d|_H1``,
+and the step that meets it is the plain ``x + theta d``.  An Anderson step is
+not a convex combination of ``x`` and ``v``, so the M-matrix argument above
+does not cover it: one with a negative entry is not taken, the plain step
+is, and nothing is clamped.  A property test checks, on random small
+problems, that the accelerated steps converge and stay nonnegative wherever
+the plain steps do, and reach the same solution when ``F`` is
+nonincreasing.
 Levels follow the doubling schedule ``n = 1, 2, 4, ...`` with warm starts,
 at most ``_MAX_LEVELS`` of them; the outer iteration stops when consecutive
 levels are Cauchy in the H1 seminorm to ``SolverConfig.outer_tol``.  That is
@@ -76,6 +93,14 @@ _FORCING = 1e-2
 _CG_TOL = 1e-11
 #: Picard steps allowed per truncation level
 _MAX_INNER = 800
+#: Anderson depth of the linear tail: differences of the last ``_TAIL_DEPTH + 1`` steps
+_TAIL_DEPTH = 3
+#: consecutive tail steps (``theta = 1``, H1 step ratio in ``_TAIL_RATIO``) before acceleration
+_TAIL_STEPS = 8
+#: open interval of ``res / res_prev`` that marks a linearly converging tail
+_TAIL_RATIO = (0.3, 1.0)
+#: a tail difference this close to the span of newer ones (squared sine) is dropped
+_TAIL_DROP = 1e-10
 #: truncation levels ``n = 1, 2, 4, ...`` allowed per solve
 _MAX_LEVELS = 24
 
@@ -118,6 +143,7 @@ class LevelStats:
     converged: bool
     theta: float
     cg_iterations: int
+    accelerated: int
 
 
 @dataclass
@@ -167,6 +193,88 @@ def _slope_shift(F, s: np.ndarray, n: float, ml: np.ndarray) -> np.ndarray:
     return ml * np.abs(up - dn) / (2.0 * eps)
 
 
+class _AndersonTail:
+    """Type-II Anderson mixing (Walker & Ni 2011) of a level's linear tail.
+
+    ``step(g, d)`` records the plain step ``g = x + d`` from ``x`` and its
+    residual ``d``; after ``_TAIL_STEPS`` consecutive records it returns
+    ``g - dG gamma`` instead of ``g``, with ``gamma`` the least-squares
+    coefficients of ``d`` on the differences ``dD`` of the last
+    ``_TAIL_DEPTH + 1`` residuals, and ``dG`` those of the plain steps.  The
+    differences live in two ring buffers, allocated by a level's first
+    difference, so a level that never records two steps in a row holds no
+    extra memory.  The normal equations use the Gram matrix of ``dD``, each
+    entry a ``_dot`` computed once when its difference arrives, and drop the
+    differences that are nearly combinations of newer ones: a tail ruled by
+    one mode makes ``dD`` nearly collinear, and on a 5**2 grid exactly so.
+    An Anderson step with a negative entry is not taken: ``g`` is returned.
+    ``replaced`` is the plain step that the last call replaced, or None.
+    ``clear`` forgets the tail; ``accelerated`` counts the Anderson steps.
+    """
+
+    def __init__(self) -> None:
+        self.dG = self.dD = None  # allocated by the first difference of the level
+        self.gram = [[0.0] * _TAIL_DEPTH for _ in range(_TAIL_DEPTH)]
+        self.accelerated = 0
+        self.clear()
+
+    def clear(self) -> None:
+        self.g = self.d = self.replaced = None
+        self.filled = self.head = self.streak = 0
+
+    def step(self, g: np.ndarray, d: np.ndarray) -> np.ndarray:
+        if self.g is not None:
+            if self.dG is None:
+                self.dG, self.dD = np.empty((2, _TAIL_DEPTH, g.size))
+            j = self.head
+            np.subtract(g, self.g, out=self.dG[j])
+            np.subtract(d, self.d, out=self.dD[j])
+            self.filled = min(self.filled + 1, _TAIL_DEPTH)
+            for i in range(self.filled):
+                self.gram[i][j] = self.gram[j][i] = _dot(self.dD[i], self.dD[j])
+            self.head = (j + 1) % _TAIL_DEPTH
+        self.g, self.d = g, d
+        self.streak += 1
+        self.replaced = None
+        if self.streak <= _TAIL_STEPS:
+            return g
+        newest_first = [(self.head - 1 - k) % _TAIL_DEPTH for k in range(self.filled)]
+        out = g.copy()
+        for i, gamma in zip(newest_first, self._coefficients(newest_first, d)):
+            out -= gamma * self.dG[i]
+        if out.min(initial=0.0) < 0.0:
+            return g  # not a convex combination: only a nonnegative one is taken
+        self.accelerated += 1
+        self.replaced = g
+        return out
+
+    def _coefficients(self, order: list[int], d: np.ndarray) -> list[float]:
+        """``gamma`` of the normal equations ``G gamma = dD d`` over the slots ``order``.
+
+        Gaussian elimination in that order, stable on the positive
+        semidefinite ``G``, in Python floats: a first LAPACK call would
+        allocate OpenBLAS's work buffers, about 1 MB of resident memory.  A
+        difference whose pivot, its squared distance from the span of the
+        ones kept before it, is at most ``_TAIL_DROP`` of its squared length
+        is dropped with ``gamma = 0``.
+        """
+        m = len(order)
+        rows = [[self.gram[i][j] for j in order] + [_dot(self.dD[i], d)] for i in order]
+        kept = []
+        for i in range(m):
+            if rows[i][i] <= _TAIL_DROP * self.gram[order[i]][order[i]]:
+                continue
+            kept.append(i)
+            for r in rows[i + 1:]:
+                factor = r[i] / rows[i][i]
+                r[:] = [a - factor * b for a, b in zip(r, rows[i])]
+        gamma = [0.0] * m
+        for i in reversed(kept):
+            later = sum(rows[i][j] * gamma[j] for j in range(i + 1, m))
+            gamma[i] = (rows[i][m] - later) / rows[i][i]
+        return gamma
+
+
 def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
                 cfg: SolverConfig = SolverConfig(),
                 u0: FieldFunction | None = None) -> tuple[FieldFunction, LevelStats]:
@@ -181,6 +289,7 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
     _check_level(n)
     F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # gathered once
     x = np.zeros(op.n) if u0 is None else u0.values[op.free]
+    tail = _AndersonTail()
 
     theta = 1.0
     res_prev = np.inf
@@ -196,15 +305,25 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
         cg_total += cg.iterations
         d = v - x
         res = op.h1(d)
+        grew = res > 1.5 * res_prev
+        if grew and tail.replaced is not None:
+            # the Anderson step overshot: go back to the plain step it replaced
+            x = tail.replaced
+            tail.clear()
+            continue
         x = x + theta * d
         if res <= cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs:
             converged = True
             break
-        theta = max(0.5 * theta, 0.05) if res > 1.5 * res_prev else min(1.2 * theta, 1.0)
+        if theta == 1.0 and _TAIL_RATIO[0] < res / res_prev < _TAIL_RATIO[1]:
+            x = tail.step(x, d)
+        else:
+            tail.clear()
+        theta = max(0.5 * theta, 0.05) if grew else min(1.2 * theta, 1.0)
         res_prev = res
 
     stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
-                       theta=theta, cg_iterations=cg_total)
+                       theta=theta, cg_iterations=cg_total, accelerated=tail.accelerated)
     return FieldFunction(op.mesh, op.scatter(x)), stats
 
 

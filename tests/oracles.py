@@ -12,11 +12,13 @@ earlier, direct implementations: a COO matrix with nine entries per element
 conversion, and ``csv.writer`` row by row.  The slope-weighted Picard level
 is the earlier damping of ``solve_level``: explicit steps scaled per node by
 slope weights, under an adaptive step factor, a step cap and an oscillation
-test.
+test.  The plain Picard level is ``solve_level`` without the Anderson
+acceleration of its linear tail: every step is ``x + theta (v - x)``.
 """
 
 import csv
 import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -26,7 +28,7 @@ from scipy.integrate import solve_ivp
 from mildsing import solver
 from mildsing.fem import SparseOperator, _dot, solve_cg
 from mildsing.mesh import CLASS_NAMES, FLOAT_FMT, HOLE, OUTER_BOUNDARY, FieldFunction
-from mildsing.nonlinearity import Nonlinearity
+from mildsing.nonlinearity import Nonlinearity, _evaluate
 from mildsing.solver import (
     _CG_TOL,
     _FORCING,
@@ -35,6 +37,7 @@ from mildsing.solver import (
     SolverConfig,
     _capped,
     _check_level,
+    _slope_shift,
 )
 
 #: closed-form peak of -u'' = u**-gamma on (0, 1), from the energy
@@ -339,7 +342,7 @@ def solve_level_weighted(op: SparseOperator, F: Nonlinearity, n: float,
         d_prev = d
 
     stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
-                       theta=theta, cg_iterations=cg_total)
+                       theta=theta, cg_iterations=cg_total, accelerated=0)
     return FieldFunction(op.mesh, op.scatter(x)), stats
 
 
@@ -347,3 +350,43 @@ def solve_singular_weighted(mesh, coeff, F, cfg=SolverConfig(), mu=0.0):
     """``solve_singular``, with every truncation level solved by :func:`solve_level_weighted`."""
     with mock.patch.object(solver, "solve_level", solve_level_weighted):
         return solver.solve_singular(mesh, coeff, F, cfg, mu=mu)
+
+
+def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
+                      cfg: SolverConfig = SolverConfig(),
+                      u0: FieldFunction | None = None) -> tuple[FieldFunction, LevelStats]:
+    """``solve_level`` with every step the plain damped step ``x + theta d``."""
+    _check_level(n)
+    F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # gathered once
+    x = np.zeros(op.n) if u0 is None else u0.values[op.free]
+
+    theta = 1.0
+    res_prev = np.inf
+    res = np.inf
+    cg_total = 0
+    k = 0
+    converged = False
+    for k in range(1, _MAX_INNER + 1):
+        s = np.maximum(x, 0.0)
+        shift = _slope_shift(F_free, s, n, op.ml)
+        b = op.ml * _capped(F_free, s, n) + shift * x
+        v, cg = solve_cg(op._shifted(shift), b, tol=_CG_TOL, x0=x, forcing=_FORCING)
+        cg_total += cg.iterations
+        d = v - x
+        res = op.h1(d)
+        x = x + theta * d
+        if res <= cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs:
+            converged = True
+            break
+        theta = max(0.5 * theta, 0.05) if res > 1.5 * res_prev else min(1.2 * theta, 1.0)
+        res_prev = res
+
+    stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
+                       theta=theta, cg_iterations=cg_total, accelerated=0)
+    return FieldFunction(op.mesh, op.scatter(x)), stats
+
+
+def solve_singular_plain(mesh, coeff, F, cfg=SolverConfig(), u0=None, mu=0.0):
+    """``solve_singular``, with every truncation level solved by :func:`solve_level_plain`."""
+    with mock.patch.object(solver, "solve_level", solve_level_plain):
+        return solver.solve_singular(mesh, coeff, F, cfg, u0=u0, mu=mu)

@@ -260,22 +260,41 @@ def test_solve_run_outputs_are_deterministic(tmp_path):
     assert r1 == r2
 
 
+#: the benchmark's oscillating model, whose Picard tail is Anderson-accelerated
+OSCILLATING_65 = SOLVE_CONFIG.replace("dim = 1\nnx = 129", "nx = 65\nny = 65").replace(
+    "g = power\ngamma = 0.5", "g = oscillating\ngamma = 1.0")
+
+
 def test_solve_run_output_independent_of_blas_threads(tmp_path):
     # 129^2 vectors are long enough for OpenBLAS to thread its dot product;
-    # the CSV must not depend on how many threads it uses
-    path = write(tmp_path, "solve129.ini", SOLVE_CONFIG.replace(
-        "dim = 1\nnx = 129", "nx = 129\nny = 129"))
+    # the CSV must not depend on how many threads it uses, also where the
+    # Anderson steps of the Picard tail solve their least-squares problems
     src = os.path.dirname(os.path.dirname(os.path.abspath(mildsing.__file__)))
     base = {k: v for k, v in os.environ.items()
             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outs = []
-    for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
-        out = tmp_path / f"out{len(outs)}"
-        subprocess.run([sys.executable, "-m", "mildsing.cli", "run", "--config", str(path),
-                        "--out", str(out)], env={**base, **extra}, check=True, timeout=300)
-        outs.append((out / "solution.csv").read_bytes())
-    assert outs[0] == outs[1]
+    power_129 = SOLVE_CONFIG.replace("dim = 1\nnx = 129", "nx = 129\nny = 129")
+    for name, config in (("power129", power_129), ("oscillating65", OSCILLATING_65)):
+        path = write(tmp_path, f"{name}.ini", config)
+        outs = []
+        for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+            out = tmp_path / f"{name}-out{len(outs)}"
+            subprocess.run([sys.executable, "-m", "mildsing.cli", "run", "--config", str(path),
+                            "--out", str(out)], env={**base, **extra}, check=True, timeout=300)
+            outs.append((out / "solution.csv").read_bytes())
+        assert outs[0] == outs[1], name
+
+
+def test_solver_stats_count_accelerated_steps(tmp_path):
+    # each level's line says how many of its steps were Anderson steps;
+    # the count stays out of results.jsonl like every other solver statistic
+    path = write(tmp_path, "osc.ini", OSCILLATING_65)
+    out = tmp_path / "out"
+    assert run(path, out_dir=out) == 0
+    levels = [json.loads(line) for line in (out / "solver_stats.jsonl").read_text().splitlines()]
+    assert all(0 <= st["accelerated"] < st["iterations"] for st in levels)
+    assert sum(st["accelerated"] for st in levels) > 0
+    assert "accelerated" not in (out / "results.jsonl").read_text()
 
 
 def test_nonuniqueness_run_records_distinct_solutions(tmp_path):

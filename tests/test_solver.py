@@ -10,7 +10,13 @@ import mildsing as ms
 from mildsing import FieldFunction, PowerLaw, nonlinearity, solver
 from mildsing.solver import _capped
 
-from oracles import PEAK_GAMMA_1, PEAK_GAMMA_HALF, shooting_solution, solve_singular_weighted
+from oracles import (
+    PEAK_GAMMA_1,
+    PEAK_GAMMA_HALF,
+    shooting_solution,
+    solve_singular_plain,
+    solve_singular_weighted,
+)
 from test_fem import draw_holes
 
 
@@ -336,3 +342,121 @@ def test_g_sees_only_free_node_vectors():
     rep = ms.solve_singular(mesh, ms.Coefficient.identity(mesh), F)
     assert len(seen) == 3 * rep.inner_iters + 1
     assert set(seen) == {op.n}
+
+
+def test_anderson_tail_lands_on_the_plain_solution(unit_square_65, identity_65):
+    # the benchmark's model: its long levels end in a linear tail, which the
+    # Anderson steps shorten without moving the limit beyond the outer tolerance
+    F = nonlinearity(unit_square_65, ms.OscillatingPower(1.0), f=1.0)
+    cfg = ms.SolverConfig()
+    rep = ms.solve_singular(unit_square_65, identity_65, F, cfg)
+    ref = solve_singular_plain(unit_square_65, identity_65, F, cfg)
+    assert ms.h1_seminorm(rep.u - ref.u) <= cfg.outer_tol * ms.h1_seminorm(ref.u)
+    assert rep.inner_iters < ref.inner_iters
+    accelerated = {st.n: st.accelerated for st in rep.level_stats}
+    assert accelerated[64.0] > 0 and accelerated[128.0] > 0
+    assert all(st.accelerated == 0 for st in ref.level_stats)
+    assert rep.u.values.min() >= -1e-12
+
+
+def test_levels_without_a_linear_tail_are_plain_steps():
+    # at mu = 50 no level lasts the _TAIL_STEPS steps the switch needs,
+    # so the accelerated schedule is the plain one bit for bit
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 129, 129)
+    A = ms.Coefficient.identity(mesh)
+    F = nonlinearity(mesh, PowerLaw(0.5), f=1.0)
+    rep = ms.solve_singular(mesh, A, F, mu=50.0)
+    ref = solve_singular_plain(mesh, A, F, mu=50.0)
+    assert np.array_equal(rep.u.values, ref.u.values)
+    assert rep.level_stats == ref.level_stats
+    assert all(st.accelerated == 0 for st in rep.level_stats)
+
+
+def test_anderson_tail_drops_parallel_differences():
+    # x <- x/2 + b contracts every mode at the same rate, so the tail's
+    # differences are exactly parallel: the Gram matrix is singular, and the
+    # Anderson step keeps the newest difference alone, a secant step that
+    # lands on the fixed point 2b
+    b = np.array([1.0, 2.0, 0.5, 3.0])
+    x = np.array([8.0, 4.0, 16.0, 2.0])
+    tail = solver._AndersonTail()
+    for _ in range(solver._TAIL_STEPS + 1):
+        d = (0.5 * x + b) - x
+        x = tail.step(x + d, d)
+    assert tail.accelerated == 1
+    assert np.abs(x - 2.0 * b).max() <= 1e-12
+
+
+def test_anderson_tail_takes_no_negative_step():
+    # x <- x/2 + b converges to 2b, which has a negative entry, through
+    # positive iterates: the exact Anderson step would land on 2b, so it
+    # is not taken and the plain step is returned instead
+    b = np.array([1.0, -2.0 ** -12, 0.5])
+    x = np.array([8.0, 4.0, 2.0])
+    tail = solver._AndersonTail()
+    for _ in range(solver._TAIL_STEPS + 1):
+        d = (0.5 * x + b) - x
+        g = x + d
+        x = tail.step(g, d)
+        assert x is g and x.min() > 0.0
+    assert tail.accelerated == 0
+
+
+def test_overshooting_anderson_steps_are_undone(monkeypatch, unit_square_65, identity_65):
+    # an Anderson step after which the step grows by more than 1.5 times is
+    # undone: the level goes on from the plain step it replaced, with theta
+    # and the previous step as they were, so each overshoot costs one step
+    # and the result is the plain one bit for bit
+    step = solver._AndersonTail.step
+
+    def overshooting(self, g, d):
+        out = step(self, g, d)
+        return out if out is g else 30.0 * out
+
+    monkeypatch.setattr(solver._AndersonTail, "step", overshooting)
+    F = nonlinearity(unit_square_65, ms.OscillatingPower(1.0), f=1.0)
+    rep = ms.solve_singular(unit_square_65, identity_65, F)
+    ref = solve_singular_plain(unit_square_65, identity_65, F)
+    undone = sum(st.accelerated for st in rep.level_stats)
+    assert undone > 0
+    assert rep.inner_iters == ref.inner_iters + undone
+    assert np.array_equal(rep.u.values, ref.u.values)
+
+
+@st.composite
+def random_level_problems(draw):
+    """``(mesh, A, F, u0)`` over the regime of the random solver cases.
+
+    A 5**2 to 17**2 unit square, ``PowerLaw`` or ``OscillatingPower`` with
+    ``gamma`` in ``[0.05, 1]``, ``f`` uniform on ``[0, 2]`` with 20% zero
+    nodes, and a zero start or one uniform on ``[0, 5]``.
+    """
+    nx = draw(st.integers(5, 17))
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, nx, nx)
+    g = draw(st.sampled_from([PowerLaw, ms.OscillatingPower]))(draw(st.floats(0.05, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f = rng.uniform(0.0, 2.0, mesh.n_nodes) * (rng.random(mesh.n_nodes) >= 0.2)
+    start = rng.uniform(0.0, 5.0, mesh.n_nodes) if draw(st.booleans()) else np.zeros(mesh.n_nodes)
+    F = nonlinearity(mesh, g, f=f)
+    return mesh, ms.Coefficient.identity(mesh), F, FieldFunction(mesh, start)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=random_level_problems())
+def test_anderson_tail_keeps_the_plain_verdicts(problem):
+    # an Anderson step is not a convex combination of iterates, so the
+    # M-matrix argument for u >= 0 does not cover it: wherever the plain
+    # steps converge to a nonnegative solution, the accelerated ones must
+    # too, and in the uniqueness regime land on the same one
+    mesh, A, F, u0 = problem
+    cfg = ms.SolverConfig()
+    try:
+        ref = solve_singular_plain(mesh, A, F, cfg, u0=u0)
+    except ms.ConvergenceError:
+        return
+    rep = ms.solve_singular(mesh, A, F, cfg, u0=u0)
+    if ref.u.values.min() >= -1e-12:
+        assert rep.u.values.min() >= -1e-12
+    if isinstance(F.g, PowerLaw):
+        gap = ms.h1_seminorm(rep.u - ref.u)
+        assert gap <= 10.0 * (cfg.outer_tol * ms.h1_seminorm(ref.u) + cfg.outer_tol_abs)
