@@ -43,10 +43,13 @@ overshoots.  The stopping test reads the plain step's ``|d|_H1``,
 and the step that meets it is the plain ``x + theta d``.  An Anderson step is
 not a convex combination of ``x`` and ``v``, so the M-matrix argument above
 does not cover it: one with a negative entry is not taken, the plain step
-is, and nothing is clamped.  A property test checks, on random small
-problems, that the accelerated steps converge and stay nonnegative wherever
-the plain steps do, and reach the same solution when ``F`` is
-nonincreasing.
+is, and nothing is clamped.  For a nonmonotone ``F`` the Anderson steps can
+steer a level towards another fixed point, near which the plain steps stall,
+so a schedule that fails after taking Anderson steps is run again from its
+start with plain steps only (``solve_level(..., accelerate=False)``).  A
+property test checks, on random small problems, that the accelerated
+schedule converges and stays nonnegative wherever the plain steps do, and
+reaches the same solution when ``F`` is nonincreasing.
 Levels follow the doubling schedule ``n = 1, 2, 4, ...`` with warm starts,
 at most ``_MAX_LEVELS`` of them; the outer iteration stops when consecutive
 levels are Cauchy in the H1 seminorm to ``SolverConfig.outer_tol``.  That is
@@ -277,14 +280,16 @@ class _AndersonTail:
 
 def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
                 cfg: SolverConfig = SolverConfig(),
-                u0: FieldFunction | None = None) -> tuple[FieldFunction, LevelStats]:
+                u0: FieldFunction | None = None, *,
+                accelerate: bool = True) -> tuple[FieldFunction, LevelStats]:
     """Linearly implicit, damped Picard iteration for the level-``n`` capped problem on ``op``.
 
     ``op`` is the assembled operator from ``assemble_stiffness(mesh, coeff,
     mu)``.  Non-convergence within ``_MAX_INNER`` steps is reported in the
     returned stats (``converged=False`` with the last step's residual), not
     raised: near-degenerate right-hand sides legitimately stall and the
-    caller decides.  Raises ``ValueError`` when ``n < 1``.
+    caller decides.  ``accelerate=False`` makes every step the plain damped
+    step, with no Anderson tail.  Raises ``ValueError`` when ``n < 1``.
     """
     _check_level(n)
     F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # gathered once
@@ -315,7 +320,7 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
         if res <= cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs:
             converged = True
             break
-        if theta == 1.0 and _TAIL_RATIO[0] < res / res_prev < _TAIL_RATIO[1]:
+        if accelerate and theta == 1.0 and _TAIL_RATIO[0] < res / res_prev < _TAIL_RATIO[1]:
             x = tail.step(x, d)
         else:
             tail.clear()
@@ -335,7 +340,7 @@ def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     Assembles ``assemble_stiffness(mesh, coeff, mu)`` once for all levels.
     Raises ``ValueError`` unless ``mu >= 0``, and ``ConvergenceError`` when an
     inner iteration stalls or the level sequence is not Cauchy within
-    ``_MAX_LEVELS`` levels.
+    ``_MAX_LEVELS`` levels, with the Anderson tail and then without it.
     """
     return _schedule(assemble_stiffness(mesh, coeff, mu), F, cfg, u0)
 
@@ -347,6 +352,28 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
     Levels are measured with ``op.h1``, the seminorm the Picard loop stops
     on, and the energy identity residual is ``|x'Kx - sum m_i min(F_i, n) x_i|
     / |x'Kx|`` on the free-node values ``x``, with ``K = op.matrix``.
+
+    A schedule that fails after taking Anderson steps is run again from
+    ``u0`` with plain steps only, and the report is that run's: the
+    acceleration can steer a level of a nonmonotone ``F`` towards another
+    fixed point, near which the plain steps stall.  A schedule that took no
+    Anderson step would fail the same way again, so its error is raised.
+    """
+    stats_list: list[LevelStats] = []
+    try:
+        return _levels(op, F, cfg, u0, solve_level, stats_list)
+    except ConvergenceError:
+        if not any(st.accelerated for st in stats_list):
+            raise
+    return _levels(op, F, cfg, u0, partial(solve_level, accelerate=False), [])
+
+
+def _levels(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig, u0: FieldFunction | None,
+            level_solver, stats_list: list[LevelStats]) -> SolveReport:
+    """The doubling schedule of ``_schedule``, each level solved by ``level_solver``.
+
+    Appends each level's stats to ``stats_list`` as it goes, so a caller
+    that catches the ``ConvergenceError`` still sees them.
     """
     F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # for the energy identity
     u = u0
@@ -354,9 +381,8 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
     n = 1.0
     history: list[float] = []
     h1_norms: list[float] = []
-    stats_list: list[LevelStats] = []
     for level in range(_MAX_LEVELS):
-        u, st = solve_level(op, F, n, cfg, u0=u)
+        u, st = level_solver(op, F, n, cfg, u0=u)
         stats_list.append(st)
         if not st.converged:
             raise ConvergenceError(

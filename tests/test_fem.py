@@ -230,17 +230,28 @@ def isotropic_problems(draw):
     else:
         mesh = draw_holes(draw, ms.build_rectangle_mesh(1.0, 1.0, nx, nx))
     seed = draw(st.integers(0, 2 ** 32 - 1))
+    mu = draw(st.sampled_from([0.0, draw(st.floats(0.0, 1e3))]))
+    return isotropic_problem(mesh, mu, seed)
+
+
+def isotropic_problem(mesh, mu, seed):
+    """``(mesh, A, mu, seed)`` with ``A`` the identity times ``exp(U(-3, 3))`` per element, from ``seed``."""
     a = np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, mesh.n_elements))
     A = ms.Coefficient.from_matrices(mesh, np.einsum("e,ij->eij", a, np.eye(mesh.dim)))
-    mu = draw(st.sampled_from([0.0, draw(st.floats(0.0, 1e3))]))
     return mesh, A, mu, seed
 
 
 @settings(max_examples=150, deadline=None)
 @given(problem=isotropic_problems())
+@example(problem=isotropic_problem(  # a load-free free node between holes: exact solution 0
+    ms.perforate(ms.build_rectangle_mesh(1.0, 1.0, 17, 17),
+                 SimpleNamespace(epsilon=1.0 / 6.0, strategy="resolved", radius=0.1484375)),
+    386.0, 62))
 def test_weak_maximum_principle(problem):
     # M-matrix property of the one Picard operator: nonpositive off-diagonals,
-    # positive diagonal, and a nonnegative load gives a nonnegative solution
+    # positive diagonal, and a nonnegative load gives a nonnegative solution.
+    # The CG solve runs to a relative residual of 1e-13: at its default 1e-10,
+    # an entry whose exact value is 0 can come out near -2e-12 max |x|
     mesh, A, mu, seed = problem
     op = ms.assemble_stiffness(mesh, A, mu)
     K = op.matrix.tocoo()
@@ -249,7 +260,7 @@ def test_weak_maximum_principle(problem):
     assert np.all(op.diagonal > 0.0)
     rng = np.random.default_rng(seed)
     rhs = rng.random(op.n) * (rng.random(op.n) < 0.5) * op.ml
-    x, _ = ms.solve_cg(op, rhs)
+    x, _ = ms.solve_cg(op, rhs, tol=1e-13)
     assert x.min(initial=0.0) >= -1e-12 * np.abs(x).max(initial=0.0)
 
 

@@ -423,6 +423,41 @@ def test_overshooting_anderson_steps_are_undone(monkeypatch, unit_square_65, ide
     assert np.array_equal(rep.u.values, ref.u.values)
 
 
+def _stalling_where(condition):
+    """``solver.solve_level``, with every level whose stats meet ``condition`` reported unconverged."""
+    def stalling(*args, _original=solver.solve_level, **kwargs):
+        u, st = _original(*args, **kwargs)
+        st.converged = st.converged and not condition(st)
+        return u, st
+    return stalling
+
+
+def test_failed_accelerated_schedule_is_run_again_plain(monkeypatch, unit_square_65, identity_65):
+    # a schedule that stalls after Anderson steps is solved again from the
+    # start with plain steps only: the result is the plain one bit for bit
+    monkeypatch.setattr(solver, "solve_level", _stalling_where(lambda st: st.accelerated > 0))
+    F = nonlinearity(unit_square_65, ms.OscillatingPower(1.0), f=1.0)
+    rep = ms.solve_singular(unit_square_65, identity_65, F)
+    ref = solve_singular_plain(unit_square_65, identity_65, F)
+    assert rep.level_stats == ref.level_stats
+    assert np.array_equal(rep.u.values, ref.u.values)
+
+
+def test_failed_plain_schedule_is_not_run_again(monkeypatch, interval, interval_A):
+    # with no Anderson step taken, a second run would fail the same way
+    calls = []
+    stalling = _stalling_where(lambda st: st.n == 2.0)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("accelerate", True))
+        return stalling(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_level", counted)
+    with pytest.raises(ms.ConvergenceError, match="truncation level 2.0"):
+        ms.solve_singular(interval, interval_A, nonlinearity(interval, PowerLaw(0.5), f=1.0))
+    assert calls == [True, True]
+
+
 @st.composite
 def random_level_problems(draw):
     """``(mesh, A, F, u0)`` over the regime of the random solver cases.
