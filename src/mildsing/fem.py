@@ -27,7 +27,8 @@ kernel ``scipy.sparse._sparsetools.csr_matvec``, the one ``M @ x`` runs,
 without the per-call dispatch of ``scipy.sparse``, which costs 2-3 times the
 kernel's own time on the small multigrid levels.  The restriction ``P' r``
 runs the CSC kernel on ``P``'s own arrays (``_rmatvec``), so no level keeps
-``P'``.  A numpy or scipy without these kernels fails at import.  Each
+``P'``.  A numpy or scipy without these kernels fails at import; numpy's
+lives in ``numpy._core``, which numpy has had since 2.0.  Each
 operator ``K`` builds one V-cycle hierarchy, shared with the ``K + diag(d)``
 that ``K._shifted`` rewrites in place, valid until the next call on ``K``.
 """

@@ -45,11 +45,14 @@ not a convex combination of ``x`` and ``v``, so the M-matrix argument above
 does not cover it: one with a negative entry is not taken, the plain step
 is, and nothing is clamped.  For a nonmonotone ``F`` the Anderson steps can
 steer a level towards another fixed point, near which the plain steps stall,
-so a schedule that fails after taking Anderson steps is run again from its
-start with plain steps only (``solve_level(..., accelerate=False)``).  A
-property test checks, on random small problems, that the accelerated
-schedule converges and stays nonnegative wherever the plain steps do, and
-reaches the same solution when ``F`` is nonincreasing.
+so a level that ends unconverged after taking Anderson steps is solved again
+from its start with plain steps only.  An accelerated level can also
+converge to another fixed point than the plain steps reach, from which a
+later level stalls, so a schedule that fails after taking Anderson steps is
+run again from its start with plain steps only.  A property test checks, on
+random small problems, that the accelerated schedule converges and stays
+nonnegative wherever the plain steps do, and reaches the same solution when
+``F`` is nonincreasing.
 Levels follow the doubling schedule ``n = 1, 2, 4, ...`` with warm starts,
 at most ``_MAX_LEVELS`` of them; the outer iteration stops when consecutive
 levels are Cauchy in the H1 seminorm to ``SolverConfig.outer_tol``.  That is
@@ -280,17 +283,26 @@ class _AndersonTail:
 
 def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
                 cfg: SolverConfig = SolverConfig(),
-                u0: FieldFunction | None = None, *,
-                accelerate: bool = True) -> tuple[FieldFunction, LevelStats]:
+                u0: FieldFunction | None = None) -> tuple[FieldFunction, LevelStats]:
     """Linearly implicit, damped Picard iteration for the level-``n`` capped problem on ``op``.
 
     ``op`` is the assembled operator from ``assemble_stiffness(mesh, coeff,
     mu)``.  Non-convergence within ``_MAX_INNER`` steps is reported in the
     returned stats (``converged=False`` with the last step's residual), not
     raised: near-degenerate right-hand sides legitimately stall and the
-    caller decides.  ``accelerate=False`` makes every step the plain damped
-    step, with no Anderson tail.  Raises ``ValueError`` when ``n < 1``.
+    caller decides.  A level that ends unconverged after taking Anderson
+    steps is solved again from ``u0`` with plain steps only, and the stats
+    are that solve's.  Raises ``ValueError`` when ``n < 1``.
     """
+    u, stats = _picard(op, F, n, cfg, u0, accelerate=True)
+    if not stats.converged and stats.accelerated:
+        u, stats = _picard(op, F, n, cfg, u0, accelerate=False)
+    return u, stats
+
+
+def _picard(op: SparseOperator, F: Nonlinearity, n: float, cfg: SolverConfig,
+            u0: FieldFunction | None, accelerate: bool) -> tuple[FieldFunction, LevelStats]:
+    """``solve_level``'s steps from ``u0``, with the Anderson tail or with plain steps only."""
     _check_level(n)
     F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # gathered once
     x = np.zeros(op.n) if u0 is None else u0.values[op.free]
@@ -340,40 +352,25 @@ def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     Assembles ``assemble_stiffness(mesh, coeff, mu)`` once for all levels.
     Raises ``ValueError`` unless ``mu >= 0``, and ``ConvergenceError`` when an
     inner iteration stalls or the level sequence is not Cauchy within
-    ``_MAX_LEVELS`` levels, with the Anderson tail and then without it.
+    ``_MAX_LEVELS`` levels.
     """
     return _schedule(assemble_stiffness(mesh, coeff, mu), F, cfg, u0)
 
 
 def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverConfig(),
-              u0: FieldFunction | None = None) -> SolveReport:
+              u0: FieldFunction | None = None, *, plain: bool = False) -> SolveReport:
     """``solve_singular`` on its operator ``op``; norms and the energy identity are ``op``'s.
 
     Levels are measured with ``op.h1``, the seminorm the Picard loop stops
     on, and the energy identity residual is ``|x'Kx - sum m_i min(F_i, n) x_i|
     / |x'Kx|`` on the free-node values ``x``, with ``K = op.matrix``.
 
-    A schedule that fails after taking Anderson steps is run again from
-    ``u0`` with plain steps only, and the report is that run's: the
-    acceleration can steer a level of a nonmonotone ``F`` towards another
-    fixed point, near which the plain steps stall.  A schedule that took no
-    Anderson step would fail the same way again, so its error is raised.
-    """
-    stats_list: list[LevelStats] = []
-    try:
-        return _levels(op, F, cfg, u0, solve_level, stats_list)
-    except ConvergenceError:
-        if not any(st.accelerated for st in stats_list):
-            raise
-    return _levels(op, F, cfg, u0, partial(solve_level, accelerate=False), [])
-
-
-def _levels(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig, u0: FieldFunction | None,
-            level_solver, stats_list: list[LevelStats]) -> SolveReport:
-    """The doubling schedule of ``_schedule``, each level solved by ``level_solver``.
-
-    Appends each level's stats to ``stats_list`` as it goes, so a caller
-    that catches the ``ConvergenceError`` still sees them.
+    A schedule that fails after some level took Anderson steps is run again
+    from ``u0`` with plain steps only (``plain=True``), and the report is
+    that run's: for a nonmonotone ``F`` an accelerated level can converge to
+    another fixed point than the plain steps reach, and a later level stall
+    from there.  A schedule with no Anderson step is the plain one, so its
+    error is raised.
     """
     F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # for the energy identity
     u = u0
@@ -381,16 +378,20 @@ def _levels(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig, u0: FieldFun
     n = 1.0
     history: list[float] = []
     h1_norms: list[float] = []
+    stats_list: list[LevelStats] = []
+    error = None
+    level_solver = partial(_picard, accelerate=False) if plain else solve_level
     for level in range(_MAX_LEVELS):
         u, st = level_solver(op, F, n, cfg, u0=u)
         stats_list.append(st)
         if not st.converged:
-            raise ConvergenceError(
+            error = ConvergenceError(
                 f"fixed point at truncation level {n} not reached in {_MAX_INNER} steps: "
                 f"residual {st.residual:.3e}",
                 iterations=st.iterations,
                 residual=st.residual,
             )
+            break
         x_new = u.values[op.free]
         h1_norms.append(op.h1(x_new))
         if level > 0:
@@ -400,10 +401,14 @@ def _levels(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig, u0: FieldFun
         x = x_new
         n *= 2.0
     else:
-        raise ConvergenceError(
+        error = ConvergenceError(
             f"truncation levels not Cauchy after {_MAX_LEVELS} levels",
             history=history,
         )
+    if error is not None:
+        if any(st.accelerated for st in stats_list):
+            return _schedule(op, F, cfg, u0, plain=True)
+        raise error
     lhs = _dot(x_new, op.matrix @ x_new)
     rhs = _dot(op.ml * _capped(F_free, np.maximum(x_new, 0.0), n), x_new)
     return SolveReport(

@@ -423,36 +423,74 @@ def test_overshooting_anderson_steps_are_undone(monkeypatch, unit_square_65, ide
     assert np.array_equal(rep.u.values, ref.u.values)
 
 
-def _stalling_where(condition):
-    """``solver.solve_level``, with every level whose stats meet ``condition`` reported unconverged."""
-    def stalling(*args, _original=solver.solve_level, **kwargs):
-        u, st = _original(*args, **kwargs)
-        st.converged = st.converged and not condition(st)
-        return u, st
-    return stalling
+def recorded_picard(monkeypatch, stalled):
+    """Patch ``solver._picard`` to report every run whose stats meet ``stalled`` unconverged.
+
+    Returns the list of each run's ``accelerate`` flag, in call order.
+    """
+    calls = []
+
+    def recorded(*args, _original=solver._picard, **kwargs):
+        x, st = _original(*args, **kwargs)
+        calls.append(kwargs["accelerate"])
+        st.converged = st.converged and not stalled(st)
+        return x, st
+
+    monkeypatch.setattr(solver, "_picard", recorded)
+    return calls
 
 
-def test_failed_accelerated_schedule_is_run_again_plain(monkeypatch, unit_square_65, identity_65):
-    # a schedule that stalls after Anderson steps is solved again from the
-    # start with plain steps only: the result is the plain one bit for bit
-    monkeypatch.setattr(solver, "solve_level", _stalling_where(lambda st: st.accelerated > 0))
+def test_stalled_accelerated_level_is_solved_again_plain(monkeypatch, unit_square_65, identity_65):
+    # a level that stalls after Anderson steps is solved again from its start
+    # with plain steps only, so level by level the schedule is the plain one
+    calls = recorded_picard(monkeypatch, lambda st: st.accelerated > 0)
     F = nonlinearity(unit_square_65, ms.OscillatingPower(1.0), f=1.0)
     rep = ms.solve_singular(unit_square_65, identity_65, F)
     ref = solve_singular_plain(unit_square_65, identity_65, F)
+    assert calls.count(False) >= 2  # levels 64 and 128 at least
+    assert calls.count(True) == len(ref.level_stats)  # no second schedule
     assert rep.level_stats == ref.level_stats
     assert np.array_equal(rep.u.values, ref.u.values)
 
 
-def test_failed_plain_schedule_is_not_run_again(monkeypatch, interval, interval_A):
-    # with no Anderson step taken, a second run would fail the same way
-    calls = []
-    stalling = _stalling_where(lambda st: st.n == 2.0)
+def test_level_stalled_without_anderson_steps_is_not_solved_again(monkeypatch, interval, interval_A):
+    # with no Anderson step taken, a plain run from the same start is the same run
+    calls = recorded_picard(monkeypatch, lambda st: True)
+    op = ms.assemble_stiffness(interval, interval_A)
+    _, st = ms.solve_level(op, nonlinearity(interval, PowerLaw(0.5), f=1.0), 2.0)
+    assert not st.converged and st.accelerated == 0
+    assert calls == [True]
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("accelerate", True))
-        return stalling(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "solve_level", counted)
+def test_level_stalled_by_anderson_steps_converges_plain(monkeypatch):
+    # 16**2, gamma = 0.05, zero start: level 2 stalls at _MAX_INNER steps
+    # (residual 2.4e-7) with Anderson steps, which steer it near another
+    # fixed point of the oscillating F; from the same start the plain steps
+    # converge
+    calls = recorded_picard(monkeypatch, lambda st: False)
+    mesh, A, F, u0 = level_problem(16, ms.OscillatingPower(0.05), seed=0, random_start=False)
+    rep = ms.solve_singular(mesh, A, F, u0=u0)
+    assert calls.count(False) == 1
+    assert rep.u.values.min() >= 0.0
+
+
+def test_schedule_stalled_after_anderson_steps_is_run_again_plain(monkeypatch):
+    # 16**2, gamma = 0.05, zero start: the accelerated levels 1 and 2 land on
+    # other fixed points of the oscillating F than the plain steps do, and
+    # level 4 stalls from there without an Anderson step of its own; the
+    # schedule is run again with plain steps only and is the plain one
+    calls = recorded_picard(monkeypatch, lambda st: False)
+    mesh, A, F, u0 = level_problem(16, ms.OscillatingPower(0.05), seed=12, random_start=False)
+    rep = ms.solve_singular(mesh, A, F, u0=u0)
+    ref = solve_singular_plain(mesh, A, F, u0=u0)
+    assert calls[:3] == [True] * 3 and not any(calls[3:])
+    assert rep.level_stats == ref.level_stats
+    assert np.array_equal(rep.u.values, ref.u.values)
+
+
+def test_schedule_stalled_without_anderson_steps_is_not_run_again(monkeypatch, interval, interval_A):
+    # with no Anderson step taken, a plain run would fail the same way
+    calls = recorded_picard(monkeypatch, lambda st: st.n == 2.0)
     with pytest.raises(ms.ConvergenceError, match="truncation level 2.0"):
         ms.solve_singular(interval, interval_A, nonlinearity(interval, PowerLaw(0.5), f=1.0))
     assert calls == [True, True]
@@ -467,11 +505,16 @@ def random_level_problems(draw):
     nodes, and a zero start or one uniform on ``[0, 5]``.
     """
     nx = draw(st.integers(5, 17))
-    mesh = ms.build_rectangle_mesh(1.0, 1.0, nx, nx)
     g = draw(st.sampled_from([PowerLaw, ms.OscillatingPower]))(draw(st.floats(0.05, 1.0)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return level_problem(nx, g, draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()))
+
+
+def level_problem(nx, g, seed, random_start):
+    """``(mesh, A, F, u0)`` on an ``nx**2`` unit square, with ``f`` and ``u0`` from ``seed``."""
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, nx, nx)
+    rng = np.random.default_rng(seed)
     f = rng.uniform(0.0, 2.0, mesh.n_nodes) * (rng.random(mesh.n_nodes) >= 0.2)
-    start = rng.uniform(0.0, 5.0, mesh.n_nodes) if draw(st.booleans()) else np.zeros(mesh.n_nodes)
+    start = rng.uniform(0.0, 5.0, mesh.n_nodes) if random_start else np.zeros(mesh.n_nodes)
     F = nonlinearity(mesh, g, f=f)
     return mesh, ms.Coefficient.identity(mesh), F, FieldFunction(mesh, start)
 
