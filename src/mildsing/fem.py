@@ -4,14 +4,15 @@ Stiffness and mass matrices use exact quadrature (P1 gradients are constant
 per element), and are assembled straight into CSR one chunk of elements at a
 time, so no array of nine entries per element is ever built; a constant
 coefficient, and the mass, repeat the element matrices of one cell.  Norms,
-the lumped mass and a per-element coefficient read the geometry a chunk at a
-time (``Mesh.chunk_geometry``); energies are ``mesh.element_energy``.  Dirichlet
-conditions are imposed by row/column elimination, which keeps the operator
-SPD and hole-node values exactly zero.  The linear solver is conjugate
-gradients preconditioned by one geometric-multigrid V-cycle (Tatebe 1993):
-deterministic, and built from numpy and ``scipy.sparse`` alone.  ``solve_cg``
-is the tested oracle behind every linear solve in the package: the Picard
-iteration and the eigenpair call it.
+the lumped mass and a per-element coefficient read the vertex indices and the
+geometry a chunk at a time (``Mesh.chunk_elements``, ``Mesh.chunk_geometry``);
+energies are ``mesh.element_energy``.  Dirichlet conditions are imposed by
+row/column elimination, which keeps the operator SPD and hole-node values
+exactly zero.  The linear solver is conjugate gradients preconditioned by one
+geometric-multigrid V-cycle (Tatebe 1993): deterministic, and built from
+numpy and ``scipy.sparse`` alone.  ``solve_cg`` is the tested oracle behind
+every linear solve in the package: the Picard iteration and the eigenpair
+call it.
 
 Every CG reduction (dot products and 2-norms), and the inner products of the
 eigenpair iteration, are single-threaded: they go through ``_dot``, numpy's
@@ -25,12 +26,14 @@ Every product of the Picard step's CG solves (the V-cycle's, ``A x0`` and
 ``A p``) and of ``SparseOperator.h1`` is ``_matvec``: scipy's private CSR
 kernel ``scipy.sparse._sparsetools.csr_matvec``, the one ``M @ x`` runs,
 without the per-call dispatch of ``scipy.sparse``, which costs 2-3 times the
-kernel's own time on the small multigrid levels.  The restriction ``P' r``
-runs the CSC kernel on ``P``'s own arrays (``_rmatvec``), so no level keeps
-``P'``.  A numpy or scipy without these kernels fails at import; numpy's
-lives in ``numpy._core``, which numpy has had since 2.0.  Each
-operator ``K`` builds one V-cycle hierarchy, shared with the ``K + diag(d)``
-that ``K._shifted`` rewrites in place, valid until the next call on ``K``.
+kernel's own time on the small multigrid levels.  The sizes come from the
+operator and from each multigrid level, not from ``M.shape``, a Python call.
+The restriction ``P' r`` runs the CSC kernel on ``P``'s own arrays
+(``_rmatvec``), so no level keeps ``P'``.  A numpy or scipy without these
+kernels fails at import; numpy's lives in ``numpy._core``, which numpy has
+had since 2.0.  Each operator ``K`` builds one V-cycle hierarchy, shared with
+the ``K + diag(d)`` that ``K._shifted`` rewrites in place, valid until the
+next call on ``K``.
 """
 
 from __future__ import annotations
@@ -155,8 +158,8 @@ class SparseOperator:
 
     Cached on first use, once per operator: ``diagonal``, the V-cycle of
     ``precond`` (shared with ``_shifted``), the lumped mass ``ml`` at the free
-    nodes and the identity-coefficient stiffness ``lap`` (``matrix`` itself
-    when ``A = I`` and ``mu = 0``).
+    nodes and the identity-coefficient stiffness ``lap`` (when ``A = I``,
+    :func:`assemble_stiffness` sets it to its matrix before adding ``mu``).
     ``h1(v) = sqrt(v' lap v)`` is the H1 seminorm of a free-node vector (it
     vanishes at the other nodes).
     """
@@ -232,9 +235,10 @@ class SparseOperator:
         return np.flatnonzero(K.indices == rows)
 
     def h1(self, v: np.ndarray) -> float:
-        if v.shape != (self.n,):
-            raise ValueError(f"h1 of a vector of shape {v.shape}, expected ({self.n},)")
-        return math.sqrt(_dot(v, _matvec(self.lap, v)))
+        n = self.n
+        if v.shape != (n,):
+            raise ValueError(f"h1 of a vector of shape {v.shape}, expected ({n},)")
+        return math.sqrt(_dot(v, _matvec(self.lap, v, n)))
 
     def scatter(self, x_free: np.ndarray) -> np.ndarray:
         """Embed a free-node vector into the full nodal vector (zeros elsewhere)."""
@@ -268,7 +272,7 @@ def _stencil(mesh: Mesh) -> np.ndarray:
     Those of the first cell: every cell's node indices are a shift of its.
     """
     v, w = np.triu_indices(mesh.dim + 1, 1)
-    cell = mesh.elements[: mesh.dim]
+    cell = mesh.chunk_elements(slice(0, mesh.dim))
     d = (cell[:, w] - cell[:, v]).ravel()
     return np.unique(np.concatenate([[0], d, -d]))
 
@@ -290,12 +294,12 @@ def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
     span = int(offsets[-1])
     column = np.zeros(2 * span + 1, dtype=np.intp)
     column[offsets + span] = np.arange(offsets.size)
-    cell = mesh.elements[: mesh.dim]
+    cell = mesh.chunk_elements(slice(0, mesh.dim))
     cell_slot = column[cell[:, None, :] - cell[:, :, None] + span]  # the same for every cell
     n = mesh.n_nodes
     data = np.zeros((n, offsets.size))
     for s in mesh.element_chunks():
-        slot = (mesh.elements[s] * offsets.size).reshape(-1, *cell.shape, 1) + cell_slot
+        slot = (mesh.chunk_elements(s) * offsets.size).reshape(-1, *cell.shape, 1) + cell_slot
         vals = np.broadcast_to(local(s).reshape(-1, *cell_slot.shape), slot.shape)
         np.add.at(data.ravel(), slot.ravel(), vals.ravel())
     keep = data != 0.0
@@ -350,11 +354,12 @@ def _prolongation(shape: tuple[int, ...]) -> tuple[sp.csr_matrix, tuple[int, ...
 
 
 def _multigrid(A: sp.csr_matrix, free: np.ndarray, shape: tuple[int, ...]) -> tuple | None:
-    """Coarse levels ``(P, A_c, w_c)`` of a V(1,1) cycle for ``A`` on the grid ``shape``, or None.
+    """Coarse levels ``(P, A_c, w_c, (n, n_c))`` of a V(1,1) cycle for ``A`` on the grid ``shape``.
 
     Each level keeps the coarse interior nodes whose column of the prolongation
     ``P``, restricted to the finer level's ``free`` nodes, is nonzero, ``A_c = P' A P``
-    on them and ``w_c = _OMEGA / diag A_c``; holes, ``mu`` and anisotropic ``A``
+    on them, ``w_c = _OMEGA / diag A_c`` and the sizes ``n x n_c`` of ``P``, which
+    the V-cycle's products take from here; holes, ``mu`` and anisotropic ``A``
     need no special case.  A node with no neighbour in ``A`` (one walled in by
     holes) gets no interpolated correction: the smoother alone solves it, so a
     zero load there leaves it exactly zero.  Halving stops at ``_COARSEST``
@@ -375,7 +380,7 @@ def _multigrid(A: sp.csr_matrix, free: np.ndarray, shape: tuple[int, ...]) -> tu
         # sorted: the order in which the product stores a row, and so the
         # rounding of every matvec, must not depend on explicit zeros in A
         A = (P.T.tocsr() @ A @ P).tocsr().sorted_indices()
-        levels.append((P, A, _OMEGA / A.diagonal()))
+        levels.append((P, A, _OMEGA / A.diagonal(), P.shape))
     return tuple(levels), np.linalg.inv(A.toarray())
 
 
@@ -384,32 +389,44 @@ def _vcycle(A: sp.csr_matrix, w: np.ndarray, levels: tuple, coarse_inv: np.ndarr
     """V-cycle on ``r`` from a zero guess on the level ``A``, weights ``w``, above ``levels[k]``.
 
     A module function: a closure calling itself would be a reference cycle
-    and keep every hierarchy alive until a garbage collection.
+    and keep every hierarchy alive until a garbage collection.  The level's
+    residuals and its coarse correction share one temporary ``t``.
     """
     if k == len(levels):
         return np.einsum("ij,j->i", coarse_inv, r)
-    P, A_c, w_c = levels[k]
+    P, A_c, w_c, (n, n_c) = levels[k]
     x = w * r
-    x += _matvec(P, _vcycle(A_c, w_c, levels, coarse_inv, _rmatvec(P, r - _matvec(A, x)), k + 1))
-    x += w * (r - _matvec(A, x))
+    t = _matvec(A, x, n)
+    np.subtract(r, t, out=t)
+    x += _matvec(P, _vcycle(A_c, w_c, levels, coarse_inv, _rmatvec(P, t, n, n_c), k + 1),
+                 n, n_c, out=t)
+    np.subtract(r, _matvec(A, x, n, out=t), out=t)
+    t *= w
+    x += t
     return x
 
 
-def _matvec(M: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``M @ x`` for a CSR ``M``: the same kernel, into a fresh zero vector.
+def _matvec(M: sp.csr_matrix, x: np.ndarray, n: int, m: int | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """``M @ x`` for an ``n x m`` CSR ``M`` (``m = n`` by default): the same kernel, into a
+    zeroed ``out`` or a fresh vector.
 
-    The kernel reads ``M.shape[1]`` entries of ``x`` unchecked: callers pass
-    a vector of that length.
+    The kernel trusts the sizes and reads ``m`` entries of ``x`` unchecked;
+    they are passed in, because reading ``M.shape`` costs a Python call per product.
     """
-    y = np.zeros(M.shape[0])
-    csr_matvec(M.shape[0], M.shape[1], M.indptr, M.indices, M.data, x, y)
-    return y
+    if out is None:
+        out = np.zeros(n)
+    else:
+        out.fill(0.0)
+    csr_matvec(n, n if m is None else m, M.indptr, M.indices, M.data, x, out)
+    return out
 
 
-def _rmatvec(P: sp.csr_matrix, r: np.ndarray) -> np.ndarray:
-    """``P' r`` from ``P``'s CSR arrays, read as those of ``P'`` in CSC: no level keeps ``P'``."""
-    y = np.zeros(P.shape[1])
-    csc_matvec(P.shape[1], P.shape[0], P.indptr, P.indices, P.data, r, y)
+def _rmatvec(P: sp.csr_matrix, r: np.ndarray, n: int, m: int) -> np.ndarray:
+    """``P' r`` for an ``n x m`` ``P``, from its CSR arrays read as those of ``P'`` in CSC: no
+    level keeps ``P'``."""
+    y = np.zeros(m)
+    csc_matvec(m, n, P.indptr, P.indices, P.data, r, y)
     return y
 
 
@@ -426,7 +443,8 @@ def lumped_mass(mesh: Mesh) -> np.ndarray:
     nv = mesh.dim + 1
     out = np.zeros(mesh.n_nodes)
     for s in mesh.element_chunks():
-        np.add.at(out, mesh.elements[s].ravel(), np.repeat(mesh.chunk_geometry(s)[0] / nv, nv))
+        areas = mesh.chunk_geometry(s)[0]
+        np.add.at(out, mesh.chunk_elements(s).ravel(), np.repeat(areas / nv, nv))
     return out
 
 
@@ -444,10 +462,10 @@ def assemble_stiffness(mesh: Mesh, coeff: Coefficient, mu: float = 0.0) -> Spars
         raise ValueError(f"mu must be nonnegative, got {mu!r}")
     free = mesh.free_nodes
     op = SparseOperator(_restrict(stiffness_csr(mesh, coeff), free), free, mesh)
+    if coeff.matrices.strides[0] == 0 and np.array_equal(coeff.matrices[0], np.eye(mesh.dim)):
+        op.lap = op.matrix  # the identity stiffness itself, before any mu is added
     if mu != 0.0:
         op.matrix = (op.matrix + sp.diags(mu * op.ml)).tocsr()
-    elif coeff.matrices.strides[0] == 0 and np.array_equal(coeff.matrices[0], np.eye(mesh.dim)):
-        op.lap = op.matrix  # the identity stiffness itself
     return op
 
 
@@ -474,7 +492,7 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
     ``IndefiniteOperatorError`` on negative curvature.  Deterministic.
     """
     A = op.matrix
-    n = A.shape[0]
+    n = op.n
     rhs = np.asarray(rhs, dtype=float)
     if maxit is None:
         maxit = max(100, int(50.0 * np.sqrt(n)) + 1)
@@ -484,7 +502,7 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
-    r = rhs - _matvec(A, x)
+    r = rhs - _matvec(A, x, n)
     res = math.sqrt(_dot(r, r))
     stop = max(tol * bnorm, forcing * res)
     if res <= stop:
@@ -493,7 +511,7 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
     p = z.copy()
     rz = _dot(r, z)
     for it in range(1, maxit + 1):
-        Ap = _matvec(A, p)
+        Ap = _matvec(A, p, n, out=z)  # z is spent once p holds it; precond returns a new one
         pAp = _dot(p, Ap)
         if pAp <= 0.0:
             raise IndefiniteOperatorError(
@@ -501,13 +519,15 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
             )
         a = rz / pAp
         x += a * p
-        r -= a * Ap
+        Ap *= a  # in place: the bits of r - a * Ap and z + beta * p, without temporaries
+        r -= Ap
         res = math.sqrt(_dot(r, r))
         if res <= stop:
             return x, CGStats(it)
         z = op.precond(r)
         rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise ConvergenceError(
         f"CG stalled after {maxit} iterations at relative residual {res / bnorm:.3e}",
@@ -525,10 +545,12 @@ def solve_dirichlet(mesh: Mesh, coeff: Coefficient, fixed_mask: np.ndarray,
     lift[fixed] = fixed_values[fixed]
     rows = stiffness_csr(mesh, coeff)[free]  # only the free rows outlive this line
     rhs = -(rows @ lift)
+    del lift
     op = SparseOperator(rows[:, free].tocsr(), free, mesh)
     del rows  # before solve_cg builds the multigrid hierarchy
-    x, _ = solve_cg(op, rhs)
-    full = lift.copy()
+    x = solve_cg(op, rhs)[0]
+    del rhs
+    full = np.array(fixed_values, dtype=float)  # the lift's values at the fixed nodes
     full[free] = x
     return FieldFunction(mesh, full)
 
@@ -587,7 +609,7 @@ def l2_norm(u: FieldFunction) -> float:
     nv = mesh.dim + 1
     per_el = np.empty(mesh.n_elements)
     for s in mesh.element_chunks():
-        uv = u.values[mesh.elements[s]]
+        uv = u.values[mesh.chunk_elements(s)]
         per_el[s] = mesh.chunk_geometry(s)[0] * (
             (uv.sum(axis=1) ** 2 + (uv * uv).sum(axis=1)) / (nv * (nv + 1)))
     return float(np.sqrt(np.sum(per_el)))

@@ -131,6 +131,7 @@ def discrete_capacity(R_outer: float, r_inner: float, mesh_h: float) -> float:
     values = np.where(d >= R_outer, 1.0, 0.0)
     values[on_outer] = 1.0
     values[d <= r_inner] = 0.0
+    del d, on_outer  # before the solve
     coeff = Coefficient.identity(mesh)
     w = solve_dirichlet(mesh, coeff, fixed, values)
     return energy_product(w, coeff)

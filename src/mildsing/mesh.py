@@ -15,10 +15,12 @@ Each rectangle cell is split along the same diagonal into two right
 triangles, which makes the stiffness matrix of ``-div(a I D.)`` with
 elementwise-constant ``a > 0`` an M-matrix and hence gives a discrete weak
 maximum principle.  Every element is a translate of one of the first cell's
-(``Mesh.cell``), so the geometry is computed on that cell, and one tile of it
-serves every chunk of elements (``Mesh.chunk_geometry``).  ``element_energy``
-is the one per-element form ``|T| Dv . (A Dw)`` behind every energy and H1
-seminorm in the package.
+(``Mesh.cell``), so no per-element table is stored: a chunk's vertex indices
+are arithmetic on its cell numbers (``Mesh.chunk_elements``), its geometry is
+one tile of the first cell's (``Mesh.chunk_geometry``), and every loop over
+the elements runs a chunk at a time.  ``element_energy`` is the one
+per-element form ``|T| Dv . (A Dw)`` behind every energy and H1 seminorm in
+the package.
 """
 
 from __future__ import annotations
@@ -75,7 +77,15 @@ class PerforationReport:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Structured simplicial mesh of an interval (dim 1) or rectangle (dim 2)."""
+    """Structured simplicial mesh of an interval (dim 1) or rectangle (dim 2).
+
+    Cell ``c`` (row-major, ``nx - 1`` per row) holds elements ``dim * c`` to
+    ``dim * c + dim - 1``.  Its lower-left node is ``n00 = c + c // (nx - 1)``;
+    in 2-D its lower triangle is ``(n00, n00 + 1, n00 + nx + 1)`` and its upper
+    one ``(n00, n00 + nx + 1, n00 + nx)``, and in 1-D its segment is ``(c, c + 1)``.
+    No table of them is stored: :meth:`chunk_elements` shifts one cached tile
+    of the first rows' indices by whole rows of nodes.
+    """
 
     dim: int
     nx: int
@@ -83,12 +93,11 @@ class Mesh:
     width: float
     height: float
     nodes: np.ndarray
-    elements: np.ndarray
     node_class: np.ndarray
     perforation: PerforationReport | None = None
 
     def __post_init__(self) -> None:
-        for arr in (self.nodes, self.elements, self.node_class):
+        for arr in (self.nodes, self.node_class):
             arr.setflags(write=False)
 
     @property
@@ -97,7 +106,48 @@ class Mesh:
 
     @property
     def n_elements(self) -> int:
-        return self.elements.shape[0]
+        return self.dim * (self.nx - 1) * (self.ny - 1 if self.dim == 2 else 1)
+
+    @property
+    def elements(self) -> np.ndarray:
+        """The whole ``(n_elements, dim + 1)`` vertex table, built anew on each call.
+
+        For tests and small meshes; the package reads :meth:`chunk_elements`."""
+        out = np.concatenate([self.chunk_elements(s) for s in self.element_chunks()])
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _index_tile(self) -> np.ndarray:
+        """Vertex indices of the first elements: one chunk, plus one row of cells in 2-D."""
+        d, nx = self.dim, self.nx
+        n = min(self.n_elements, _CHUNK + (2 * (nx - 1) if d == 2 else 0))
+        c = np.arange(-(-n // d))
+        if d == 2:
+            c += c // (nx - 1)  # n00
+            cell = np.array([[0, 1, nx + 1], [0, nx + 1, nx]])
+        else:
+            cell = np.array([[0, 1]])
+        out = (c[:, None, None] + cell).reshape(-1, d + 1)[:n]
+        out.setflags(write=False)
+        return out
+
+    def chunk_elements(self, s: slice) -> np.ndarray:
+        """Vertex indices of the elements ``s.start`` to ``s.stop - 1``, shape ``(len, dim + 1)``.
+
+        ``s`` is at most ``_CHUNK`` long, as every :meth:`element_chunks` slice is.
+        From the start of the row of cells that ``s`` starts in, its elements are
+        those of the first rows shifted by whole rows of nodes: a slice of
+        :attr:`_index_tile` plus one constant, with ``intp`` indices, which
+        numpy's fancy indexing takes without a cast.
+        """
+        if self.dim == 1:
+            row, first = s.start, 0  # in 1-D every element is a shift of the first
+        else:
+            row = s.start // (2 * (self.nx - 1))
+            first = s.start - 2 * (self.nx - 1) * row
+            row *= self.nx
+        return self._index_tile[first: first + s.stop - s.start] + row
 
     @property
     def h(self) -> float:
@@ -126,7 +176,7 @@ class Mesh:
         """``(areas, grads)`` of the first cell's ``dim`` elements: 2 triangles, or 1 segment.
 
         Element ``e`` is a translate of cell element ``e % dim`` (``perforate`` moves no node)."""
-        verts = self.nodes[self.elements[: self.dim]]
+        verts = self.nodes[self.chunk_elements(slice(0, self.dim))]
         if self.dim == 1:
             length = verts[:, 1, 0] - verts[:, 0, 0]
             areas, grads = np.abs(length), (np.array([-1.0, 1.0]) / length[:, None])[..., None]
@@ -168,14 +218,18 @@ class Mesh:
     @cached_property
     def omega_eps_elements(self) -> np.ndarray:
         """Mask of elements belonging to the perforated domain (>= 1 non-hole vertex)."""
-        hole = self.node_class[self.elements] == HOLE
-        out = ~hole.all(axis=1)
+        out = np.empty(self.n_elements, dtype=bool)
+        for s in self.element_chunks():
+            np.any(self.node_class[self.chunk_elements(s)] != HOLE, axis=1, out=out[s])
         out.setflags(write=False)
         return out
 
     def element_means(self, values: np.ndarray) -> np.ndarray:
         """Average of a nodal field over each element's vertices."""
-        return values[self.elements].mean(axis=1)
+        out = np.empty(self.n_elements)
+        for s in self.element_chunks():
+            np.mean(values[self.chunk_elements(s)], axis=1, out=out[s])
+        return out
 
 
 def _validate_counts(nx: int, ny: int) -> None:
@@ -202,19 +256,12 @@ def build_rectangle_mesh(width: float, height: float, nx: int, ny: int) -> Mesh:
     nodes[..., 1] = np.linspace(0.0, height, ny)[:, None]
     nodes = nodes.reshape(-1, 2)
 
-    # cell (i, j) with lower-left node n00 = j * nx + i: lower triangle (n00, n10, n11),
-    # then upper triangle (n00, n11, n01)
-    n00 = (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)).reshape(-1, 1, 1)
-    elements = np.empty((n00.size, 2, 3), dtype=np.int64)
-    np.add(n00, [[0, 1, nx + 1], [0, nx + 1, nx]], out=elements)
-    elements = elements.reshape(-1, 3)
-
     node_class = np.full((ny, nx), INTERIOR, dtype=np.int8)
     node_class[[0, -1], :] = OUTER_BOUNDARY
     node_class[:, [0, -1]] = OUTER_BOUNDARY
     node_class = node_class.ravel()
 
-    return Mesh(2, nx, ny, float(width), float(height), nodes, elements, node_class)
+    return Mesh(2, nx, ny, float(width), float(height), nodes, node_class)
 
 
 def build_interval_mesh(length: float, nx: int) -> Mesh:
@@ -224,11 +271,9 @@ def build_interval_mesh(length: float, nx: int) -> Mesh:
     if length <= 0:
         raise ValueError("length must be positive")
     nodes = np.linspace(0.0, length, nx)[:, None]
-    idx = np.arange(nx - 1)
-    elements = np.column_stack([idx, idx + 1]).astype(np.int64)
     node_class = np.full(nx, INTERIOR, dtype=np.int8)
     node_class[[0, -1]] = OUTER_BOUNDARY
-    return Mesh(1, nx, 1, float(length), 0.0, nodes, elements, node_class)
+    return Mesh(1, nx, 1, float(length), 0.0, nodes, node_class)
 
 
 def _nearest_on_grid(x, y, gx, gy, step):
@@ -269,6 +314,7 @@ def perforate(mesh: Mesh, spec) -> Mesh:
     nearest node per center and needs ``radius < h``).  Holes must stay
     strictly inside the domain and away from each other.  Closed form, no loop over holes:
     a node's nearest center, or a center's nearest node, is one of the 2 x 2 around it.
+    The result shares ``mesh``'s nodes and the cached tiles built from them.
     """
     if mesh.dim != 2:
         raise ValueError("perforation requires a 2-D mesh")
@@ -327,7 +373,11 @@ def perforate(mesh: Mesh, spec) -> Mesh:
         max_resolved_radius_h=float(per_hole.max()),
     )
     centers.setflags(write=False)
-    return replace(mesh, node_class=node_class, perforation=report)
+    out = replace(mesh, node_class=node_class, perforation=report)
+    # no node moves: share the geometry and index tiles ``mesh`` has built so far
+    out.__dict__.update((k, v) for k, v in mesh.__dict__.items()
+                        if k in ("cell", "_chunk_tile", "_index_tile"))
+    return out
 
 
 @dataclass(frozen=True)
@@ -368,8 +418,9 @@ def element_energy(mesh: Mesh, v: np.ndarray, w: np.ndarray | None = None,
     out = np.empty(mesh.n_elements)
     for s in mesh.element_chunks():
         areas, grads = mesh.chunk_geometry(s)
-        gv = np.einsum("evd,ev->ed", grads, v[mesh.elements[s]])
-        gw = gv if w is None else np.einsum("evd,ev->ed", grads, w[mesh.elements[s]])
+        idx = mesh.chunk_elements(s)
+        gv = np.einsum("evd,ev->ed", grads, v[idx])
+        gw = gv if w is None else np.einsum("evd,ev->ed", grads, w[idx])
         if mats is None:
             out[s] = areas * np.einsum("ed,ed->e", gv, gw)
         else:

@@ -4,8 +4,9 @@ These deliberately avoid every package code path they are used to check:
 the two-point boundary value oracle integrates the ODE with an adaptive
 Runge-Kutta scheme and bisection, the disk-node count enumerates grid
 points directly, and the hole lattice is searched hole by hole.  The
-element geometry is each element's own formula, evaluated on every element
-rather than on one cell.  The
+element table is built whole by the formula the mesh builders used when
+they stored it, and the element geometry is each element's own formula,
+evaluated on every element rather than on one cell.  The
 assembly, the multigrid prolongation and the field-CSV writer are the
 earlier, direct implementations: a COO matrix with nine entries per element
 (two per fine node for the prolongation), summed by the COO -> CSR
@@ -13,7 +14,9 @@ conversion, and ``csv.writer`` row by row.  The slope-weighted Picard level
 is the earlier damping of ``solve_level``: explicit steps scaled per node by
 slope weights, under an adaptive step factor, a step cap and an oscillation
 test.  The plain Picard level is ``solve_level`` without the Anderson
-acceleration of its linear tail: every step is ``x + theta (v - x)``.
+acceleration of its linear tail: every step is ``x + theta (v - x)``.  The
+CG loop and V-cycle are the earlier ones, with a fresh vector for every
+product and update.
 """
 
 import csv
@@ -24,9 +27,10 @@ from unittest import mock
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from mildsing import solver
-from mildsing.fem import SparseOperator, _dot, solve_cg
+from mildsing.fem import CGStats, SparseOperator, _dot, solve_cg
 from mildsing.mesh import CLASS_NAMES, FLOAT_FMT, HOLE, OUTER_BOUNDARY, FieldFunction
 from mildsing.nonlinearity import Nonlinearity, _evaluate
 from mildsing.solver import (
@@ -172,9 +176,26 @@ def corrector_by_search(mesh_eps, epsilon, radius, rho):
     return w
 
 
+def element_table(mesh):
+    """The ``(n_elements, dim + 1)`` vertex indices, built whole.
+
+    Cell ``(i, j)`` with lower-left node ``n00 = j * nx + i``: lower triangle
+    ``(n00, n10, n11)``, then upper triangle ``(n00, n11, n01)``; segment
+    ``(i, i + 1)`` in 1-D.
+    """
+    nx, ny = mesh.nx, mesh.ny
+    if mesh.dim == 1:
+        idx = np.arange(nx - 1)
+        return np.column_stack([idx, idx + 1]).astype(np.int64)
+    n00 = (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)).reshape(-1, 1, 1)
+    elements = np.empty((n00.size, 2, 3), dtype=np.int64)
+    np.add(n00, [[0, 1, nx + 1], [0, nx + 1, nx]], out=elements)
+    return elements.reshape(-1, 3)
+
+
 def element_areas(mesh):
     """Element measures from each element's own vertices: triangle areas, segment lengths."""
-    verts = mesh.nodes[mesh.elements]
+    verts = mesh.nodes[element_table(mesh)]
     if mesh.dim == 1:
         return np.abs(verts[:, 1, 0] - verts[:, 0, 0])
     e1 = verts[:, 1] - verts[:, 0]
@@ -184,7 +205,7 @@ def element_areas(mesh):
 
 def element_grads(mesh):
     """P1 basis gradients from each element's own vertices, shape ``(n_elements, dim + 1, dim)``."""
-    verts = mesh.nodes[mesh.elements]
+    verts = mesh.nodes[element_table(mesh)]
     out = np.empty((mesh.n_elements, mesh.dim + 1, mesh.dim))
     if mesh.dim == 1:
         h = verts[:, 1, 0] - verts[:, 0, 0]
@@ -215,8 +236,9 @@ def stiffness_csr_coo(mesh, coeff):
         # contraction order is not symmetry-preserving at the last ulp
         local = 0.5 * (local + local.transpose(0, 2, 1))
     nv = mesh.dim + 1
-    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nv)).ravel()
+    elements = element_table(mesh)
+    rows = np.repeat(elements, nv, axis=1).ravel()
+    cols = np.tile(elements, (1, nv)).ravel()
     K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
     return K.tocsr()
 
@@ -226,8 +248,9 @@ def mass_csr_coo(mesh):
     nv = mesh.dim + 1
     local_unit = (np.ones((nv, nv)) + np.eye(nv)) / ((nv) * (nv + 1))
     local = tiled_cell(mesh)[0][:, None, None] * local_unit
-    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nv)).ravel()
+    elements = element_table(mesh)
+    rows = np.repeat(elements, nv, axis=1).ravel()
+    cols = np.tile(elements, (1, nv)).ravel()
     M = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
     return M.tocsr()
 
@@ -242,6 +265,70 @@ def prolongation_coo(shape):
     P = sp.coo_matrix((np.full(rows.size, 0.5), (rows, cols)),
                       shape=(idx.shape[1], math.prod(coarse)))
     return P.tocsr()
+
+
+def _matvec_fresh(M, x):
+    y = np.zeros(M.shape[0])
+    csr_matvec(M.shape[0], M.shape[1], M.indptr, M.indices, M.data, x, y)
+    return y
+
+
+def _rmatvec_fresh(P, r):
+    y = np.zeros(P.shape[1])
+    csc_matvec(P.shape[1], P.shape[0], P.indptr, P.indices, P.data, r, y)
+    return y
+
+
+def vcycle_fresh(A, w, levels, coarse_inv, r, k=0):
+    """``fem._vcycle`` with a fresh vector for each residual and product."""
+    if k == len(levels):
+        return np.einsum("ij,j->i", coarse_inv, r)
+    P, A_c, w_c = levels[k][:3]
+    x = w * r
+    x += _matvec_fresh(P, vcycle_fresh(A_c, w_c, levels, coarse_inv,
+                                       _rmatvec_fresh(P, r - _matvec_fresh(A, x)), k + 1))
+    x += w * (r - _matvec_fresh(A, x))
+    return x
+
+
+def solve_cg_fresh(op, rhs, tol=1e-10, maxit=None, x0=None, forcing=0.0):
+    """``fem.solve_cg`` with new vectors for ``r``, ``p`` and ``A p``, preconditioned by
+    :func:`vcycle_fresh`."""
+    def precond(r):
+        h = op._hierarchy
+        return op._weights * r if h is None else vcycle_fresh(op.matrix, op._weights, *h, r)
+
+    A = op.matrix
+    n = A.shape[0]
+    rhs = np.asarray(rhs, dtype=float)
+    if maxit is None:
+        maxit = max(100, int(50.0 * np.sqrt(n)) + 1)
+    bnorm = math.sqrt(_dot(rhs, rhs))
+    if bnorm == 0.0:
+        return np.zeros(n), CGStats(0)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    r = rhs - _matvec_fresh(A, x)
+    res = math.sqrt(_dot(r, r))
+    stop = max(tol * bnorm, forcing * res)
+    if res <= stop:
+        return x, CGStats(0)
+    z = precond(r)
+    p = z.copy()
+    rz = _dot(r, z)
+    for it in range(1, maxit + 1):
+        Ap = _matvec_fresh(A, p)
+        pAp = _dot(p, Ap)
+        a = rz / pAp
+        x += a * p
+        r -= a * Ap
+        res = math.sqrt(_dot(r, r))
+        if res <= stop:
+            return x, CGStats(it)
+        z = precond(r)
+        rz_new = _dot(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError(f"oracle CG stalled after {maxit} iterations")
 
 
 def write_field_csv_rows(path, field):

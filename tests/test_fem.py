@@ -18,7 +18,7 @@ from mildsing.mesh import _CHUNK
 
 from conftest import mass_operator
 from oracles import (element_areas, element_grads, mass_csr_coo, prolongation_coo,
-                     stiffness_csr_coo)
+                     solve_cg_fresh, stiffness_csr_coo)
 
 
 def nodal_load(mesh, fn):
@@ -721,16 +721,60 @@ def test_matvec_is_the_sparse_product_bit_for_bit(problem):
     rng = np.random.default_rng(seed)
     mats = [op.matrix, op.lap, op._shifted(rng.random(op.n)).matrix]
     levels = () if op._hierarchy is None else op._hierarchy[0]
-    mats += [M for P, A_c, _ in levels for M in (P, A_c)]
+    mats += [M for P, A_c, _, _ in levels for M in (P, A_c)]
     wide = op.matrix.copy()
     wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
     mats.append(wide)
-    products = [(M.shape[1], partial(fem._matvec, M), M.__matmul__) for M in mats]
-    products += [(P.shape[0], partial(fem._rmatvec, P), partial(fem._matvec, P.T.tocsr()))
-                 for P, _, _ in levels]
+    products = [(M.shape[1], partial(fem._matvec, M, n=M.shape[0], m=M.shape[1]), M.__matmul__)
+                for M in mats]
+    products += [(P.shape[0], partial(fem._rmatvec, P, n=P.shape[0], m=P.shape[1]),
+                  partial(fem._matvec, P.T.tocsr(), n=P.shape[1], m=P.shape[0]))
+                 for P, _, _, _ in levels]
+    for P, A_c, _, sizes in levels:
+        assert sizes == P.shape and A_c.shape == (P.shape[1],) * 2
     for size, got, want in products:
         x = rng.standard_normal(size)
         assert got(x).tobytes() == want(x).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=multigrid_problems(), shifted=st.booleans(), start=st.booleans(),
+       forcing=st.sampled_from([0.0, 0.1, 0.5]))
+def test_cg_matches_the_fresh_vector_loop_bit_for_bit(problem, shifted, start, forcing):
+    # solve_cg updates r and p in place, computes A p into the spent z, and
+    # each V-cycle level reuses one temporary: the same bits as the loop that
+    # made a new vector for each, with or without a hierarchy, a start and a
+    # forcing; rhs and x0 are left as they were
+    mesh, A, mu, seed = problem
+    op = ms.assemble_stiffness(mesh, A, mu)
+    rng = np.random.default_rng(seed)
+    if shifted:
+        op = op._shifted(rng.random(op.n) * op.diagonal)
+    rhs = rng.standard_normal(op.n)
+    x0 = rng.standard_normal(op.n) if start else None
+    args = (rhs.copy(), 1e-10, None, None if x0 is None else x0.copy(), forcing)
+    x, stats = ms.solve_cg(op, *args)
+    assert np.array_equal(args[0], rhs)
+    assert x0 is None or np.array_equal(args[3], x0)
+    want, want_stats = solve_cg_fresh(op, rhs, 1e-10, None, x0, forcing)
+    assert x.tobytes() == want.tobytes()
+    assert stats.iterations == want_stats.iterations
+
+
+@pytest.mark.parametrize("make", [ms.Coefficient.identity,
+                                  lambda m: ms.Coefficient.isotropic(m, 1),
+                                  lambda m: ms.Coefficient.constant(m, np.eye(2))],
+                         ids=["identity", "isotropic-1", "constant-eye"])
+def test_lap_with_mu_is_the_stiffness_before_mu(fem_calls, make):
+    # an identity A keeps its stiffness as lap before adding mu: no second assembly
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 33, 33)
+    op = ms.assemble_stiffness(mesh, make(mesh), 50.0)
+    lap = op.lap
+    assert fem_calls.count("stiffness_csr") == 1
+    plain = ms.assemble_stiffness(mesh, make(mesh)).matrix
+    for name in ("data", "indices", "indptr"):
+        assert getattr(lap, name).tobytes() == getattr(plain, name).tobytes()
+    assert op.matrix is not lap and not np.array_equal(op.matrix.diagonal(), lap.diagonal())
 
 
 def test_galerkin_residual_orthogonality(unit_square_65, identity_65):

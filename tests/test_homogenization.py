@@ -51,6 +51,15 @@ def test_discrete_capacity_annulus_oracle():
     assert abs(cap - exact) <= 0.02 * exact
 
 
+def test_discrete_capacity_memory_per_node(traced_peak):
+    # no element table (8 bytes x 3 per element, 48 per node) and no dead
+    # vectors in the solve: 190 bytes of tracemalloc per node at 257**2,
+    # against 261 with the stored table and the CG's temporaries
+    cap, peak = traced_peak(ms.discrete_capacity, 0.5, 0.05, 1.0 / 256.0)
+    assert peak <= 215 * 257 ** 2
+    assert cap == pytest.approx(2.0 * math.pi / math.log(10.0), rel=0.02)
+
+
 def test_discrete_capacity_growth_toward_degenerate():
     caps = [ms.discrete_capacity(0.5, r, 1.0 / 128.0) for r in (0.05, 0.125, 0.25, 0.4)]
     assert all(b > a for a, b in zip(caps, caps[1:]))

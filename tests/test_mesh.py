@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +8,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mildsing as ms
+from mildsing import mesh as mesh_module
 from mildsing.mesh import CLASS_NAMES, HOLE, INTERIOR, OUTER_BOUNDARY, element_energy
 
-from oracles import (corrector_by_search, element_grads, nodes_in_disk, perforation_by_search,
-                     write_field_csv_rows)
+from oracles import (corrector_by_search, element_grads, element_table, nodes_in_disk,
+                     perforation_by_search, write_field_csv_rows)
 
 
 class Holes:
@@ -63,6 +66,35 @@ def test_elements_have_positive_area():
     assert areas.sum() == pytest.approx(2.0, rel=1e-13)
 
 
+@settings(max_examples=200, deadline=None)
+@given(dim=st.sampled_from([1, 2]), nx=st.integers(2, 40), ny=st.integers(2, 40),
+       chunk=st.sampled_from([2, 4, 6, 64, mesh_module._CHUNK]), seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=2, nx=101, ny=101, chunk=mesh_module._CHUNK, seed=0)  # chunks of 16384 and 3616
+def test_chunk_elements_match_the_stored_table(dim, nx, ny, chunk, seed):
+    # the vertex indices derived per chunk are the table the builders stored,
+    # on every chunk, also with _CHUNK small enough to make many; so are the
+    # per-element reductions over them
+    with mock.patch.object(mesh_module, "_CHUNK", chunk):
+        mesh = (ms.build_interval_mesh(1.0, nx) if dim == 1
+                else ms.build_rectangle_mesh(nx - 1.0, ny - 1.0, nx, ny))
+        table = element_table(mesh)
+        assert mesh.n_elements == table.shape[0]
+        chunks = mesh.element_chunks()
+        assert [s.start for s in chunks] == list(range(0, mesh.n_elements, chunk))
+        for s in chunks:
+            got = mesh.chunk_elements(s)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, table[s])
+        assert np.array_equal(mesh.elements, table)
+        assert not mesh.elements.flags.writeable
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(mesh.n_nodes)
+        assert mesh.element_means(values).tobytes() == values[table].mean(axis=1).tobytes()
+        holed = replace(mesh, node_class=rng.choice([INTERIOR, HOLE], mesh.n_nodes).astype(np.int8))
+        assert np.array_equal(holed.omega_eps_elements,
+                              ~(holed.node_class[table] == HOLE).all(axis=1))
+
+
 def test_node_classes_partition():
     m = ms.build_rectangle_mesh(1.0, 1.0, 17, 17)
     spec = Holes(epsilon=0.25, radius=0.125)
@@ -114,6 +146,20 @@ def test_perforate_monotone_in_radius():
         p = ms.perforate(m, Holes(epsilon=0.25, radius=r))
         holes.append(set(np.flatnonzero(p.node_class == HOLE).tolist()))
     assert holes[0] <= holes[1] <= holes[2]
+
+
+def test_perforated_mesh_shares_the_tiles_not_the_node_classes():
+    # the tiles depend on the nodes alone, which perforate does not move;
+    # what depends on the node classes is computed again
+    m = ms.build_rectangle_mesh(1.0, 1.0, 33, 33)
+    m.chunk_geometry(m.element_chunks()[0])
+    m.chunk_elements(m.element_chunks()[0])
+    free, omega = m.free_nodes, m.omega_eps_elements
+    p = ms.perforate(m, Holes(epsilon=0.25, radius=0.1))
+    for name in ("cell", "_chunk_tile", "_index_tile"):
+        assert getattr(p, name) is getattr(m, name)
+    assert p.free_nodes.size < free.size and not p.omega_eps_elements.all() and omega.all()
+    assert np.array_equal(p.elements, m.elements)
 
 
 def test_perforate_rejects_bad_geometry():
@@ -294,3 +340,5 @@ def test_mesh_is_immutable():
         m.nodes[0, 0] = 7.0
     with pytest.raises(ValueError):
         m.node_class[0] = HOLE
+    with pytest.raises(ValueError):
+        m.elements[0, 0] = 7
