@@ -9,10 +9,10 @@ geometry a chunk at a time (``Mesh.chunk_elements``, ``Mesh.chunk_geometry``);
 energies are ``mesh.element_energy``.  Dirichlet conditions are imposed by
 row/column elimination, which keeps the operator SPD and hole-node values
 exactly zero.  The linear solver is conjugate gradients preconditioned by one
-geometric-multigrid V-cycle (Tatebe 1993): deterministic, and built from
-numpy and ``scipy.sparse`` alone.  ``solve_cg`` is the tested oracle behind
-every linear solve in the package: the Picard iteration and the eigenpair
-call it.
+geometric-multigrid V-cycle (Tatebe 1993) on every grid: deterministic, and
+built from numpy and ``scipy.sparse`` alone.  ``solve_cg`` is the tested oracle
+behind every linear solve in the package: the Picard iteration and the
+eigenpair call it.
 
 Every CG reduction (dot products and 2-norms), and the inner products of the
 eigenpair iteration, are single-threaded: they go through ``_dot``, numpy's
@@ -156,12 +156,12 @@ class Coefficient:
 class SparseOperator:
     """Sparse matrix over the free (non-Dirichlet, non-hole) nodes.
 
-    Cached on first use, once per operator: ``diagonal``, the V-cycle of
-    ``precond`` (shared with ``_shifted``), the lumped mass ``ml`` at the free
-    nodes and the identity-coefficient stiffness ``lap`` (when ``A = I``,
-    :func:`assemble_stiffness` sets it to its matrix before adding ``mu``).
-    ``h1(v) = sqrt(v' lap v)`` is the H1 seminorm of a free-node vector (it
-    vanishes at the other nodes).
+    Cached on first use, once per operator: ``diagonal``, the V-cycle hierarchy of
+    ``precond``, which every grid has (:func:`_multigrid`; shared with ``_shifted``),
+    the lumped mass ``ml`` at the free nodes and the identity-coefficient stiffness
+    ``lap`` (when ``A = I``, :func:`assemble_stiffness` sets it to its matrix before
+    adding ``mu``).  ``h1(v) = sqrt(v' lap v)`` is the H1 seminorm of a free-node
+    vector (it vanishes at the other nodes).
     """
 
     matrix: sp.csr_matrix
@@ -182,18 +182,18 @@ class SparseOperator:
         return self.matrix.diagonal()
 
     @cached_property
-    def _hierarchy(self) -> tuple | None:
+    def _hierarchy(self) -> tuple:
         m = self.mesh
         return _multigrid(self.matrix, self.free, (m.nx,) if m.dim == 1 else (m.ny, m.nx))
 
     @cached_property
     def _weights(self) -> np.ndarray:
-        return (1.0 if self._hierarchy is None else _OMEGA) / self.diagonal
+        return _OMEGA / self.diagonal
 
     def precond(self, r: np.ndarray) -> np.ndarray:
-        """CG preconditioner ``r -> z``: one V-cycle, or Jacobi ``r / diag`` without a hierarchy."""
-        h = self._hierarchy
-        return self._weights * r if h is None else _vcycle(self.matrix, self._weights, *h, r)
+        """CG preconditioner ``r -> z``: one V-cycle of :func:`_multigrid`'s hierarchy."""
+        h = self._hierarchy  # first: the build's peak must not hold the diagonal and weights
+        return _vcycle(self.matrix, self._weights, *h, r)
 
     @cached_property
     def ml(self) -> np.ndarray:
@@ -208,16 +208,16 @@ class SparseOperator:
 
         Only ``matrix.data``, ``diagonal`` and the finest smoother weights are
         rewritten; the coarse levels are ``K``'s, by reference, and an operator
-        that is its own coarsest level inverts ``K + diag(d)`` again.  Every
-        call returns the same operator, built on the first: a result is valid
-        until the next ``_shifted`` call on this one, which is why the method
-        is private to :func:`solver.solve_level`.
+        with no coarse level inverts ``K + diag(d)`` again.  Every call returns
+        the same operator, built on the first: a result is valid until the
+        next ``_shifted`` call on this one, which is why the method is private
+        to :func:`solver.solve_level`.
         """
         op, h = self._shift, self._hierarchy
         # only the diagonal: the other entries are K's, copied once by _shift
         op.diagonal = op.matrix.data[self._diagonal_slots] = self.diagonal + d
-        op._weights = (1.0 if h is None else _OMEGA) / op.diagonal
-        op._hierarchy = ((), np.linalg.inv(op.matrix.toarray())) if h and not h[0] else h
+        op._weights = _OMEGA / op.diagonal
+        op._hierarchy = h if h[0] else ((), np.linalg.inv(op.matrix.toarray()))
         return op
 
     @cached_property
@@ -324,23 +324,24 @@ def check_m_matrix(mat: np.ndarray) -> None:
 
 
 def _prolongation(shape: tuple[int, ...]) -> tuple[sp.csr_matrix, tuple[int, ...]]:
-    """Exact P1 interpolation onto the grid ``shape`` from its every-other-node grid.
+    """P1 interpolation onto the grid ``shape`` from its every-other-node grid, and its shape.
 
-    Along each axis fine node ``i`` is the mean of coarse nodes ``floor(i / 2)`` and
-    ``ceil(i / 2)``: the coarse node itself, an axis-edge midpoint, or the midpoint of a
-    cell diagonal ``n00``-``n11``, which is an edge of both triangulations.  Nodes are
-    row-major, as in :mod:`mesh`; a 1-D ``shape`` gives the 3-point interpolation.
-    A row holds its two parents in ascending order, or one entry 1 where they
-    coincide (every coordinate even): the CSR arrays are written by arithmetic.
+    An axis of ``s`` nodes has ``c = s // 2 + 1`` coarse nodes, and fine node ``i`` is the mean
+    of coarse nodes ``i // 2`` and ``min((i + 1) // 2, c - 1)``: the coarse node, an axis-edge
+    midpoint, or the midpoint of a cell diagonal ``n00``-``n11``, an edge of both triangulations;
+    on an even axis the last coarse node is the last fine node, a boundary node whose row
+    :func:`_multigrid` drops.  Nodes are row-major, as in :mod:`mesh`; a 1-D ``shape`` gives the
+    3-point interpolation.  A row holds its two parents in ascending order, or one entry 1 where
+    they coincide (every coordinate even): the CSR arrays are written by arithmetic.
     """
-    coarse = tuple((s + 1) // 2 for s in shape)
+    coarse = tuple(s // 2 + 1 for s in shape)
     n = math.prod(shape)
     index = np.int32 if 2 * n <= np.iinfo(np.int32).max else np.int64
     lo = hi = np.zeros((), dtype=index)  # row-major raveling, one axis at a time
     for s, c in zip(shape, coarse):
         i = np.arange(s, dtype=index)
         lo = (lo[..., None] * index(c) + i // 2).ravel()
-        hi = (hi[..., None] * index(c) + (i + 1) // 2).ravel()
+        hi = (hi[..., None] * index(c) + np.minimum((i + 1) // 2, c - 1)).ravel()
     two = lo != hi
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(two + index(1), out=indptr[1:])
@@ -353,7 +354,7 @@ def _prolongation(shape: tuple[int, ...]) -> tuple[sp.csr_matrix, tuple[int, ...
     return sp.csr_matrix((data, indices, indptr), shape=(n, math.prod(coarse))), coarse
 
 
-def _multigrid(A: sp.csr_matrix, free: np.ndarray, shape: tuple[int, ...]) -> tuple | None:
+def _multigrid(A: sp.csr_matrix, free: np.ndarray, shape: tuple[int, ...]) -> tuple:
     """Coarse levels ``(P, A_c, w_c, (n, n_c))`` of a V(1,1) cycle for ``A`` on the grid ``shape``.
 
     Each level keeps the coarse interior nodes whose column of the prolongation
@@ -362,14 +363,12 @@ def _multigrid(A: sp.csr_matrix, free: np.ndarray, shape: tuple[int, ...]) -> tu
     the V-cycle's products take from here; holes, ``mu`` and anisotropic ``A``
     need no special case.  A node with no neighbour in ``A`` (one walled in by
     holes) gets no interpolated correction: the smoother alone solves it, so a
-    zero load there leaves it exactly zero.  Halving stops at ``_COARSEST``
-    unknowns, whose inverse comes second.  None when a grid with more unknowns has
-    an even axis or fewer than 5 nodes on one (no shipped size): it does not halve.
+    zero load there leaves it exactly zero.  Every grid halves (:func:`_prolongation`);
+    an axis of 2 or 3 nodes coarsens to 2, a level with no interior node.  Halving
+    stops at ``_COARSEST`` unknowns, whose inverse comes second.
     """
     levels = []
     while A.shape[0] > _COARSEST:
-        if any(s % 2 == 0 or s < 5 for s in shape):
-            return None
         P, shape = _prolongation(shape)
         lone = np.diff((A != 0).indptr) == 1
         P = sp.diags(np.where(lone, 0.0, 1.0)) @ P[free]

@@ -256,12 +256,17 @@ def mass_csr_coo(mesh):
 
 
 def prolongation_coo(shape):
-    """P1 interpolation onto ``shape`` from every other node: ``0.5`` at both parents per node."""
-    coarse = tuple((s + 1) // 2 for s in shape)
+    """P1 interpolation onto ``shape`` from every other node: ``0.5`` at both parents per node.
+
+    On an even axis the last coarse node sits on the last fine node, whose parents
+    are it and the coarse node before it.
+    """
+    coarse = tuple(s // 2 + 1 for s in shape)
     idx = np.indices(shape).reshape(len(shape), -1)
     rows = np.tile(np.arange(idx.shape[1]), 2)
+    last = np.array(coarse)[:, None] - 1
     cols = np.concatenate([np.ravel_multi_index(idx // 2, coarse),
-                           np.ravel_multi_index((idx + 1) // 2, coarse)])
+                           np.ravel_multi_index(np.minimum((idx + 1) // 2, last), coarse)])
     P = sp.coo_matrix((np.full(rows.size, 0.5), (rows, cols)),
                       shape=(idx.shape[1], math.prod(coarse)))
     return P.tocsr()
@@ -295,8 +300,7 @@ def solve_cg_fresh(op, rhs, tol=1e-10, maxit=None, x0=None, forcing=0.0):
     """``fem.solve_cg`` with new vectors for ``r``, ``p`` and ``A p``, preconditioned by
     :func:`vcycle_fresh`."""
     def precond(r):
-        h = op._hierarchy
-        return op._weights * r if h is None else vcycle_fresh(op.matrix, op._weights, *h, r)
+        return vcycle_fresh(op.matrix, op._weights, *op._hierarchy, r)
 
     A = op.matrix
     n = A.shape[0]

@@ -266,18 +266,23 @@ def test_weak_maximum_principle(problem):
 
 @st.composite
 def multigrid_problems(draw):
-    """``(mesh, A, mu, seed)`` on a grid that halves down to the coarsest level, or on 12**2.
+    """``(mesh, A, mu, seed)`` on a grid of 3 to 40 nodes per axis, of either parity.
 
-    An interval or a square, perforated or not by :func:`draw_holes`.  ``A``
+    An interval, a square perforated or not by :func:`draw_holes`, or a
+    rectangle of square cells with its own node count per axis.  ``A``
     is constant, symmetric and inside the :func:`fem.check_m_matrix` range,
     with eigenvalues at most 19 apart in ratio.
     """
-    nx = draw(st.sampled_from([5, 7, 9, 12, 13, 17, 33]))
-    if draw(st.booleans()):
+    nx = draw(st.integers(3, 40))
+    kind = draw(st.sampled_from(["interval", "square", "rectangle"]))
+    if kind == "interval":
         mesh = ms.build_interval_mesh(1.0, nx)
         mat = [[draw(st.floats(0.25, 4.0))]]
     else:
-        mesh = draw_holes(draw, ms.build_rectangle_mesh(1.0, 1.0, nx, nx))
+        ny = nx if kind == "square" else draw(st.integers(3, 40))
+        mesh = ms.build_rectangle_mesh((nx - 1) / (ny - 1), 1.0, nx, ny)
+        if kind == "square":
+            mesh = draw_holes(draw, mesh)
         a11, a22 = draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0))
         s = draw(st.floats(0.0, 0.9)) * min(a11, a22)
         mat = [[a11, s], [s, a22]]
@@ -289,11 +294,14 @@ def multigrid_problems(draw):
 @settings(max_examples=150, deadline=None)
 @given(problem=multigrid_problems())
 def test_multigrid_cg_matches_dense_solve(problem):
-    # the V-cycle is a symmetric preconditioner, and CG with it solves the
-    # system; only a 2-D grid that cannot halve (12**2) keeps Jacobi
+    # every grid, whatever the parity of its axes, halves down to a coarsest
+    # level of at most _COARSEST unknowns; the V-cycle is a symmetric
+    # preconditioner, and CG with it solves the system
     mesh, A, mu, seed = problem
     op = ms.assemble_stiffness(mesh, A, mu)
-    assert (op._hierarchy is None) == (mesh.dim == 2 and mesh.nx == 12)
+    levels, coarse_inv = op._hierarchy
+    assert coarse_inv.shape[0] <= fem._COARSEST
+    assert bool(levels) == (op.n > fem._COARSEST)
     rng = np.random.default_rng(seed)
     x, y, rhs = rng.standard_normal((3, op.n))
     sol, _ = ms.solve_cg(op, rhs, tol=1e-13)
@@ -303,9 +311,10 @@ def test_multigrid_cg_matches_dense_solve(problem):
     assert abs(x @ My - y @ Mx) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(My)
 
 
-@pytest.mark.parametrize("nx", [129, 257])
+@pytest.mark.parametrize("nx", [100, 129, 200, 257])
 def test_multigrid_cg_iterations_do_not_grow(nx):
-    # multigrid needs 14 here, Jacobi 264 and 532: a silent fallback fails loudly
+    # multigrid needs 14 here on even and odd grids alike, plain Jacobi 203,
+    # 264, 412 and 532: a grid that fell back to it would fail loudly
     m = ms.build_rectangle_mesh(1.0, 1.0, nx, nx)
     op = ms.assemble_stiffness(m, ms.Coefficient.identity(m))
     _, stats = ms.solve_cg(op, op.ml, tol=1e-10)
@@ -322,7 +331,7 @@ def test_walled_in_node_stays_exactly_zero():
     lone = np.diff((op.matrix != 0).indptr) == 1
     assert lone.sum() == 4
     x, _ = ms.solve_cg(op, np.where(lone, 0.0, op.ml))
-    assert op._hierarchy is not None
+    assert op._hierarchy[0]  # coarse levels that could interpolate into them
     assert np.all(x[lone] == 0.0)
 
 
@@ -349,25 +358,29 @@ def _walled_in_33():
     return mesh, 7.0
 
 
+def _strip_3x40():
+    # one coarse level, with no interior node: an axis of 3 nodes coarsens to 2
+    return ms.build_rectangle_mesh(19.5, 1.0, 40, 3), 0.0
+
+
 @pytest.mark.parametrize("case,levels", [
     (_walled_in_33, 3),
     (lambda: (ms.build_interval_mesh(1.0, 65), 0.0), 3),
-    (lambda: (ms.build_rectangle_mesh(1.0, 1.0, 12, 12), 0.0), None),
+    (lambda: (ms.build_rectangle_mesh(1.0, 1.0, 12, 12), 0.0), 2),
+    (_strip_3x40, 1),
     (lambda: (ms.build_rectangle_mesh(1.0, 1.0, 5, 5), 2.0), 0),
-], ids=["perforated-mu", "interval", "jacobi-12", "coarsest-only"])
+], ids=["perforated-mu", "interval", "even-12", "strip-3x40", "coarsest-only"])
 def test_shifted_operator_cg_matches_direct_solve(case, levels):
     # K + diag(d) shares K's coarse levels by reference; with its own finest
-    # level (or dense solve, or Jacobi weights) CG solves the shifted system
-    # in at most half the iterations K's preconditioner takes, and K's stays
-    # as it was; levels None is Jacobi, 0 is K as its own coarsest level
+    # level (or dense solve) CG solves the shifted system in at most half the
+    # iterations K's preconditioner takes, and K's stays as it was; levels 0
+    # is K as its own coarsest level
     mesh, mu = case()
     op = ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh), mu)
     rng = np.random.default_rng(3)
     r = rng.standard_normal(op.n)
     before, data = op.precond(r), op.matrix.data.copy()
-    assert (op._hierarchy is None) == (levels is None)
-    if levels is not None:
-        assert len(op._hierarchy[0]) == levels
+    assert len(op._hierarchy[0]) == levels
     d = rng.random(op.n) * (rng.random(op.n) < 0.7) * 10.0 * op.diagonal
     lone = np.diff((op.matrix != 0).indptr) == 1
     assert lone.sum() == (4 if case is _walled_in_33 else 0)
@@ -380,11 +393,9 @@ def test_shifted_operator_cg_matches_direct_solve(case, levels):
     exact = spsolve((op.matrix + sp.diags(d)).tocsc(), rhs)
     assert np.abs(x - exact).max() <= 1e-10 * np.abs(exact).max()
     assert np.all(x[lone] == 0.0)
-    assert (shifted._hierarchy is None) == (levels is None)
-    if levels is not None:
-        # the coarse levels are K's own objects; a coarsest-only K + diag(d) has its own inverse
-        assert shifted._hierarchy[0] is op._hierarchy[0]
-        assert (shifted._hierarchy[1] is op._hierarchy[1]) == (levels > 0)
+    # the coarse levels are K's own objects; a coarsest-only K + diag(d) has its own inverse
+    assert shifted._hierarchy[0] is op._hierarchy[0]
+    assert (shifted._hierarchy[1] is op._hierarchy[1]) == (levels > 0)
     assert np.array_equal(op.precond(r), before)
     assert np.array_equal(op.matrix.data, data)
 
@@ -659,13 +670,15 @@ def test_norms_sine_l2(unit_square_65, identity_65):
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (7, 7), (9, 9), (13, 13), (33, 33), (513, 513),
-                                   (65, 33), (33, 65), (3,), (5,), (7,), (257,), (599,)])
+                                   (65, 33), (33, 65), (3,), (5,), (7,), (257,), (599,),
+                                   (4, 4), (12, 12), (64, 33), (3, 40), (2,), (100,)])
 def test_prolongation_matches_the_coo_build(shape):
     # the CSR arrays written by arithmetic are those the COO -> CSR conversion
-    # gives, dtypes included; a coarse node is one entry 1, not 0.5 + 0.5
+    # gives, dtypes included, on odd and even axes; a coarse node is one entry
+    # 1, not 0.5 + 0.5
     P, coarse = fem._prolongation(shape)
     ref = prolongation_coo(shape)
-    assert P.shape == ref.shape and coarse == tuple((s + 1) // 2 for s in shape)
+    assert P.shape == ref.shape and coarse == tuple(s // 2 + 1 for s in shape)
     for got, want in ((P.indptr, ref.indptr), (P.indices, ref.indices), (P.data, ref.data)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -674,8 +687,9 @@ def test_prolongation_matches_the_coo_build(shape):
     _walled_in_33,
     lambda: (ms.build_interval_mesh(1.0, 65), 0.0),
     lambda: (ms.build_rectangle_mesh(1.0, 1.0, 12, 12), 0.0),
+    _strip_3x40,
     lambda: (ms.build_rectangle_mesh(1.0, 1.0, 5, 5), 2.0),
-], ids=["perforated-mu", "interval", "jacobi-12", "coarsest-only"])
+], ids=["perforated-mu", "interval", "even-12", "strip-3x40", "coarsest-only"])
 def test_shifted_rewrites_one_system_and_leaves_its_operator(case):
     # every _shifted call rewrites the one K + diag(d) in place, bit for bit the
     # system a first call builds, and K's data, diagonal and V-cycle stay as they were
@@ -720,7 +734,7 @@ def test_matvec_is_the_sparse_product_bit_for_bit(problem):
     op = ms.assemble_stiffness(mesh, A, mu)
     rng = np.random.default_rng(seed)
     mats = [op.matrix, op.lap, op._shifted(rng.random(op.n)).matrix]
-    levels = () if op._hierarchy is None else op._hierarchy[0]
+    levels = op._hierarchy[0]
     mats += [M for P, A_c, _, _ in levels for M in (P, A_c)]
     wide = op.matrix.copy()
     wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
@@ -743,8 +757,8 @@ def test_matvec_is_the_sparse_product_bit_for_bit(problem):
 def test_cg_matches_the_fresh_vector_loop_bit_for_bit(problem, shifted, start, forcing):
     # solve_cg updates r and p in place, computes A p into the spent z, and
     # each V-cycle level reuses one temporary: the same bits as the loop that
-    # made a new vector for each, with or without a hierarchy, a start and a
-    # forcing; rhs and x0 are left as they were
+    # made a new vector for each, with or without coarse levels, a start and
+    # a forcing; rhs and x0 are left as they were
     mesh, A, mu, seed = problem
     op = ms.assemble_stiffness(mesh, A, mu)
     rng = np.random.default_rng(seed)
