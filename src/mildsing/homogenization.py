@@ -319,14 +319,14 @@ def corrector_experiment(h_outcome: ExperimentOutcome) -> ExperimentOutcome:
         raise ValueError("corrector experiment needs a completed homogenization sweep")
     if not detail.coeff.is_symmetric:
         raise ValueError("the corrector bound needs a symmetric coefficient")
+    if any(entry.corrector is None for entry in detail.entries):
+        raise ValueError("the corrector profile needs resolved holes")
 
     in_range = True
     zeros_match = True
     e_corr, e_plain = [], []
     for entry in detail.entries:
         w = entry.corrector
-        if w is None:
-            w = corrector_field(entry.mesh_eps, entry.spec)
         in_range &= bool((w.values >= 0.0).all() and (w.values <= 1.0).all())
         hole_nodes = entry.mesh_eps.node_class == HOLE
         zeros_match &= bool(np.array_equal(w.values == 0.0, hole_nodes))

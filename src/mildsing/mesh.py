@@ -108,15 +108,6 @@ class Mesh:
     def n_elements(self) -> int:
         return self.dim * (self.nx - 1) * (self.ny - 1 if self.dim == 2 else 1)
 
-    @property
-    def elements(self) -> np.ndarray:
-        """The whole ``(n_elements, dim + 1)`` vertex table, built anew on each call.
-
-        For tests and small meshes; the package reads :meth:`chunk_elements`."""
-        out = np.concatenate([self.chunk_elements(s) for s in self.element_chunks()])
-        out.setflags(write=False)
-        return out
-
     @cached_property
     def _index_tile(self) -> np.ndarray:
         """Vertex indices of the first elements: one chunk, plus one row of cells in 2-D."""

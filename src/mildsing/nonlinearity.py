@@ -197,9 +197,8 @@ def nonlinearity(mesh: Mesh, g: ScalarMap, f=0.0, l=0.0, gamma: float | None = N
     else:
         h_arr = _as_nodal(mesh, h, "h")
     if lambda_mono is None:
-        lambda_mono = g.default_lambda_mono() if f_arr.max() > 0.0 else 0.0
-        if np.isfinite(lambda_mono):
-            lambda_mono *= f_arr.max() if f_arr.max() > 0.0 else 0.0
+        fmax = f_arr.max()
+        lambda_mono = g.default_lambda_mono() * fmax if fmax > 0.0 else 0.0
     lambda_mono = float(lambda_mono)
     if lambda_mono < 0.0:
         raise ValueError(f"lambda_mono must be >= 0, got {lambda_mono!r}")

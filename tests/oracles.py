@@ -15,8 +15,10 @@ is the earlier damping of ``solve_level``: explicit steps scaled per node by
 slope weights, under an adaptive step factor, a step cap and an oscillation
 test.  The plain Picard level is ``solve_level`` without the Anderson
 acceleration of its linear tail: every step is ``x + theta (v - x)``.  The
-CG loop and V-cycle are the earlier ones, with a fresh vector for every
-product and update.
+ring-buffer Anderson tail is the earlier ``solver._AndersonTail``, which
+kept its differences in two ring buffers and computed each Gram entry when
+its difference arrived.  The CG loop and V-cycle are the earlier ones,
+with a fresh vector for every product and update.
 """
 
 import csv
@@ -40,6 +42,9 @@ from mildsing.solver import (
     LevelStats,
     SolverConfig,
     _capped,
+    _TAIL_DEPTH,
+    _TAIL_DROP,
+    _TAIL_STEPS,
     _check_level,
     _slope_shift,
 )
@@ -481,3 +486,85 @@ def solve_singular_plain(mesh, coeff, F, cfg=SolverConfig(), u0=None, mu=0.0):
     """``solve_singular``, with every truncation level solved by :func:`solve_level_plain`."""
     with mock.patch.object(solver, "solve_level", solve_level_plain):
         return solver.solve_singular(mesh, coeff, F, cfg, u0=u0, mu=mu)
+
+
+class AndersonTailRing:
+    """Type-II Anderson mixing (Walker & Ni 2011) of a level's linear tail.
+
+    ``step(g, d)`` records the plain step ``g = x + d`` from ``x`` and its
+    residual ``d``; after ``_TAIL_STEPS`` consecutive records it returns
+    ``g - dG gamma`` instead of ``g``, with ``gamma`` the least-squares
+    coefficients of ``d`` on the differences ``dD`` of the last
+    ``_TAIL_DEPTH + 1`` residuals, and ``dG`` those of the plain steps.  The
+    differences live in two ring buffers, allocated by a level's first
+    difference, so a level that never records two steps in a row holds no
+    extra memory.  The normal equations use the Gram matrix of ``dD``, each
+    entry a ``_dot`` computed once when its difference arrives, and drop the
+    differences that are nearly combinations of newer ones: a tail ruled by
+    one mode makes ``dD`` nearly collinear, and on a 5**2 grid exactly so.
+    An Anderson step with a negative entry is not taken: ``g`` is returned.
+    ``replaced`` is the plain step that the last call replaced, or None.
+    ``clear`` forgets the tail; ``accelerated`` counts the Anderson steps.
+    """
+
+    def __init__(self) -> None:
+        self.dG = self.dD = None  # allocated by the first difference of the level
+        self.gram = [[0.0] * _TAIL_DEPTH for _ in range(_TAIL_DEPTH)]
+        self.accelerated = 0
+        self.clear()
+
+    def clear(self) -> None:
+        self.g = self.d = self.replaced = None
+        self.filled = self.head = self.streak = 0
+
+    def step(self, g: np.ndarray, d: np.ndarray) -> np.ndarray:
+        if self.g is not None:
+            if self.dG is None:
+                self.dG, self.dD = np.empty((2, _TAIL_DEPTH, g.size))
+            j = self.head
+            np.subtract(g, self.g, out=self.dG[j])
+            np.subtract(d, self.d, out=self.dD[j])
+            self.filled = min(self.filled + 1, _TAIL_DEPTH)
+            for i in range(self.filled):
+                self.gram[i][j] = self.gram[j][i] = _dot(self.dD[i], self.dD[j])
+            self.head = (j + 1) % _TAIL_DEPTH
+        self.g, self.d = g, d
+        self.streak += 1
+        self.replaced = None
+        if self.streak <= _TAIL_STEPS:
+            return g
+        newest_first = [(self.head - 1 - k) % _TAIL_DEPTH for k in range(self.filled)]
+        out = g.copy()
+        for i, gamma in zip(newest_first, self._coefficients(newest_first, d)):
+            out -= gamma * self.dG[i]
+        if out.min(initial=0.0) < 0.0:
+            return g  # not a convex combination: only a nonnegative one is taken
+        self.accelerated += 1
+        self.replaced = g
+        return out
+
+    def _coefficients(self, order: list[int], d: np.ndarray) -> list[float]:
+        """``gamma`` of the normal equations ``G gamma = dD d`` over the slots ``order``.
+
+        Gaussian elimination in that order, stable on the positive
+        semidefinite ``G``, in Python floats: a first LAPACK call would
+        allocate OpenBLAS's work buffers, about 1 MB of resident memory.  A
+        difference whose pivot, its squared distance from the span of the
+        ones kept before it, is at most ``_TAIL_DROP`` of its squared length
+        is dropped with ``gamma = 0``.
+        """
+        m = len(order)
+        rows = [[self.gram[i][j] for j in order] + [_dot(self.dD[i], d)] for i in order]
+        kept = []
+        for i in range(m):
+            if rows[i][i] <= _TAIL_DROP * self.gram[order[i]][order[i]]:
+                continue
+            kept.append(i)
+            for r in rows[i + 1:]:
+                factor = r[i] / rows[i][i]
+                r[:] = [a - factor * b for a, b in zip(r, rows[i])]
+        gamma = [0.0] * m
+        for i in reversed(kept):
+            later = sum(rows[i][j] * gamma[j] for j in range(i + 1, m))
+            gamma[i] = (rows[i][m] - later) / rows[i][i]
+        return gamma

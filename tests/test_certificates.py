@@ -6,7 +6,7 @@ from mildsing import FieldFunction, PowerLaw, nonlinearity
 from mildsing.cutoffs import z_delta
 from mildsing.verification import _lambda1
 
-from oracles import element_areas, element_grads
+from oracles import element_areas, element_grads, element_table
 
 
 @pytest.fixture(scope="module")
@@ -68,10 +68,10 @@ def test_mass_certificate_takes_A_Du_dot_Dphi():
     delta = 0.02
     _, rhs = ms.singular_mass_certificate(rep, F, A, phi, delta)
 
-    areas, grads = element_areas(mesh), element_grads(mesh)
-    u = rep.u.values[mesh.elements]
+    areas, grads, table = element_areas(mesh), element_grads(mesh), element_table(mesh)
+    u = rep.u.values[table]
     du = np.einsum("evd,ev->ed", grads, u)
-    dphi = np.einsum("evd,ev->ed", grads, phi.values[mesh.elements])
+    dphi = np.einsum("evd,ev->ed", grads, phi.values[table])
     weights = areas * z_delta(u.mean(axis=1), delta)
     by_hand = float(np.sum(weights * np.einsum("dc,ec,ed->e", mat, du, dphi)))
     transposed = float(np.sum(weights * np.einsum("dc,ec,ed->e", mat, dphi, du)))

@@ -53,10 +53,11 @@ def test_discrete_capacity_annulus_oracle():
 
 def test_discrete_capacity_memory_per_node(traced_peak):
     # no element table (8 bytes x 3 per element, 48 per node) and no dead
-    # vectors in the solve: 190 bytes of tracemalloc per node at 257**2,
-    # against 261 with the stored table and the CG's temporaries
+    # vectors in the solve: 197 bytes of tracemalloc per node at 257**2,
+    # against 261 with the stored table and the CG's temporaries, and 204
+    # with the smoother weights allocated before the multigrid build
     cap, peak = traced_peak(ms.discrete_capacity, 0.5, 0.05, 1.0 / 256.0)
-    assert peak <= 215 * 257 ** 2
+    assert peak <= 200 * 257 ** 2
     assert cap == pytest.approx(2.0 * math.pi / math.log(10.0), rel=0.02)
 
 

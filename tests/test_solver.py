@@ -13,6 +13,7 @@ from mildsing.solver import _capped
 from oracles import (
     PEAK_GAMMA_1,
     PEAK_GAMMA_HALF,
+    AndersonTailRing,
     shooting_solution,
     solve_singular_plain,
     solve_singular_weighted,
@@ -400,6 +401,77 @@ def test_anderson_tail_takes_no_negative_step():
         x = tail.step(g, d)
         assert x is g and x.min() > 0.0
     assert tail.accelerated == 0
+
+
+@st.composite
+def tail_records(draw):
+    """A list of ``(g, d)`` records and ``"clear"`` calls, as a level feeds its tail.
+
+    Runs of records between the clears follow ``x <- c x + b`` from a
+    positive ``x``: with one scalar ``c`` every mode contracts at the same
+    rate, so the differences are exactly parallel; with a random ``c`` per
+    entry they are not.  ``b`` has a negative entry in some runs, so the
+    Anderson step would go negative; ``c = 1`` with ``b = 0`` repeats one
+    record, so every difference is zero.  Other runs draw ``g`` and ``d``
+    at random.
+    """
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ops = []
+    for kind in draw(st.lists(st.sampled_from(["parallel", "modes", "negative", "still", "random"]),
+                              min_size=1, max_size=4)):
+        x = rng.uniform(0.5, 10.0, n)
+        c = {"parallel": rng.uniform(0.1, 0.99), "still": 1.0}.get(kind, rng.uniform(0.1, 0.99, n))
+        b = np.zeros(n) if kind == "still" else rng.uniform(0.0, 2.0, n)
+        if kind == "negative":
+            b[rng.integers(n)] = -rng.uniform(0.0, 1e-2)
+        for _ in range(draw(st.integers(1, 16))):
+            if kind == "random":
+                g, d = rng.uniform(0.0, 10.0, n), rng.standard_normal(n)
+            else:
+                d = (c * x + b) - x
+                g = x = x + d
+            ops.append("clear" if draw(st.integers(0, 11)) == 0 else (g, d))
+    return ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=tail_records())
+def test_anderson_tail_matches_the_ring_buffer_tail_bit_for_bit(ops):
+    # the tail keeps its last records and forms the differences and their
+    # Gram matrix on each attempt; the earlier ring-buffer tail kept them as
+    # they arrived.  Same operands in the same order, so the same bits
+    tail, ring = solver._AndersonTail(), AndersonTailRing()
+    for op in ops:
+        if op == "clear":
+            tail.clear()
+            ring.clear()
+            continue
+        g, d = op
+        got, want = tail.step(g, d), ring.step(g, d)
+        assert (got is g) == (want is g)
+        assert got.tobytes() == want.tobytes()
+        assert (tail.replaced is g) == (ring.replaced is g)
+        assert (tail.replaced is None) == (ring.replaced is None)
+        assert tail.accelerated == ring.accelerated
+
+
+def test_anderson_tail_solves_the_benchmark_model_as_the_ring_buffer_tail(
+        monkeypatch, unit_square_65, identity_65):
+    # the benchmark's three starts, once with each tail: the same solutions
+    # and the same per-level stats, Anderson steps included
+    F = nonlinearity(unit_square_65, ms.OscillatingPower(1.0), f=1.0)
+    n = unit_square_65.n_nodes
+    starts = [np.zeros(n), np.full(n, 7.0), np.random.default_rng(0).uniform(0.0, 7.0, n)]
+    reports = {}
+    for name, tail in (("list", solver._AndersonTail), ("ring", AndersonTailRing)):
+        monkeypatch.setattr(solver, "_AndersonTail", tail)
+        reports[name] = [ms.solve_singular(unit_square_65, identity_65, F,
+                                          u0=FieldFunction(unit_square_65, s)) for s in starts]
+    for rep, ref in zip(reports["list"], reports["ring"]):
+        assert np.array_equal(rep.u.values, ref.u.values)
+        assert rep.level_stats == ref.level_stats
+        assert sum(st.accelerated for st in rep.level_stats) > 0
 
 
 def test_overshooting_anderson_steps_are_undone(monkeypatch, unit_square_65, identity_65):
