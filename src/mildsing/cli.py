@@ -301,7 +301,8 @@ def _solve_outcome(op, coeff, F, scfg, energy_tol, out_dir) -> ExperimentOutcome
     stats_lines = [
         json.dumps({"level": st.n, "iterations": st.iterations, "residual": st.residual,
                     "converged": st.converged, "theta": st.theta,
-                    "cg_iterations": st.cg_iterations, "accelerated": st.accelerated},
+                    "cg_iterations": st.cg_iterations, "accelerated": st.accelerated,
+                    "equation_residual": st.equation_residual},
                    sort_keys=True)
         for st in report.level_stats
     ]

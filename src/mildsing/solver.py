@@ -13,10 +13,18 @@ map ``u = K^-1 (m .* min(F(x, u+), n))``.  For a nonincreasing ``F`` (the
 paper's uniqueness regime) this is Newton's method on an M-function, which
 converges monotonically (Ortega & Rheinboldt 1970, ch. 13); the absolute
 slope keeps the oscillating models' ``K + D`` an M-matrix as well.  That is
-the one damping rule: ``theta`` starts at 1, halves (down to 0.05) when the
-H1 step grows by more than 1.5 times, and otherwise grows by 1.2 times up
-to 1.  As ``K + D`` is an M-matrix and ``theta <= 1``, an exact step keeps a
-nonnegative iterate nonnegative without clamping.  Every level of a solve runs
+the one damping rule: ``theta`` starts at 1 and halves (down to 0.05) after a
+step whose H1 norm grows by more than 1.5 times, or does not shrink below 0.9
+times its predecessor's while pointing against it (``d . d_prev < 0``); every
+other step grows it by 1.2 times up to 1.  The second test sees the period-2
+cycles of the capped map that the oscillating models have outside the
+paper's uniqueness regime: there the step norm holds steady, so the growth
+test alone would keep ``theta = 1`` and the level stall.  As ``K + D`` is an
+M-matrix and ``theta <= 1``, an exact step keeps a nonnegative iterate
+nonnegative without clamping.  An inexact step can still leave a node below
+zero, where ``s = max(x, 0) = 0``: the slope probe there reaches about
+``1e14`` and would freeze the node, so a negative node gets no slope shift,
+and ``K + D`` stays an M-matrix.  Every level of a solve runs
 on the one operator ``assemble_stiffness(mesh, coeff, mu)``, and the schedule
 reads everything from it: its cached members give ``m``, the H1 seminorm of
 steps, iterates and level gaps, and the V-cycle that each ``K + D`` shares
@@ -29,7 +37,9 @@ from the current iterate ``u`` and stops once its residual is at most
 step's own residual by the forcing term ``_FORCING = 1e-2`` (Dembo, Eisenstat
 & Steihaug 1982).  Early steps, far from the fixed point, get cheap solves;
 near the fixed point the tolerance tightens with the residual down to
-``_CG_TOL``, so the converged iterate is the same.
+``_CG_TOL``, so the converged iterate is the same.  Each level reports the
+relative residual ``|K x - m min(F(x+), n)| / |m min(F(x+), n)|`` of the
+iterate it returns, at the cost of one product and one evaluation of ``F``.
 The damping rule also accelerates a level's linear tail: after ``_TAIL_STEPS``
 consecutive steps with ``theta = 1`` and an H1 step ratio in ``_TAIL_RATIO``,
 each step is a type-II Anderson step (Walker & Ni 2011) of depth
@@ -37,24 +47,18 @@ each step is a type-II Anderson step (Walker & Ni 2011) of depth
 (``_AndersonTail``), until the condition breaks and the history is dropped.
 That history is the last ``_TAIL_DEPTH + 1`` pairs ``(x + d, d)``; each
 Anderson attempt forms their differences and Gram matrix anew, so the tail
-steps before the switch only keep references.  An Anderson step after which
-the H1 step grows by more than 1.5 times is undone: the iterate goes back to
-the plain step it replaced, with ``theta`` and the previous step as they were,
-so a failed extrapolation costs one linear solve and cannot trap the level in
-a cycle of overshoots.  The stopping test reads the plain step's ``|d|_H1``,
-and the step that meets it is the plain ``x + theta d``.  An Anderson step is
-not a convex combination of ``x`` and ``v``, so the M-matrix argument above
-does not cover it: one with a negative entry is not taken, the plain step is,
-and nothing is clamped.  For a nonmonotone ``F`` the Anderson steps can steer
-a level towards another fixed point, near which the plain steps stall, so a
-level that ends unconverged after taking Anderson steps is solved again from
-its start with plain steps only.  An accelerated level can also converge to
-another fixed point than the plain steps reach, from which a later level
-stalls, so a schedule that fails after taking Anderson steps is run again from
-its start with plain steps only.  A property test checks, on random small
-problems, that the accelerated schedule converges and stays nonnegative
-wherever the plain steps do, and reaches the same solution when ``F`` is
-nonincreasing.
+steps before the switch only keep references.  An Anderson step that
+overshoots is damped like any other step.  The stopping test reads the plain
+step's ``|d|_H1``, and the step that meets it is the plain ``x + theta d``.
+An Anderson step is not a convex combination of ``x`` and ``v``, so the
+M-matrix argument above does not cover it: one with a negative entry is not
+taken, the plain step is, and nothing is clamped.  For a nonmonotone ``F`` an
+accelerated level can converge to another fixed point than the plain steps
+reach, from which a later level stalls, so a schedule that fails after taking
+Anderson steps is run again from its start with plain steps only: the one
+fallback.  A property test checks, on random small problems, that the
+accelerated schedule converges and stays nonnegative wherever the plain steps
+do, and reaches the same solution when ``F`` is nonincreasing.
 Levels follow the doubling schedule ``n = 1, 2, 4, ...`` with warm starts,
 at most ``_MAX_LEVELS`` of them; the outer iteration stops when consecutive
 levels are Cauchy in the H1 seminorm to ``SolverConfig.outer_tol``.  That is
@@ -152,6 +156,7 @@ class LevelStats:
     theta: float
     cg_iterations: int
     accelerated: int
+    equation_residual: float
 
 
 @dataclass
@@ -213,7 +218,6 @@ class _AndersonTail:
     differences are formed only by an Anderson attempt, so a record costs no
     arithmetic and no memory beyond the two arrays it holds.
     An Anderson step with a negative entry is not taken: ``g`` is returned.
-    ``replaced`` is the plain step that the last call replaced, or None.
     ``clear`` forgets the tail; ``accelerated`` counts the Anderson steps.
     """
 
@@ -223,13 +227,11 @@ class _AndersonTail:
 
     def clear(self) -> None:
         self.history = []
-        self.replaced = None
         self.streak = 0
 
     def step(self, g: np.ndarray, d: np.ndarray) -> np.ndarray:
         self.history = [(g, d)] + self.history[:_TAIL_DEPTH]
         self.streak += 1
-        self.replaced = None
         if self.streak <= _TAIL_STEPS:
             return g
         # differences of consecutive plain steps and residuals, newest first
@@ -240,7 +242,6 @@ class _AndersonTail:
         if out.min(initial=0.0) < 0.0:
             return g  # not a convex combination: only a nonnegative one is taken
         self.accelerated += 1
-        self.replaced = g
         return out
 
 
@@ -279,17 +280,13 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
     """Linearly implicit, damped Picard iteration for the level-``n`` capped problem on ``op``.
 
     ``op`` is the assembled operator from ``assemble_stiffness(mesh, coeff,
-    mu)``.  Non-convergence within ``_MAX_INNER`` steps is reported in the
-    returned stats (``converged=False`` with the last step's residual), not
-    raised: near-degenerate right-hand sides legitimately stall and the
-    caller decides.  A level that ends unconverged after taking Anderson
-    steps is solved again from ``u0`` with plain steps only, and the stats
-    are that solve's.  Raises ``ValueError`` when ``n < 1``.
+    mu)``; the steps start from ``u0`` (zero when None) and accelerate the
+    level's linear tail.  Non-convergence within ``_MAX_INNER`` steps is
+    reported in the returned stats (``converged=False`` with the last step's
+    residual), not raised: near-degenerate right-hand sides legitimately
+    stall and the caller decides.  Raises ``ValueError`` when ``n < 1``.
     """
-    u, stats = _picard(op, F, n, cfg, u0, accelerate=True)
-    if not stats.converged and stats.accelerated:
-        u, stats = _picard(op, F, n, cfg, u0, accelerate=False)
-    return u, stats
+    return _picard(op, F, n, cfg, u0, accelerate=True)
 
 
 def _picard(op: SparseOperator, F: Nonlinearity, n: float, cfg: SolverConfig,
@@ -303,37 +300,43 @@ def _picard(op: SparseOperator, F: Nonlinearity, n: float, cfg: SolverConfig,
     theta = 1.0
     res_prev = np.inf
     res = np.inf
+    d_prev = None
     cg_total = 0
     k = 0
     converged = False
     for k in range(1, _MAX_INNER + 1):
         s = np.maximum(x, 0.0)
         shift = _slope_shift(F_free, s, n, op.ml)
+        shift[x < 0.0] = 0.0  # the probe at s = 0 would freeze a negative node
         b = op.ml * _capped(F_free, s, n) + shift * x
         v, cg = solve_cg(op._shifted(shift), b, tol=_CG_TOL, x0=x, forcing=_FORCING)
         cg_total += cg.iterations
         d = v - x
         res = op.h1(d)
-        grew = res > 1.5 * res_prev
-        if grew and tail.replaced is not None:
-            # the Anderson step overshot: go back to the plain step it replaced
-            x = tail.replaced
-            tail.clear()
-            continue
         x = x + theta * d
         if res <= cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs:
             converged = True
             break
+        # a step that grew, or one that did not shrink and turned back (a 2-cycle)
+        damp = res > 1.5 * res_prev or (res >= 0.9 * res_prev and _dot(d, d_prev) < 0.0)
         if accelerate and theta == 1.0 and _TAIL_RATIO[0] < res / res_prev < _TAIL_RATIO[1]:
             x = tail.step(x, d)
         else:
             tail.clear()
-        theta = max(0.5 * theta, 0.05) if grew else min(1.2 * theta, 1.0)
-        res_prev = res
+        theta = max(0.5 * theta, 0.05) if damp else min(1.2 * theta, 1.0)
+        res_prev, d_prev = res, d
 
     stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
-                       theta=theta, cg_iterations=cg_total, accelerated=tail.accelerated)
+                       theta=theta, cg_iterations=cg_total, accelerated=tail.accelerated,
+                       equation_residual=_equation_residual(op, F_free, x, n))
     return FieldFunction(op.mesh, op.scatter(x)), stats
+
+
+def _equation_residual(op: SparseOperator, F_free, x: np.ndarray, n: float) -> float:
+    """``|K x - m min(F(x+), n)| / |m min(F(x+), n)|`` over the free nodes, ``K = op.matrix``."""
+    load = op.ml * _capped(F_free, np.maximum(x, 0.0), n)
+    r = op.matrix @ x - load
+    return float(np.sqrt(_dot(r, r) / max(_dot(load, load), 1e-300)))
 
 
 def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
@@ -357,12 +360,12 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
     on, and the energy identity residual is ``|x'Kx - sum m_i min(F_i, n) x_i|
     / |x'Kx|`` on the free-node values ``x``, with ``K = op.matrix``.
 
-    A schedule that fails after some level took Anderson steps is run again
-    from ``u0`` with plain steps only (``plain=True``), and the report is
-    that run's: for a nonmonotone ``F`` an accelerated level can converge to
-    another fixed point than the plain steps reach, and a later level stall
-    from there.  A schedule with no Anderson step is the plain one, so its
-    error is raised.
+    The one fallback: a schedule that fails after some level took Anderson
+    steps is run again from ``u0`` with plain steps only (``plain=True``),
+    and the report is that run's.  For a nonmonotone ``F`` an accelerated
+    level can converge to another fixed point than the plain steps reach,
+    and a later level stall from there.  A schedule with no Anderson step is
+    the plain one, so its error is raised.
     """
     F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # for the energy identity
     u = u0

@@ -42,6 +42,7 @@ from mildsing.solver import (
     LevelStats,
     SolverConfig,
     _capped,
+    _equation_residual,
     _TAIL_DEPTH,
     _TAIL_DROP,
     _TAIL_STEPS,
@@ -437,8 +438,10 @@ def solve_level_weighted(op: SparseOperator, F: Nonlinearity, n: float,
         res_prev = res
         d_prev = d
 
+    F_free = partial(_evaluate, F.g, F.f[free], F.l[free])
     stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
-                       theta=theta, cg_iterations=cg_total, accelerated=0)
+                       theta=theta, cg_iterations=cg_total, accelerated=0,
+                       equation_residual=_equation_residual(op, F_free, x, n))
     return FieldFunction(op.mesh, op.scatter(x)), stats
 
 
@@ -451,7 +454,11 @@ def solve_singular_weighted(mesh, coeff, F, cfg=SolverConfig(), mu=0.0):
 def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
                       cfg: SolverConfig = SolverConfig(),
                       u0: FieldFunction | None = None) -> tuple[FieldFunction, LevelStats]:
-    """``solve_level`` with every step the plain damped step ``x + theta d``."""
+    """``solve_level`` with every step the plain damped step ``x + theta d``.
+
+    ``theta`` follows the solver's damping rule, its 2-cycle test included,
+    and a negative node gets no slope shift, as in ``solver._picard``.
+    """
     _check_level(n)
     F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # gathered once
     x = np.zeros(op.n) if u0 is None else u0.values[op.free]
@@ -459,12 +466,14 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
     theta = 1.0
     res_prev = np.inf
     res = np.inf
+    d_prev = None
     cg_total = 0
     k = 0
     converged = False
     for k in range(1, _MAX_INNER + 1):
         s = np.maximum(x, 0.0)
         shift = _slope_shift(F_free, s, n, op.ml)
+        shift[x < 0.0] = 0.0
         b = op.ml * _capped(F_free, s, n) + shift * x
         v, cg = solve_cg(op._shifted(shift), b, tol=_CG_TOL, x0=x, forcing=_FORCING)
         cg_total += cg.iterations
@@ -474,11 +483,14 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
         if res <= cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs:
             converged = True
             break
-        theta = max(0.5 * theta, 0.05) if res > 1.5 * res_prev else min(1.2 * theta, 1.0)
+        cycle = res >= 0.9 * res_prev and _dot(d, d_prev) < 0.0
+        theta = max(0.5 * theta, 0.05) if res > 1.5 * res_prev or cycle else min(1.2 * theta, 1.0)
         res_prev = res
+        d_prev = d
 
     stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
-                       theta=theta, cg_iterations=cg_total, accelerated=0)
+                       theta=theta, cg_iterations=cg_total, accelerated=0,
+                       equation_residual=_equation_residual(op, F_free, x, n))
     return FieldFunction(op.mesh, op.scatter(x)), stats
 
 
@@ -503,7 +515,6 @@ class AndersonTailRing:
     differences that are nearly combinations of newer ones: a tail ruled by
     one mode makes ``dD`` nearly collinear, and on a 5**2 grid exactly so.
     An Anderson step with a negative entry is not taken: ``g`` is returned.
-    ``replaced`` is the plain step that the last call replaced, or None.
     ``clear`` forgets the tail; ``accelerated`` counts the Anderson steps.
     """
 
@@ -514,7 +525,7 @@ class AndersonTailRing:
         self.clear()
 
     def clear(self) -> None:
-        self.g = self.d = self.replaced = None
+        self.g = self.d = None
         self.filled = self.head = self.streak = 0
 
     def step(self, g: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -530,7 +541,6 @@ class AndersonTailRing:
             self.head = (j + 1) % _TAIL_DEPTH
         self.g, self.d = g, d
         self.streak += 1
-        self.replaced = None
         if self.streak <= _TAIL_STEPS:
             return g
         newest_first = [(self.head - 1 - k) % _TAIL_DEPTH for k in range(self.filled)]
@@ -540,7 +550,6 @@ class AndersonTailRing:
         if out.min(initial=0.0) < 0.0:
             return g  # not a convex combination: only a nonnegative one is taken
         self.accelerated += 1
-        self.replaced = g
         return out
 
     def _coefficients(self, order: list[int], d: np.ndarray) -> list[float]:

@@ -297,6 +297,17 @@ def test_solver_stats_count_accelerated_steps(tmp_path):
     assert "accelerated" not in (out / "results.jsonl").read_text()
 
 
+def test_solver_stats_report_the_equation_residual(tmp_path):
+    # each level's line carries the relative residual of the capped equation
+    # at the iterate it returned; like the other statistics, not in results.jsonl
+    path = write(tmp_path, "solve.ini", SOLVE_CONFIG)
+    out = tmp_path / "out"
+    assert run(path, out_dir=out) == 0
+    levels = [json.loads(line) for line in (out / "solver_stats.jsonl").read_text().splitlines()]
+    assert all(st["converged"] and 0.0 <= st["equation_residual"] <= 1e-6 for st in levels)
+    assert "equation_residual" not in (out / "results.jsonl").read_text()
+
+
 def test_nonuniqueness_run_records_distinct_solutions(tmp_path):
     text = """\
 [experiment]

@@ -325,9 +325,10 @@ def test_picard_steps_build_no_sparse_matrix(monkeypatch):
 
 
 def test_g_sees_only_free_node_vectors():
-    # every evaluation of a solve, each Picard step's load and slope probes
-    # and the energy identity, runs g on the free nodes alone: never on a
-    # Dirichlet or hole node whose value would be thrown away
+    # every evaluation of a solve, each Picard step's load and slope probes,
+    # each level's equation residual and the energy identity, runs g on the
+    # free nodes alone: never on a Dirichlet or hole node whose value would
+    # be thrown away
     mesh, _ = _perforated_anisotropic()
     op = ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh))
     assert op.n < (mesh.nx - 2) ** 2  # the holes remove nodes too
@@ -341,7 +342,7 @@ def test_g_sees_only_free_node_vectors():
     F = nonlinearity(mesh, Recorded(0.5), f=1.0)
     seen.clear()  # construction checks F on the whole mesh
     rep = ms.solve_singular(mesh, ms.Coefficient.identity(mesh), F)
-    assert len(seen) == 3 * rep.inner_iters + 1
+    assert len(seen) == 3 * rep.inner_iters + rep.outer_iters + 1
     assert set(seen) == {op.n}
 
 
@@ -451,8 +452,6 @@ def test_anderson_tail_matches_the_ring_buffer_tail_bit_for_bit(ops):
         got, want = tail.step(g, d), ring.step(g, d)
         assert (got is g) == (want is g)
         assert got.tobytes() == want.tobytes()
-        assert (tail.replaced is g) == (ring.replaced is g)
-        assert (tail.replaced is None) == (ring.replaced is None)
         assert tail.accelerated == ring.accelerated
 
 
@@ -474,27 +473,6 @@ def test_anderson_tail_solves_the_benchmark_model_as_the_ring_buffer_tail(
         assert sum(st.accelerated for st in rep.level_stats) > 0
 
 
-def test_overshooting_anderson_steps_are_undone(monkeypatch, unit_square_65, identity_65):
-    # an Anderson step after which the step grows by more than 1.5 times is
-    # undone: the level goes on from the plain step it replaced, with theta
-    # and the previous step as they were, so each overshoot costs one step
-    # and the result is the plain one bit for bit
-    step = solver._AndersonTail.step
-
-    def overshooting(self, g, d):
-        out = step(self, g, d)
-        return out if out is g else 30.0 * out
-
-    monkeypatch.setattr(solver._AndersonTail, "step", overshooting)
-    F = nonlinearity(unit_square_65, ms.OscillatingPower(1.0), f=1.0)
-    rep = ms.solve_singular(unit_square_65, identity_65, F)
-    ref = solve_singular_plain(unit_square_65, identity_65, F)
-    undone = sum(st.accelerated for st in rep.level_stats)
-    assert undone > 0
-    assert rep.inner_iters == ref.inner_iters + undone
-    assert np.array_equal(rep.u.values, ref.u.values)
-
-
 def recorded_picard(monkeypatch, stalled):
     """Patch ``solver._picard`` to report every run whose stats meet ``stalled`` unconverged.
 
@@ -512,21 +490,8 @@ def recorded_picard(monkeypatch, stalled):
     return calls
 
 
-def test_stalled_accelerated_level_is_solved_again_plain(monkeypatch, unit_square_65, identity_65):
-    # a level that stalls after Anderson steps is solved again from its start
-    # with plain steps only, so level by level the schedule is the plain one
-    calls = recorded_picard(monkeypatch, lambda st: st.accelerated > 0)
-    F = nonlinearity(unit_square_65, ms.OscillatingPower(1.0), f=1.0)
-    rep = ms.solve_singular(unit_square_65, identity_65, F)
-    ref = solve_singular_plain(unit_square_65, identity_65, F)
-    assert calls.count(False) >= 2  # levels 64 and 128 at least
-    assert calls.count(True) == len(ref.level_stats)  # no second schedule
-    assert rep.level_stats == ref.level_stats
-    assert np.array_equal(rep.u.values, ref.u.values)
-
-
 def test_level_stalled_without_anderson_steps_is_not_solved_again(monkeypatch, interval, interval_A):
-    # with no Anderson step taken, a plain run from the same start is the same run
+    # a stalled level is reported unconverged, not solved again: the schedule decides
     calls = recorded_picard(monkeypatch, lambda st: True)
     op = ms.assemble_stiffness(interval, interval_A)
     _, st = ms.solve_level(op, nonlinearity(interval, PowerLaw(0.5), f=1.0), 2.0)
@@ -534,29 +499,16 @@ def test_level_stalled_without_anderson_steps_is_not_solved_again(monkeypatch, i
     assert calls == [True]
 
 
-def test_level_stalled_by_anderson_steps_converges_plain(monkeypatch):
-    # 16**2, gamma = 0.1, zero start: level 4 stalls at _MAX_INNER steps
-    # (residual 1.5e-5) after 36 Anderson steps, which steer it near another
-    # fixed point of the oscillating F; from the same start the plain steps
-    # converge in 239, and the schedule goes on accelerated
-    calls = recorded_picard(monkeypatch, lambda st: False)
-    mesh, A, F, u0 = level_problem(16, ms.OscillatingPower(0.1), seed=76, random_start=False)
-    rep = ms.solve_singular(mesh, A, F, u0=u0)
-    assert calls.count(False) == 1
-    assert rep.u.values.min() >= 0.0
-
-
 def test_schedule_stalled_after_anderson_steps_is_run_again_plain(monkeypatch):
-    # 16**2, gamma = 0.05, zero start: after an Anderson step on level 1,
-    # level 2 lands on another fixed point of the oscillating F than the
-    # plain steps do (1.9e-3 away in H1), and level 4 stalls from there, after
-    # Anderson steps and again in its plain retry from the same start; the
-    # schedule is run again with plain steps only and is the plain one
+    # 16**2, gamma = 0.05, zero start: after 3 Anderson steps, level 1 lands
+    # on another fixed point of the oscillating F than the plain steps do
+    # (1.1e-3 away in H1), and level 2 stalls from there, plain steps and
+    # all; the schedule is run again with plain steps only and is the plain one
     calls = recorded_picard(monkeypatch, lambda st: False)
-    mesh, A, F, u0 = level_problem(16, ms.OscillatingPower(0.05), seed=13, random_start=False)
+    mesh, A, F, u0 = level_problem(16, ms.OscillatingPower(0.05), seed=5, random_start=False)
     rep = ms.solve_singular(mesh, A, F, u0=u0)
     ref = solve_singular_plain(mesh, A, F, u0=u0)
-    assert calls[:3] == [True] * 3 and not any(calls[3:])
+    assert calls[:2] == [True] * 2 and not any(calls[2:])
     assert rep.level_stats == ref.level_stats
     assert np.array_equal(rep.u.values, ref.u.values)
 
@@ -611,3 +563,55 @@ def test_anderson_tail_keeps_the_plain_verdicts(problem):
     if isinstance(F.g, PowerLaw):
         gap = ms.h1_seminorm(rep.u - ref.u)
         assert gap <= 10.0 * (cfg.outer_tol * ms.h1_seminorm(ref.u) + cfg.outer_tol_abs)
+
+
+def random_data(seed, g_class):
+    """``(mesh, F, u0)`` drawn by ``default_rng(seed)``, in this order.
+
+    A 5**2 to 17**2 unit square and ``g_class(gamma)`` with ``gamma`` in
+    ``[0.05, 1]``; then ``f`` uniform on ``[0, 2]`` with 20% zero nodes;
+    then ``u0`` uniform on ``[0, 5]``.
+    """
+    rng = np.random.default_rng(seed)
+    nx = int(rng.integers(5, 18))
+    gamma = float(rng.uniform(0.05, 1.0))
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, nx, nx)
+    f = rng.uniform(0.0, 2.0, mesh.n_nodes) * (rng.random(mesh.n_nodes) >= 0.2)
+    u0 = FieldFunction(mesh, rng.uniform(0.0, 5.0, mesh.n_nodes))
+    return mesh, nonlinearity(mesh, g_class(gamma), f=f), u0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_converged_level_solves_the_capped_equation(seed):
+    # an inexact first step can leave a node below zero; a slope shift probed
+    # at s = 0 there would reach about 1e14 and freeze the node, and the level
+    # report convergence at a negative node with an O(1) residual (seed 43:
+    # 11**2, gamma = 0.092, min u = -0.040, residual 1.08)
+    mesh, F, u0 = random_data(seed, PowerLaw)
+    op = ms.assemble_stiffness(mesh, ms.Coefficient.identity(mesh))
+    u, stats = ms.solve_level(op, F, 64.0, u0=u0)
+    if not stats.converged:
+        return
+    x = u.values[op.free]
+    load = op.ml * _capped(F.evaluate, np.maximum(u.values, 0.0), 64.0)[op.free]
+    residual = np.linalg.norm(op.matrix @ x - load) / np.linalg.norm(load)
+    assert u.values.min() >= -1e-12
+    assert residual <= 1e-6
+    assert stats.equation_residual == pytest.approx(residual, rel=1e-6, abs=1e-14)
+
+
+def test_oscillating_two_cycles_are_damped():
+    # a step that does not shrink and turns back marks a period-2 cycle of
+    # the capped map, whose steady step norm the growth test alone never
+    # damps (seed 23: 5**2, gamma = 0.659, level 8 stuck at |d|_H1 = 0.1711
+    # with theta = 1); seed 83 still stalls
+    failed = []
+    for seed in range(100):
+        mesh, F, _ = random_data(seed, ms.OscillatingPower)
+        try:
+            ms.solve_singular(mesh, ms.Coefficient.identity(mesh), F)
+        except ms.ConvergenceError:
+            failed.append(seed)
+    assert len(failed) <= 1
+    assert 23 not in failed

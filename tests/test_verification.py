@@ -5,11 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 import mildsing as ms
-from mildsing import OscillatingPower, PowerLaw, nonlinearity, solver, verification
+from mildsing import OscillatingPower, PowerLaw, nonlinearity
 from mildsing.verification import _lambda1
-
-from oracles import solve_level_plain
-from test_solver import recorded_picard
 
 
 @pytest.fixture(scope="module")
@@ -146,23 +143,6 @@ def test_stability_error_sweep_decreases(square_33, ident_33):
     assert out.passed
     errors = out.metrics["errors_h1"]
     assert errors[0] > errors[-1]
-
-
-def test_stability_levels_stalled_by_anderson_steps_are_solved_plain(monkeypatch, square_33,
-                                                                     ident_33):
-    # the experiment's own levels go through solve_level, not the schedule:
-    # each one that stalls after Anderson steps is solved again with plain
-    # steps, so the experiment is the plain one, reference and levels alike
-    F = nonlinearity(square_33, OscillatingPower(1.0), f=1.0)
-    levels = [8.0, 32.0, 64.0]
-    with monkeypatch.context() as m:
-        m.setattr(solver, "solve_level", solve_level_plain)
-        m.setattr(verification, "solve_level", solve_level_plain)
-        ref = ms.stability_experiment(square_33, ident_33, F, levels)
-    calls = recorded_picard(monkeypatch, lambda st: st.accelerated > 0)
-    out = ms.stability_experiment(square_33, ident_33, F, levels)
-    assert calls.count(False) >= 4  # levels 8 to 64 of the reference, at least
-    assert out.passed and out.metrics == ref.metrics
 
 
 def test_stability_rejects_unordered_levels(square_33, ident_33):
