@@ -502,6 +502,7 @@ def solve_cg(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
     r = rhs - _matvec(A, x, n)
+    del rhs  # read only for |rhs| and r0: a caller that passes its only reference frees it here
     res = math.sqrt(_dot(r, r))
     stop = max(tol * bnorm, forcing * res)
     if res <= stop:
@@ -540,15 +541,12 @@ def solve_dirichlet(mesh: Mesh, coeff: Coefficient, fixed_mask: np.ndarray,
     """Solve ``-div A Du = 0`` with arbitrary Dirichlet data via lifting."""
     free = np.flatnonzero(~fixed_mask)
     fixed = np.flatnonzero(fixed_mask)
-    lift = np.zeros(mesh.n_nodes)
-    lift[fixed] = fixed_values[fixed]
     rows = stiffness_csr(mesh, coeff)[free]  # only the free rows outlive this line
-    rhs = -(rows @ lift)
-    del lift
     op = SparseOperator(rows[:, free].tocsr(), free, mesh)
+    coupling = rows[:, fixed].tocoo()  # free-to-fixed entries: all the lift needs
     del rows  # before solve_cg builds the multigrid hierarchy
-    x = solve_cg(op, rhs)[0]
-    del rhs
+    # no name holds the right-hand side, so solve_cg frees it after its first residual
+    x = solve_cg(op, -(coupling @ fixed_values[fixed]))[0]
     full = np.array(fixed_values, dtype=float)  # the lift's values at the fixed nodes
     full[free] = x
     return FieldFunction(mesh, full)

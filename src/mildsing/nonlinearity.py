@@ -11,7 +11,10 @@ custom shapes.  Every ``Nonlinearity`` carries
   ``F(x, s) - lam * s`` nonincreasing in ``s`` (``inf`` when none is known).
 
 Construction validates all of this on a sampled log grid and fails loudly,
-so downstream code can rely on the invariants.
+so downstream code can rely on the invariants.  ``F`` depends on ``s`` only
+through the scalar ``g(s)``, so validation evaluates ``g`` once per sample
+point and checks every node by arithmetic: ``l + f g(s)`` where ``f > 0``,
+else ``l``, rounded exactly as ``Nonlinearity.evaluate_at`` rounds it.
 """
 
 from __future__ import annotations
@@ -210,10 +213,27 @@ def nonlinearity(mesh: Mesh, g: ScalarMap, f=0.0, l=0.0, gamma: float | None = N
     return out
 
 
+def _sampled(F: Nonlinearity, grid: np.ndarray):
+    """``(s, F.evaluate_at(s))`` for each ``s`` of ``grid``, with ``g`` evaluated once on ``grid``.
+
+    One node vector per ``s``; never a nodes x grid matrix.  Each rounds as
+    ``_evaluate`` does.  For a finite ``g(s)`` that is ``l + f g(s)`` at every
+    node, since ``l >= +0`` and ``0 * g(s)`` adds nothing at the ``f = 0``
+    nodes; at ``g(s) = inf`` those nodes keep ``l``, as ``0 * inf`` is NaN.
+    """
+    pos = F.f > 0.0
+    for s, g_s in zip(grid, F.g(grid)):
+        if np.isfinite(g_s):
+            yield s, F.l + F.f * g_s
+        else:
+            out = F.l.copy()
+            out[pos] += F.f[pos] * g_s
+            yield s, out
+
+
 def _check_envelope(F: Nonlinearity) -> None:
     """Sampled envelope invariant ``F(x, s) <= h(x) (s**-gamma + 1) (1 + 1e-12)``."""
-    for s in _ENVELOPE_GRID:
-        lhs = F.evaluate_at(s)
+    for s, lhs in _sampled(F, _ENVELOPE_GRID):
         rhs = F.h * (s ** (-F.gamma) + 1.0) * (1.0 + 1e-12)
         if np.any(lhs > rhs):
             i = int(np.argmax(lhs - rhs))
@@ -225,9 +245,9 @@ def _check_envelope(F: Nonlinearity) -> None:
 def _check_monotonicity(F: Nonlinearity) -> None:
     """Sampled invariant: ``F(x, s) - lambda_mono * s`` nonincreasing along the grid."""
     lam = F.lambda_mono
-    prev = F.evaluate_at(_MONO_GRID[0]) - lam * _MONO_GRID[0]
-    for s in _MONO_GRID[1:]:
-        cur = F.evaluate_at(s) - lam * s
+    steps = ((s, Fs - lam * s) for s, Fs in _sampled(F, _MONO_GRID))
+    _, prev = next(steps)
+    for s, cur in steps:
         if np.any(cur > prev + 1e-12):
             i = int(np.argmax(cur - prev))
             raise ValueError(

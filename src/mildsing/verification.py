@@ -22,7 +22,7 @@ from .fem import (
     lumped_mass,
 )
 from .mesh import FieldFunction, Mesh, h1_seminorm
-from .nonlinearity import EigenTruncation, Nonlinearity, nonlinearity
+from .nonlinearity import EigenTruncation, Nonlinearity, _sampled, nonlinearity
 from .solver import SolverConfig, _schedule, solve_level
 
 __all__ = [
@@ -107,9 +107,7 @@ def _lambda1(op: SparseOperator) -> tuple[float, FieldFunction]:
 
 def _check_dominated(F1: Nonlinearity, F2: Nonlinearity) -> None:
     grid = np.concatenate([[0.0], DEFAULT_S_GRID])
-    for s in grid:
-        a = F1.evaluate_at(s)
-        b = F2.evaluate_at(s)
+    for (s, a), (_, b) in zip(_sampled(F1, grid), _sampled(F2, grid)):
         bad = a > b * (1.0 + 1e-12) + 1e-300
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])

@@ -18,10 +18,13 @@ acceleration of its linear tail: every step is ``x + theta (v - x)``.  The
 ring-buffer Anderson tail is the earlier ``solver._AndersonTail``, which
 kept its differences in two ring buffers and computed each Gram entry when
 its difference arrived.  The CG loop and V-cycle are the earlier ones,
-with a fresh vector for every product and update.
+with a fresh vector for every product and update.  The sampled checks of
+``F`` (envelope, monotonicity and domination) are the earlier ones, which
+evaluate ``g`` at every node for each sample point through ``evaluate_at``.
 """
 
 import csv
+import importlib
 import math
 from functools import partial
 from unittest import mock
@@ -34,7 +37,7 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from mildsing import solver
 from mildsing.fem import CGStats, SparseOperator, _dot, solve_cg
 from mildsing.mesh import CLASS_NAMES, FLOAT_FMT, HOLE, OUTER_BOUNDARY, FieldFunction
-from mildsing.nonlinearity import Nonlinearity, _evaluate
+from mildsing.nonlinearity import _ENVELOPE_GRID, _MONO_GRID, Nonlinearity, _evaluate
 from mildsing.solver import (
     _CG_TOL,
     _FORCING,
@@ -49,6 +52,10 @@ from mildsing.solver import (
     _check_level,
     _slope_shift,
 )
+from mildsing.verification import DEFAULT_S_GRID
+
+#: the module, which the package's ``nonlinearity`` function shadows as an attribute
+nonlinearity_module = importlib.import_module("mildsing.nonlinearity")
 
 #: closed-form peak of -u'' = u**-gamma on (0, 1), from the energy
 #: quadrature identity int_0^peak du / sqrt(2 (V(peak) - V(u))) = 1/2
@@ -577,3 +584,50 @@ class AndersonTailRing:
             later = sum(rows[i][j] * gamma[j] for j in range(i + 1, m))
             gamma[i] = (rows[i][m] - later) / rows[i][i]
         return gamma
+
+
+def check_envelope_per_node(F: Nonlinearity) -> None:
+    """``F(x, s) <= h(x) (s**-gamma + 1) (1 + 1e-12)``, with ``F.evaluate_at(s)`` per point."""
+    for s in _ENVELOPE_GRID:
+        lhs = F.evaluate_at(s)
+        rhs = F.h * (s ** (-F.gamma) + 1.0) * (1.0 + 1e-12)
+        if np.any(lhs > rhs):
+            i = int(np.argmax(lhs - rhs))
+            raise ValueError(
+                f"envelope violated at node {i}, s={s!r}: F={lhs[i]!r} > h*(s^-gamma+1)={rhs[i]!r}"
+            )
+
+
+def check_monotonicity_per_node(F: Nonlinearity) -> None:
+    """``F(x, s) - lambda_mono s`` nonincreasing, with ``F.evaluate_at(s)`` per sample point."""
+    lam = F.lambda_mono
+    prev = F.evaluate_at(_MONO_GRID[0]) - lam * _MONO_GRID[0]
+    for s in _MONO_GRID[1:]:
+        cur = F.evaluate_at(s) - lam * s
+        if np.any(cur > prev + 1e-12):
+            i = int(np.argmax(cur - prev))
+            raise ValueError(
+                f"F - lambda*s increases at node {i} near s={s!r} with lambda={lam!r}"
+            )
+        prev = cur
+
+
+def nonlinearity_per_node(mesh, g, **kwargs) -> Nonlinearity:
+    """``nonlinearity(mesh, g, **kwargs)`` validated by the two per-node checks above."""
+    with mock.patch.object(nonlinearity_module, "_check_envelope", check_envelope_per_node), \
+            mock.patch.object(nonlinearity_module, "_check_monotonicity",
+                              check_monotonicity_per_node):
+        return nonlinearity_module.nonlinearity(mesh, g, **kwargs)
+
+
+def check_dominated_per_node(F1: Nonlinearity, F2: Nonlinearity) -> None:
+    """``F1 <= F2`` at every node, with ``evaluate_at`` on both sides per sample point."""
+    for s in np.concatenate([[0.0], DEFAULT_S_GRID]):
+        a = F1.evaluate_at(s)
+        b = F2.evaluate_at(s)
+        bad = a > b * (1.0 + 1e-12) + 1e-300
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"F1 <= F2 fails at node {i}, s={s!r}: F1={a[i]!r} > F2={b[i]!r}"
+            )

@@ -159,6 +159,31 @@ def test_operator_rejects_what_the_kernel_cannot_read(unit_square_9):
         K.h1(np.ones(K.n + 1))
 
 
+def test_dirichlet_right_hand_side_is_freed_before_the_multigrid_build(monkeypatch):
+    # solve_cg reads rhs only for |rhs| and the first residual, and solve_dirichlet
+    # keeps no name for it: by the first V-cycle no frame holds the vector
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 33, 33)
+    fixed = mesh.node_class != 0
+    refs, alive = [], []
+    solve_cg, precond = fem.solve_cg, fem.SparseOperator.precond
+
+    def solve_cg_watched(op, rhs):
+        refs.append(weakref.ref(rhs))
+        box = [rhs]
+        del rhs
+        return solve_cg(op, box.pop())
+
+    def precond_watched(self, r):
+        alive.append(refs[0]() is not None)
+        return precond(self, r)
+
+    monkeypatch.setattr(fem, "solve_cg", solve_cg_watched)
+    monkeypatch.setattr(fem.SparseOperator, "precond", precond_watched)
+    w = fem.solve_dirichlet(mesh, ms.Coefficient.identity(mesh), fixed, mesh.nodes[:, 0].copy())
+    assert alive and not any(alive)
+    np.testing.assert_allclose(w.values, mesh.nodes[:, 0], atol=1e-9)
+
+
 def test_eigen_square_oracle(unit_square_65, identity_65):
     K = ms.assemble_stiffness(unit_square_65, identity_65)
     for lumped in (False, True):

@@ -2,9 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mildsing as ms
 from mildsing import EigenTruncation, OscillatingPower, PowerLaw, TableMap, nonlinearity
+from mildsing.nonlinearity import Nonlinearity
+from mildsing.verification import _check_dominated
+
+from oracles import check_dominated_per_node, nonlinearity_per_node
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +143,154 @@ def test_evaluate_is_l_plus_f_g_where_f_is_positive(g, support):
     singular = (s == 0.0) & pos
     assert singular.any() == (support != "nowhere")
     assert np.all(np.isinf(got[singular]) == (not isinstance(g, TableMap)))
+
+
+def _mesh(shape):
+    if len(shape) == 1:
+        return ms.build_interval_mesh(1.0, shape[0])
+    nx, ny = shape
+    return ms.build_rectangle_mesh(nx - 1.0, ny - 1.0, nx, ny)
+
+
+@st.composite
+def table_maps(draw):
+    """A piecewise-linear ``g`` on 2-5 points from 0, increasing or decreasing."""
+    k = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=k - 1, max_size=k - 1))
+    values = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k)),
+                    reverse=draw(st.booleans()))
+    return TableMap(tuple(np.concatenate([[0.0], np.cumsum(gaps)])), tuple(values))
+
+
+scalar_maps = st.one_of(
+    st.builds(PowerLaw, st.floats(0.05, 1.0)),
+    st.builds(OscillatingPower, st.floats(0.05, 1.0)),
+    st.builds(EigenTruncation, st.floats(0.1, 30.0), st.floats(0.01, 10.0)),
+    table_maps(),
+)
+
+
+@st.composite
+def validation_cases(draw):
+    """``(shape, g, f, l, h, lambda_mono)``: ``f`` zero at about 20% of nodes, ``l >= 0``.
+
+    ``h`` is ``None`` (the default) or random, often below the envelope;
+    ``lambda_mono`` is ``None`` (the default), ``inf`` or random, often too small.
+    """
+    shape = draw(st.one_of(st.tuples(st.integers(2, 30)),
+                           st.tuples(st.integers(2, 9), st.integers(2, 9))))
+    n = int(np.prod(shape))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = rng.uniform(0.0, 2.0, n) * (rng.random(n) >= 0.2)
+    l = rng.uniform(0.0, 1.0, n) * draw(st.sampled_from([0.0, 1.0]))
+    h = draw(st.sampled_from([None, (f + l) * rng.uniform(0.5, 4.0, n)]))
+    lam = draw(st.one_of(st.none(), st.just(np.inf), st.floats(0.0, 20.0)))
+    return shape, draw(scalar_maps), f, l, h, lam
+
+
+def _raised(fn, *args, **kwargs):
+    """``(result, None)``, or ``(None, message)`` when ``fn`` raises ``ValueError``."""
+    try:
+        return fn(*args, **kwargs), None
+    except ValueError as err:
+        return None, str(err)
+
+
+_ONE_LOW_NODE = np.ones(25)
+_ONE_LOW_NODE[12] = 0.5
+_ONE_POSITIVE_NODE = np.zeros(9)
+_ONE_POSITIVE_NODE[4] = 1.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(validation_cases())
+# the envelope fails at node 12 alone
+@example(((5, 5), PowerLaw(0.5), np.ones(25), np.zeros(25), _ONE_LOW_NODE, None))
+# f = 0 at all nodes but one, where g grows faster than lambda_mono
+@example(((9,), EigenTruncation(5.0, 1.0), _ONE_POSITIVE_NODE, np.zeros(9), None, 1.0))
+# the only increase is from the s = 0 point of the monotonicity grid to the next
+@example(((9,), TableMap((0.0, 1e-8, 1.0), (0.0, 1.0, 1.0)), _ONE_POSITIVE_NODE, np.full(9, 0.5),
+          None, 1.0))
+def test_validation_matches_the_per_node_oracle(case):
+    # nonlinearity() raises exactly when the per-node checks raise, with the same message
+    shape, g, f, l, h, lam = case
+    mesh = _mesh(shape)
+    got, message = _raised(nonlinearity, mesh, g, f=f, l=l, h=h, lambda_mono=lam)
+    want, want_message = _raised(nonlinearity_per_node, mesh, g, f=f, l=l, h=h, lambda_mono=lam)
+    assert message == want_message
+    if want is not None:
+        assert got.h.tobytes() == want.h.tobytes() and got.lambda_mono == want.lambda_mono
+
+
+@st.composite
+def dominated_pairs(draw):
+    """``(shape, (g1, f1, l1), (g2, f2, l2))``: ``f2``, ``l2`` scale ``f1``, ``l1`` per node."""
+    shape, g1, f1, l1, _, _ = draw(validation_cases())
+    n = f1.size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g2 = draw(st.one_of(st.just(g1), scalar_maps))
+    low = draw(st.sampled_from([0.8, 1.0]))  # from 1.0, F2 >= F1 wherever g2 is g1
+    return shape, (g1, f1, l1), (g2, f1 * rng.uniform(low, 1.5, n), l1 * rng.uniform(low, 1.5, n))
+
+
+def _unvalidated(mesh, g, f, l):
+    return Nonlinearity(mesh, np.array(f, dtype=float), np.array(l, dtype=float), g, 1.0,
+                        np.zeros(mesh.n_nodes), np.inf)
+
+
+_ONE_SMALL_NODE = np.ones(25)
+_ONE_SMALL_NODE[7] = 0.9
+
+
+@settings(max_examples=200, deadline=None)
+@given(dominated_pairs())
+# F2 falls below F1 at node 7 alone
+@example(((5, 5), (PowerLaw(0.5), np.ones(25), np.zeros(25)),
+          (PowerLaw(0.5), _ONE_SMALL_NODE, np.zeros(25))))
+# f = 0 at all nodes but one, on both sides
+@example(((9,), (OscillatingPower(0.5), _ONE_POSITIVE_NODE, np.zeros(9)),
+          (PowerLaw(0.5), _ONE_POSITIVE_NODE, np.zeros(9))))
+# F1 > F2 only at s = 0
+@example(((9,), (TableMap((0.0, 1e-8, 1.0), (1.0, 0.0, 0.0)), _ONE_POSITIVE_NODE, np.zeros(9)),
+          (TableMap((0.0, 1.0), (0.5, 0.5)), _ONE_POSITIVE_NODE, np.zeros(9))))
+def test_check_dominated_matches_the_per_node_oracle(pair):
+    shape, data1, data2 = pair
+    mesh = _mesh(shape)
+    F1, F2 = _unvalidated(mesh, *data1), _unvalidated(mesh, *data2)
+    assert _raised(_check_dominated, F1, F2) == _raised(check_dominated_per_node, F1, F2)
+
+
+class CountingMap:
+    """A ``ScalarMap`` that counts the points at which it evaluates ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.gamma = inner.gamma
+        self.points = 0
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        self.points += s.size
+        return self.inner(s)
+
+    def envelope_constant(self, gamma):
+        return self.inner.envelope_constant(gamma)
+
+    def default_lambda_mono(self):
+        return self.inner.default_lambda_mono()
+
+
+def test_validation_cost_does_not_grow_with_the_mesh():
+    # g is evaluated once per sample point: 56 + 57 points on any mesh, not per node
+    points = []
+    for n in (17, 65):
+        mesh = ms.build_rectangle_mesh(1.0, 1.0, n, n)
+        g = CountingMap(PowerLaw(0.5))
+        nonlinearity(mesh, g, f=1.0, l=1.0)
+        F1 = nonlinearity(mesh, CountingMap(PowerLaw(0.5)), f=1.0)
+        F2 = nonlinearity(mesh, CountingMap(PowerLaw(0.5)), f=2.0)
+        F1.g.points = F2.g.points = 0
+        _check_dominated(F1, F2)
+        points.append((g.points, F1.g.points + F2.g.points))
+    assert points[0] == points[1]
+    assert points[0][0] <= 113 and points[0][1] <= 2 * 201
