@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -118,6 +118,17 @@ class RunConfig:
             return int(raw)
         except ValueError:
             raise ConfigError(section, key, f"not an integer: {raw!r}") from None
+
+    def get_floats(self, section: str, key: str, default=None,
+                   required: bool = False) -> list[float] | None:
+        """A comma-separated list of numbers."""
+        raw = self.get(section, key, None, required)
+        if raw is None:
+            return default
+        try:
+            return [float(v) for v in raw.split(",")]
+        except ValueError:
+            raise ConfigError(section, key, f"bad list: {raw!r}") from None
 
     def reject_unread(self) -> None:
         """Raise ``ConfigError`` for the first key that was never read."""
@@ -240,11 +251,8 @@ def build_nonlinearity(cfg: RunConfig, mesh: Mesh, coeff: Coefficient,
                 raise ConfigError(section, "rate", f"expected 'auto' or number, got {rate_raw!r}") from None
         g = EigenTruncation(rate, k)
     elif g_name == "table":
-        try:
-            s_pts = tuple(float(v) for v in cfg.get(section, "table_s", required=True).split(","))
-            g_pts = tuple(float(v) for v in cfg.get(section, "table_g", required=True).split(","))
-        except ValueError as exc:
-            raise ConfigError(section, "table_s", f"bad table: {exc}") from None
+        s_pts = tuple(cfg.get_floats(section, "table_s", required=True))
+        g_pts = tuple(cfg.get_floats(section, "table_g", required=True))
         if len(s_pts) != len(g_pts) or len(s_pts) < 2:
             raise ConfigError(section, "table_s", "table_s and table_g need equal length >= 2")
         g = TableMap(s_pts, g_pts)
@@ -267,17 +275,6 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
         raise ConfigError("solver", key, message) from None
 
 
-def _epsilon_list(cfg: RunConfig) -> list[float]:
-    raw = cfg.get("homogenization", "epsilons", required=True)
-    try:
-        eps = [float(v) for v in raw.split(",")]
-    except ValueError:
-        raise ConfigError("homogenization", "epsilons", f"bad list: {raw!r}") from None
-    if len(eps) < 2:
-        raise ConfigError("homogenization", "epsilons", "sweep needs at least 2 epsilons")
-    return eps
-
-
 def _solve_outcome(op, coeff, F, scfg, energy_tol, out_dir) -> ExperimentOutcome:
     report = _schedule(op, F, scfg)
     nn = norms(report.u, coeff)
@@ -298,16 +295,9 @@ def _solve_outcome(op, coeff, F, scfg, energy_tol, out_dir) -> ExperimentOutcome
     outcome = ExperimentOutcome("solve", passed, metrics, detail=report)
     outcome.artifacts.append(
         _atomic(os.path.join(out_dir, "solution.csv"), write_field_csv, report.u))
-    stats_lines = [
-        json.dumps({"level": st.n, "iterations": st.iterations, "residual": st.residual,
-                    "converged": st.converged, "theta": st.theta,
-                    "cg_iterations": st.cg_iterations, "accelerated": st.accelerated,
-                    "equation_residual": st.equation_residual},
-                   sort_keys=True)
-        for st in report.level_stats
-    ]
-    _atomic(os.path.join(out_dir, "solver_stats.jsonl"), _write_text,
-            "\n".join(stats_lines) + "\n")
+    lines = [json.dumps({"level" if k == "n" else k: v for k, v in asdict(st).items()},
+                        sort_keys=True) for st in report.level_stats]
+    _atomic(os.path.join(out_dir, "solver_stats.jsonl"), _write_text, "\n".join(lines) + "\n")
     return outcome
 
 
@@ -357,11 +347,7 @@ def _prepare(cfg: RunConfig, out_dir: str, seed: int, threads: int):
         return lambda: nonuniqueness_experiment(mesh, coeff, k, scfg, ray_tol=ray_tol)
     if kind == "stability":
         F = build_nonlinearity(cfg, mesh, coeff)
-        raw = cfg.get("stability", "levels", "1,2,4,8,16")
-        try:
-            levels = [float(v) for v in raw.split(",")]
-        except ValueError:
-            raise ConfigError("stability", "levels", f"bad list: {raw!r}") from None
+        levels = cfg.get_floats("stability", "levels", [1.0, 2.0, 4.0, 8.0, 16.0])
         return lambda: stability_experiment(mesh, coeff, F, levels, scfg)
 
     # homogenization and corrector share the sweep
@@ -369,9 +355,11 @@ def _prepare(cfg: RunConfig, out_dir: str, seed: int, threads: int):
     mu = cfg.get_float("homogenization", "mu", required=True, positive=True)
     strategy = cfg.get("homogenization", "strategy", "resolved")
     defect_tol = cfg.get_float("homogenization", "defect_tol", 0.25, positive=True)
+    epsilons = cfg.get_floats("homogenization", "epsilons", required=True)
+    if len(epsilons) < 2:
+        raise ConfigError("homogenization", "epsilons", "sweep needs at least 2 epsilons")
     try:
-        specs = [PerforationSpec(epsilon=e, target_mu=mu, strategy=strategy)
-                 for e in _epsilon_list(cfg)]
+        specs = [PerforationSpec(epsilon=e, target_mu=mu, strategy=strategy) for e in epsilons]
     except ValueError as exc:
         raise ConfigError("homogenization", "epsilons", str(exc)) from None
 

@@ -58,9 +58,9 @@ class PowerLaw:
     gamma: float
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
+        # + 0.0 turns -0.0 into +0.0, whose power is +inf
         with np.errstate(divide="ignore"):
-            return np.where(s > 0.0, s, 1.0) ** (-self.gamma) * np.where(s > 0.0, 1.0, np.inf)
+            return (np.asarray(s, dtype=float) + 0.0) ** -self.gamma
 
     def envelope_constant(self, gamma: float) -> float:
         if gamma < self.gamma:

@@ -10,6 +10,7 @@ out for a failed run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,10 +87,6 @@ def estimate_lambda_mono(F: Nonlinearity) -> float:
     return max(0.0, fmax * qmax)
 
 
-def _effective_lambda(F: Nonlinearity) -> float:
-    return F.lambda_mono if np.isfinite(F.lambda_mono) else estimate_lambda_mono(F)
-
-
 def _lambda1(op: SparseOperator) -> tuple[float, FieldFunction]:
     """First eigenpair of the operator's symmetric part ``(K + K') / 2`` with lumped mass.
 
@@ -116,6 +113,21 @@ def _check_dominated(F1: Nonlinearity, F2: Nonlinearity) -> None:
             )
 
 
+def _uniqueness_regime(mesh: Mesh, coeff: Coefficient, Fs, enforce_margin: bool = True):
+    """``(op, lambda_1, [lambda_mono of each F])``, each estimated where not declared finite.
+
+    Raises unless the smallest ``lambda_mono <= LAMBDA_MARGIN * lambda_1``;
+    ``enforce_margin=False`` skips only the raise.
+    """
+    op = assemble_stiffness(mesh, coeff)
+    lam1, _ = _lambda1(op)
+    lams = [F.lambda_mono if np.isfinite(F.lambda_mono) else estimate_lambda_mono(F) for F in Fs]
+    if enforce_margin and not min(lams) <= LAMBDA_MARGIN * lam1:
+        raise ValueError(f"no lambda_mono in {lams!r} is within the margin "
+                         f"{LAMBDA_MARGIN} * lambda1={LAMBDA_MARGIN * lam1!r}")
+    return op, lam1, lams
+
+
 def comparison_experiment(mesh: Mesh, coeff: Coefficient, F1: Nonlinearity,
                           F2: Nonlinearity,
                           cfg: SolverConfig = SolverConfig()) -> ExperimentOutcome:
@@ -126,14 +138,7 @@ def comparison_experiment(mesh: Mesh, coeff: Coefficient, F1: Nonlinearity,
     eigenvalue.
     """
     _check_dominated(F1, F2)
-    op = assemble_stiffness(mesh, coeff)
-    lam1, _ = _lambda1(op)
-    lam_a, lam_b = _effective_lambda(F1), _effective_lambda(F2)
-    if min(lam_a, lam_b) > LAMBDA_MARGIN * lam1:
-        raise ValueError(
-            f"neither side is almost nonincreasing below the margin: "
-            f"lambda_mono=({lam_a!r}, {lam_b!r}) vs 0.9*lambda1={LAMBDA_MARGIN * lam1!r}"
-        )
+    op, lam1, (lam_a, lam_b) = _uniqueness_regime(mesh, coeff, (F1, F2))
     r1 = _schedule(op, F1, cfg)
     r2 = _schedule(op, F2, cfg)
     violation = float((r1.u.values - r2.u.values).max())
@@ -165,26 +170,16 @@ def uniqueness_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     """
     if n_starts < 2:
         raise ValueError("need at least 2 starts")
-    op = assemble_stiffness(mesh, coeff)
-    lam1, _ = _lambda1(op)
-    lam = _effective_lambda(F)
-    if enforce_margin and not lam <= LAMBDA_MARGIN * lam1:
-        raise ValueError(
-            f"lambda_mono={lam!r} exceeds the margin {LAMBDA_MARGIN} * lambda1={LAMBDA_MARGIN * lam1!r}"
-        )
+    op, lam1, (lam,) = _uniqueness_regime(mesh, coeff, (F,), enforce_margin)
     big = 1.0 + 2.0 * float(F.h.max()) / coeff.alpha
     rng = np.random.default_rng(seed)
     starts = [FieldFunction.zeros(mesh), FieldFunction(mesh, np.full(mesh.n_nodes, big))]
     while len(starts) < n_starts:
         starts.append(FieldFunction(mesh, big * rng.random(mesh.n_nodes)))
-    starts = starts[:n_starts]
 
     reports = [_schedule(op, F, cfg, s) for s in starts]
     ref_norm = h1_seminorm(reports[0].u)
-    gap = 0.0
-    for i in range(len(reports)):
-        for j in range(i + 1, len(reports)):
-            gap = max(gap, h1_seminorm(reports[i].u - reports[j].u))
+    gap = max(h1_seminorm(a.u - b.u) for a, b in combinations(reports, 2))
     tol = 10.0 * (cfg.outer_tol * ref_norm + cfg.outer_tol_abs)
     passed = gap <= tol
     metrics = {
@@ -223,26 +218,21 @@ def nonuniqueness_experiment(mesh: Mesh, coeff: Coefficient, k: float = 1.0,
     t_fracs = (0.0, 0.25, 0.5)
     t_starts = [frac * k / linf_phi for frac in t_fracs]
     ml = lumped_mass(mesh)
+    denom = float(np.sum(ml * phi1.values * phi1.values))
 
     t_fit, residuals, solutions, convs = [], [], [], []
     for t0 in t_starts:
-        start = FieldFunction(mesh, t0 * phi1.values)
-        u, st = solve_level(op, F, n0, cfg, u0=start)
+        u, st = solve_level(op, F, n0, cfg, u0=FieldFunction(mesh, t0 * phi1.values))
         convs.append(st.converged)
         solutions.append(u)
-        denom = float(np.sum(ml * phi1.values * phi1.values))
         t_hat = float(np.sum(ml * u.values * phi1.values)) / denom
         unorm = float(np.sqrt(np.sum(ml * u.values * u.values)))
-        ray = FieldFunction(mesh, t_hat * phi1.values)
         resid = 0.0 if unorm == 0.0 else float(
-            np.sqrt(np.sum(ml * (u.values - ray.values) ** 2))) / unorm
+            np.sqrt(np.sum(ml * (u.values - t_hat * phi1.values) ** 2))) / unorm
         t_fit.append(t_hat)
         residuals.append(resid)
 
-    max_sep = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            max_sep = max(max_sep, float(np.abs(solutions[i].values - solutions[j].values).max()))
+    max_sep = max(float(np.abs(a.values - b.values).max()) for a, b in combinations(solutions, 2))
     distinct = max_sep >= 0.1 * k
     on_ray = all(r <= ray_tol for r in residuals)
     passed = bool(all(convs) and distinct and on_ray)

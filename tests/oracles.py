@@ -21,6 +21,8 @@ its difference arrived.  The CG loop and V-cycle are the earlier ones,
 with a fresh vector for every product and update.  The sampled checks of
 ``F`` (envelope, monotonicity and domination) are the earlier ones, which
 evaluate ``g`` at every node for each sample point through ``evaluate_at``.
+The inverse power is the earlier ``PowerLaw.__call__``, which put 1 in
+place of each ``s <= 0`` and multiplied by a mask of ones and infinities.
 """
 
 import csv
@@ -631,3 +633,10 @@ def check_dominated_per_node(F1: Nonlinearity, F2: Nonlinearity) -> None:
             raise ValueError(
                 f"F1 <= F2 fails at node {i}, s={s!r}: F1={a[i]!r} > F2={b[i]!r}"
             )
+
+
+def power_law_masked(gamma: float, s) -> np.ndarray:
+    """``s**-gamma`` for ``s > 0`` and ``+inf`` elsewhere, through two ``np.where`` masks."""
+    s = np.asarray(s, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(s > 0.0, s, 1.0) ** (-gamma) * np.where(s > 0.0, 1.0, np.inf)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mildsing
+from mildsing import cli
 from mildsing.cli import (
     ConfigError,
     build_coefficient,
@@ -19,6 +21,7 @@ from mildsing.cli import (
     run,
     suite,
 )
+from mildsing.solver import LevelStats
 
 SOLVE_CONFIG = """\
 [experiment]
@@ -306,6 +309,62 @@ def test_solver_stats_report_the_equation_residual(tmp_path):
     levels = [json.loads(line) for line in (out / "solver_stats.jsonl").read_text().splitlines()]
     assert all(st["converged"] and 0.0 <= st["equation_residual"] <= 1e-6 for st in levels)
     assert "equation_residual" not in (out / "results.jsonl").read_text()
+
+
+def test_solver_stats_lines_are_the_level_stats(tmp_path):
+    # one line per level: every LevelStats field, n under the name level,
+    # and nothing else
+    path = write(tmp_path, "solve.ini", SOLVE_CONFIG)
+    out = tmp_path / "out"
+    reports = []
+
+    def schedule(*args, _original=cli._schedule, **kwargs):
+        reports.append(_original(*args, **kwargs))
+        return reports[-1]
+
+    with mock.patch.object(cli, "_schedule", schedule):
+        assert run(path, out_dir=out) == 0
+    levels = [json.loads(line) for line in (out / "solver_stats.jsonl").read_text().splitlines()]
+    (report,) = reports
+    assert len(levels) == len(report.level_stats) > 1
+    for line, st in zip(levels, report.level_stats):
+        want = {f.name: json.loads(json.dumps(getattr(st, f.name))) for f in fields(LevelStats)}
+        want["level"] = want.pop("n")
+        assert line == want
+
+
+TABLE_CONFIG = SOLVE_CONFIG.replace("g = power\ngamma = 0.5", "g = table\ntable_s = 0,1")
+
+SWEEP_CONFIG = """\
+[experiment]
+kind = homogenization
+
+[mesh]
+nx = 17
+ny = 17
+
+[nonlinearity]
+g = none
+l = 1.0
+
+[homogenization]
+mu = 10
+epsilons = 0.25,0.125
+"""
+
+
+@pytest.mark.parametrize("text, section, key", [
+    (TABLE_CONFIG + "table_g = 1,x\n", "nonlinearity", "table_g"),
+    (SWEEP_CONFIG.replace("0.25,0.125", "0.25,x"), "homogenization", "epsilons"),
+    (SHORT_STABILITY_CONFIG.replace("levels = 1,2", "levels = 1,y"), "stability", "levels"),
+], ids=["table_g", "epsilons", "levels"])
+def test_bad_list_is_config_error(tmp_path, capsys, text, section, key):
+    # each comma-separated list names itself when one entry is not a number
+    path = write(tmp_path, "bad.ini", text)
+    out = tmp_path / "o"
+    assert run(path, out_dir=out) == 2
+    assert f"[{section}] {key}: bad list" in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if not p.is_dir()] == []
 
 
 def test_nonuniqueness_run_records_distinct_solutions(tmp_path):

@@ -10,7 +10,7 @@ from mildsing import EigenTruncation, OscillatingPower, PowerLaw, TableMap, nonl
 from mildsing.nonlinearity import Nonlinearity
 from mildsing.verification import _check_dominated
 
-from oracles import check_dominated_per_node, nonlinearity_per_node
+from oracles import check_dominated_per_node, nonlinearity_per_node, power_law_masked
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,21 @@ def test_power_blows_up_only_at_zero(mesh):
     assert np.all(np.isinf(at0))
     assert np.all(np.isfinite(F.evaluate_at(1e-12)))
     assert F.evaluate_at(4.0)[0] == pytest.approx(1.5, rel=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma=st.floats(0.05, 1.0),
+       s=st.lists(st.floats(min_value=0.0, allow_subnormal=True), min_size=1, max_size=20))
+@example(gamma=1.0, s=[-0.0, 0.0, 1.0, 5e-300])
+@example(gamma=0.05, s=[-0.0])
+def test_power_law_is_the_masked_power(gamma, s):
+    # the bare power s**-gamma, bit for bit the earlier masked form at every
+    # s >= 0, with +inf at both zeros (a bare (-0.0)**-1.0 is -inf)
+    s = np.array(s)
+    with np.errstate(over="ignore"):  # s**-gamma overflows to inf below ~1e-308 in either form
+        got, want = PowerLaw(gamma)(s), power_law_masked(gamma, s)
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[s == 0.0] == np.inf)
 
 
 def test_zero_f_masks_singularity(mesh):

@@ -3,10 +3,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mildsing as ms
 from mildsing import OscillatingPower, PowerLaw, nonlinearity
-from mildsing.verification import _lambda1
+from mildsing.verification import LAMBDA_MARGIN, _lambda1
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,82 @@ def test_uniqueness_rejects_supercritical_slope(square_33, ident_33):
     F = nonlinearity(square_33, EigenTruncation(lam1, 1.0), f=1.0, gamma=1.0)
     with pytest.raises(ValueError, match="margin"):
         ms.uniqueness_experiment(square_33, ident_33, F, n_starts=2)
+
+
+def test_comparison_margin_names_both_sides(square_33, ident_33):
+    # the regime check needs only one side below the margin; with neither,
+    # its message names both lambda_mono and the margin
+    F1 = nonlinearity(square_33, PowerLaw(0.5), f=1.0, lambda_mono=500.0)
+    F2 = nonlinearity(square_33, PowerLaw(0.5), f=2.0, lambda_mono=600.0)
+    assert ms.comparison_experiment(square_33, ident_33, F1,
+                                    nonlinearity(square_33, PowerLaw(0.5), f=2.0)).passed
+    with pytest.raises(ValueError, match="margin") as err:
+        ms.comparison_experiment(square_33, ident_33, F1, F2)
+    assert "500.0, 600.0" in str(err.value)
+    assert f"{LAMBDA_MARGIN} * lambda1=" in str(err.value)
+
+
+def random_data(nx, holes, seed):
+    """``(mesh, A, rng, f, l)`` on an ``nx**2`` unit square, drawn by ``default_rng(seed)``.
+
+    With ``holes``, the node nearest each centre of the ``epsilon = 1/4``
+    lattice is a hole.  ``f`` is uniform on ``[0, 2]`` with 20% zero nodes,
+    ``l`` uniform on ``[0, 1]`` with half of its nodes zero.
+    """
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, nx, nx)
+    if holes:
+        mesh = ms.perforate(mesh, SimpleNamespace(epsilon=0.25, strategy="collapsed", radius=0.01))
+    rng = np.random.default_rng(seed)
+    n = mesh.n_nodes
+    f = rng.uniform(0.0, 2.0, n) * (rng.random(n) >= 0.2)
+    l = rng.uniform(0.0, 1.0, n) * (rng.random(n) >= 0.5)
+    return mesh, ms.Coefficient.identity(mesh), rng, f, l
+
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(5, 17), holes=st.booleans(), gamma=st.floats(0.05, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1), steep=st.sampled_from([None, 0, 1]))
+@example(nx=9, holes=False, gamma=0.05, seed=0, steep=None)
+@example(nx=17, holes=True, gamma=0.1, seed=1, steep=0)
+@example(nx=5, holes=True, gamma=0.2, seed=2, steep=1)
+def test_comparison_of_dominated_power_laws(nx, holes, gamma, seed, steep):
+    # f1 <= f2 and l1 <= l2 node by node give F1 <= F2 and u1 <= u2; the
+    # regime needs one side below the margin, so the side `steep` declares a
+    # valid lambda_mono far above lambda_1 (F - lam s falls for every lam >= 0)
+    mesh, A, rng, f2, l2 = random_data(nx, holes, seed)
+    f1, l1 = f2 * rng.random(f2.size), l2 * rng.random(l2.size)
+    lams = [None, None]
+    if steep is not None:
+        lams[steep] = 1e3
+    F1, F2 = (nonlinearity(mesh, PowerLaw(gamma), f=f, l=l, lambda_mono=lam)
+              for f, l, lam in zip((f1, f2), (l1, l2), lams))
+    out = ms.comparison_experiment(mesh, A, F1, F2)
+    assert out.passed
+    assert out.metrics["max_u1_minus_u2"] <= out.metrics["tolerance"]
+    assert [out.metrics[f"lambda_mono_{i}"] for i in (1, 2)] == [lam or 0.0 for lam in lams]
+
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(5, 17), holes=st.booleans(), gamma=st.floats(0.05, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1), n_starts=st.integers(2, 4),
+       ratio=st.one_of(st.none(), st.floats(0.0, 1.5)))
+@example(nx=9, holes=False, gamma=0.05, seed=0, n_starts=3, ratio=None)
+@example(nx=5, holes=True, gamma=0.15, seed=3, n_starts=2, ratio=0.95)
+@example(nx=13, holes=False, gamma=1.0, seed=4, n_starts=4, ratio=0.85)
+def test_uniqueness_of_power_laws_from_random_starts(nx, holes, gamma, seed, n_starts, ratio):
+    # below the margin every start reaches one solution; a declared
+    # lambda_mono = ratio lambda_1 above LAMBDA_MARGIN lambda_1 is refused
+    mesh, A, _, f, l = random_data(nx, holes, seed)
+    lam1, _ = _lambda1(ms.assemble_stiffness(mesh, A))
+    lam = None if ratio is None else ratio * lam1
+    F = nonlinearity(mesh, PowerLaw(gamma), f=f, l=l, lambda_mono=lam)
+    if lam is not None and lam > LAMBDA_MARGIN * lam1:
+        with pytest.raises(ValueError, match="margin"):
+            ms.uniqueness_experiment(mesh, A, F, n_starts, seed=seed)
+        return
+    out = ms.uniqueness_experiment(mesh, A, F, n_starts, seed=seed)
+    assert out.passed
+    assert out.metrics["lambda1"] == lam1
 
 
 def test_nonuniqueness_degenerate_family(unit_square_65, identity_65):
