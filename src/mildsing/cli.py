@@ -1,12 +1,14 @@
 """Command-line front end: declarative experiment configs, suites, CSV/JSON results.
 
 Configs are INI-style text (``key = value`` under ``[sections]``), chosen so
-experiment provenance diffs cleanly.  A run executes one experiment and
-writes its outputs into the output directory; a suite runs a manifest of
-configs (optionally in parallel) and writes a summary table.  The
-experiments themselves write nothing: every file goes through ``_atomic``
-(temp file + rename), here and only here.  Exit codes: 0 all declared
-checks pass, 1 experiment failure, 2 usage/config error.
+experiment provenance diffs cleanly.  ``RunConfig._read`` is the one reader
+of config values; a key it never read is refused before the run directory is
+made.  A run executes one experiment and writes its outputs into the output
+directory; a suite runs a manifest of configs (optionally in parallel) and
+writes a summary table.  The experiments themselves write nothing: every
+file goes through ``_atomic`` (temp file + rename), here and only here.
+Exit codes: 0 all declared checks pass, 1 experiment failure, 2 usage/config
+error.
 """
 
 from __future__ import annotations
@@ -88,47 +90,40 @@ class RunConfig:
     # every (section, key) asked for, present or not, in the order asked
     read: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def get(self, section: str, key: str, default=None, required: bool = False) -> str:
+    def _read(self, section: str, key: str, default, required: bool, cast=None, what: str = ""):
+        """``cast`` of the text at ``[section] key`` (recorded as read), ``default`` if absent;
+        a ``ValueError`` from ``cast`` becomes ``ConfigError(section, key, f"{what} {raw!r}")``."""
         self.read[section, key] = None
-        sec = self.sections.get(section, {})
-        if key in sec:
-            return sec[key]
-        if required:
-            raise ConfigError(section, key, "required key is missing")
-        return default
+        raw = self.sections.get(section, {}).get(key)
+        if raw is None:
+            if required:
+                raise ConfigError(section, key, "required key is missing")
+            return default
+        if cast is None:
+            return raw
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ConfigError(section, key, f"{what} {raw!r}") from None
+
+    def get(self, section: str, key: str, default=None, required: bool = False) -> str:
+        return self._read(section, key, default, required)
 
     def get_float(self, section: str, key: str, default=None, required: bool = False,
                   positive: bool = False) -> float | None:
-        raw = self.get(section, key, None, required)
-        if raw is None:
-            return default
-        try:
-            val = float(raw)
-        except ValueError:
-            raise ConfigError(section, key, f"not a number: {raw!r}") from None
-        if positive and not val > 0:
+        val = self._read(section, key, default, required, float, "not a number:")
+        if positive and val is not None and not val > 0:
             raise ConfigError(section, key, f"must be > 0, got {val!r}")
         return val
 
     def get_int(self, section: str, key: str, default=None, required: bool = False) -> int | None:
-        raw = self.get(section, key, None, required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(section, key, f"not an integer: {raw!r}") from None
+        return self._read(section, key, default, required, int, "not an integer:")
 
     def get_floats(self, section: str, key: str, default=None,
                    required: bool = False) -> list[float] | None:
         """A comma-separated list of numbers."""
-        raw = self.get(section, key, None, required)
-        if raw is None:
-            return default
-        try:
-            return [float(v) for v in raw.split(",")]
-        except ValueError:
-            raise ConfigError(section, key, f"bad list: {raw!r}") from None
+        return self._read(section, key, default, required,
+                          lambda raw: [float(v) for v in raw.split(",")], "bad list:")
 
     def reject_unread(self) -> None:
         """Raise ``ConfigError`` for the first key that was never read."""
@@ -203,22 +198,19 @@ def build_coefficient(cfg: RunConfig, mesh: Mesh) -> Coefficient:
     raise ConfigError("coefficient", "kind", f"unknown kind {kind!r}")
 
 
-def _field_value(cfg: RunConfig, mesh: Mesh, section: str, key: str, default: str):
-    raw = cfg.get(section, key, default)
-    if raw.startswith("csv:"):
-        rel = raw[4:]
-        base = os.path.dirname(cfg.path) if cfg.path else "."
-        path = os.path.join(base, rel)
-        if not os.path.exists(path):
-            raise ConfigError(section, key, f"referenced data file does not exist: {path}")
-        try:
-            return read_field_csv(mesh, path).values
-        except ValueError as exc:
-            raise ConfigError(section, key, f"bad data file {path}: {exc}") from None
+def _field_value(cfg: RunConfig, mesh: Mesh, section: str, key: str, default: float):
+    value = cfg._read(section, key, default, False,
+                      lambda raw: raw if raw.startswith("csv:") else float(raw),
+                      "expected a number or csv:<path>, got")
+    if not isinstance(value, str):
+        return value
+    path = os.path.join(os.path.dirname(cfg.path) if cfg.path else ".", value[4:])
+    if not os.path.exists(path):
+        raise ConfigError(section, key, f"referenced data file does not exist: {path}")
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(section, key, f"expected a number or csv:<path>, got {raw!r}") from None
+        return read_field_csv(mesh, path).values
+    except ValueError as exc:
+        raise ConfigError(section, key, f"bad data file {path}: {exc}") from None
 
 
 def build_nonlinearity(cfg: RunConfig, mesh: Mesh, coeff: Coefficient,
@@ -231,8 +223,8 @@ def build_nonlinearity(cfg: RunConfig, mesh: Mesh, coeff: Coefficient,
     if gamma is not None and not 0.0 < gamma <= 1.0:
         raise ConfigError(section, "gamma", f"gamma must satisfy 0 < gamma <= 1, got {gamma!r}")
     # g = none has no f g(u) term, so it reads no f: an f there is an unknown key
-    f_val = 0.0 if g_name == "none" else _field_value(cfg, mesh, section, "f", "0.0")
-    l_val = _field_value(cfg, mesh, section, "l", "0.0")
+    f_val = 0.0 if g_name == "none" else _field_value(cfg, mesh, section, "f", 0.0)
+    l_val = _field_value(cfg, mesh, section, "l", 0.0)
     lam = cfg.get_float(section, "lambda_mono", None)
 
     if g_name in ("none", "power"):
@@ -241,14 +233,11 @@ def build_nonlinearity(cfg: RunConfig, mesh: Mesh, coeff: Coefficient,
         g = OscillatingPower(gamma if gamma is not None else 1.0)
     elif g_name == "eigen_trunc":
         k = cfg.get_float(section, "k", 1.0, positive=True)
-        rate_raw = cfg.get(section, "rate", "auto")
-        if rate_raw == "auto":
+        rate = cfg._read(section, "rate", "auto", False,
+                         lambda raw: raw if raw == "auto" else float(raw),
+                         "expected 'auto' or number, got")
+        if rate == "auto":
             rate, _ = _lambda1(assemble_stiffness(mesh, coeff) if op is None else op)
-        else:
-            try:
-                rate = float(rate_raw)
-            except ValueError:
-                raise ConfigError(section, "rate", f"expected 'auto' or number, got {rate_raw!r}") from None
         g = EigenTruncation(rate, k)
     elif g_name == "table":
         s_pts = tuple(cfg.get_floats(section, "table_s", required=True))
@@ -306,7 +295,6 @@ def _prepare(cfg: RunConfig, out_dir: str, seed: int, threads: int):
     kind = cfg.get("experiment", "kind", required=True)
     if kind not in KINDS:
         raise ConfigError("experiment", "kind", f"unknown kind {kind!r} (choose from {KINDS})")
-    os.makedirs(out_dir, exist_ok=True)
 
     if kind == "capacity":
         r_outer = cfg.get_float("capacity", "r_outer", required=True, positive=True)
@@ -384,6 +372,7 @@ def run(config_path, out_dir=None, threads: int = 1, seed: int = 0) -> int:
         out_dir = cfg_out if out_dir is None else out_dir
         experiment = _prepare(cfg, out_dir, seed, threads=threads)
         cfg.reject_unread()
+        os.makedirs(out_dir, exist_ok=True)
         outcome = experiment()
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

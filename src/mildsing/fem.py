@@ -1,11 +1,11 @@
 """P1 Galerkin assembly, preconditioned CG, discrete norms and the first eigenpair.
 
-Stiffness and mass matrices use exact quadrature (P1 gradients are constant
-per element), and are assembled straight into CSR one chunk of elements at a
+The stiffness matrix uses exact quadrature (P1 gradients are constant per
+element), and is assembled straight into CSR one chunk of elements at a
 time, so no array of nine entries per element is ever built; a constant
-coefficient, and the mass, repeat the element matrices of one cell.  Norms,
-the lumped mass and a per-element coefficient read the vertex indices and the
-geometry a chunk at a time (``Mesh.chunk_elements``, ``Mesh.chunk_geometry``);
+coefficient repeats the element matrices of one cell.  Norms, the lumped
+mass and a per-element coefficient read the vertex indices and the geometry
+a chunk at a time (``Mesh.chunk_elements``, ``Mesh.chunk_geometry``);
 energies are ``mesh.element_energy``.  Dirichlet conditions are imposed by
 row/column elimination, which keeps the operator SPD and hole-node values
 exactly zero.  The linear solver is conjugate gradients preconditioned by one
@@ -60,7 +60,6 @@ __all__ = [
     "assemble_stiffness",
     "stiffness_csr",
     "check_m_matrix",
-    "mass_csr",
     "lumped_mass",
     "solve_cg",
     "solve_dirichlet",
@@ -429,14 +428,6 @@ def _rmatvec(P: sp.csr_matrix, r: np.ndarray, n: int, m: int) -> np.ndarray:
     return y
 
 
-def mass_csr(mesh: Mesh) -> sp.csr_matrix:
-    """Full consistent P1 mass matrix (exact quadrature)."""
-    nv = mesh.dim + 1
-    local_unit = (np.ones((nv, nv)) + np.eye(nv)) / ((nv) * (nv + 1))
-    cell = mesh.cell[0][:, None, None] * local_unit
-    return _assemble(mesh, lambda s: cell)
-
-
 def lumped_mass(mesh: Mesh) -> np.ndarray:
     """Diagonal (vertex-quadrature) mass: ``|T| / (dim + 1)`` scattered to vertices."""
     nv = mesh.dim + 1
@@ -552,10 +543,9 @@ def solve_dirichlet(mesh: Mesh, coeff: Coefficient, fixed_mask: np.ndarray,
     return FieldFunction(mesh, full)
 
 
-def _check_symmetric(mat: sp.csr_matrix) -> None:
-    diff = (mat - mat.T).tocoo()
-    if diff.nnz and float(np.abs(diff.data).max()) > 0.0:
-        raise ValueError("operator is not symmetric")
+def _is_symmetric(mat: sp.csr_matrix) -> bool:
+    """Whether ``mat`` equals its transpose entry for entry; a NaN entry is asymmetric."""
+    return not (mat != mat.T).nnz
 
 
 def first_eigenpair(K: SparseOperator, M: SparseOperator, tol: float = 1e-10,
@@ -566,7 +556,8 @@ def first_eigenpair(K: SparseOperator, M: SparseOperator, tol: float = 1e-10,
     largest-magnitude entry is positive.  Non-convergence raises
     ``ConvergenceError`` carrying the Rayleigh-quotient history.
     """
-    _check_symmetric(K.matrix)
+    if not _is_symmetric(K.matrix):
+        raise ValueError("operator is not symmetric")
     x = np.ones(K.n)
     x /= math.sqrt(_dot(x, M.matrix @ x))
     lam = _dot(x, K.matrix @ x)

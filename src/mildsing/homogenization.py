@@ -200,9 +200,7 @@ class SweepEntry:
 
 @dataclass
 class HomogenizationDetail:
-    mesh: Mesh
     coeff: Coefficient
-    F: Nonlinearity
     mu: float
     limit: SolveReport
     naive: SolveReport
@@ -268,7 +266,7 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
         }
         return SweepEntry(spec, mesh_eps, tilde, corrector, row)
 
-    detail = HomogenizationDetail(mesh, coeff, F, mu, limit, naive)
+    detail = HomogenizationDetail(coeff, mu, limit, naive)
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=min(threads, len(specs))) as pool:
             entries = list(pool.map(solve_one, specs))

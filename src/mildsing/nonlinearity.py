@@ -14,7 +14,7 @@ Construction validates all of this on a sampled log grid and fails loudly,
 so downstream code can rely on the invariants.  ``F`` depends on ``s`` only
 through the scalar ``g(s)``, so validation evaluates ``g`` once per sample
 point and checks every node by arithmetic: ``l + f g(s)`` where ``f > 0``,
-else ``l``, rounded exactly as ``Nonlinearity.evaluate_at`` rounds it.
+else ``l``, rounded exactly as ``Nonlinearity.evaluate`` rounds it.
 """
 
 from __future__ import annotations
@@ -152,10 +152,6 @@ class Nonlinearity:
         """Nodal ``F(x, s(x))`` for a full nodal vector ``s`` (``+inf`` allowed where ``s = 0``)."""
         return _evaluate(self.g, self.f, self.l, s)
 
-    def evaluate_at(self, s: float) -> np.ndarray:
-        """Nodal values of ``F(x, s)`` for one scalar ``s``."""
-        return self.evaluate(np.full(self.mesh.n_nodes, float(s)))
-
 
 def _evaluate(g: ScalarMap, f: np.ndarray, l: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``F = l + f g(s)`` where ``f > 0``, else ``l``, on any nodes: ``f``, ``l``, ``s`` at them."""
@@ -214,7 +210,7 @@ def nonlinearity(mesh: Mesh, g: ScalarMap, f=0.0, l=0.0, gamma: float | None = N
 
 
 def _sampled(F: Nonlinearity, grid: np.ndarray):
-    """``(s, F.evaluate_at(s))`` for each ``s`` of ``grid``, with ``g`` evaluated once on ``grid``.
+    """``(s, F(x, s) at every node)`` for each ``s`` of ``grid``, ``g`` evaluated once on ``grid``.
 
     One node vector per ``s``; never a nodes x grid matrix.  Each rounds as
     ``_evaluate`` does.  For a finite ``g(s)`` that is ``l + f g(s)`` at every

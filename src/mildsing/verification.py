@@ -18,6 +18,7 @@ import scipy.sparse as sp
 from .fem import (
     Coefficient,
     SparseOperator,
+    _is_symmetric,
     assemble_stiffness,
     first_eigenpair,
     lumped_mass,
@@ -97,7 +98,7 @@ def _lambda1(op: SparseOperator) -> tuple[float, FieldFunction]:
     """
     K = op.matrix
     M = SparseOperator(sp.diags(op.ml).tocsr(), op.free, op.mesh)
-    if (K != K.T).nnz:
+    if not _is_symmetric(K):
         op = SparseOperator((0.5 * (K + K.T)).tocsr(), op.free, op.mesh)
     return first_eigenpair(op, M, tol=1e-12)
 

@@ -4,7 +4,9 @@ import pytest
 import scipy.sparse as sp
 
 import mildsing as ms
-from mildsing.fem import _restrict, mass_csr
+from mildsing.fem import _restrict
+
+from oracles import mass_csr_coo
 
 #: collected (number, name, passed, detail) rows from the acceptance module
 ACCEPTANCE_RESULTS = []
@@ -29,7 +31,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def mass_operator(K, lumped=False):
     """The mass over ``K``'s free nodes: consistent, or lumped (``K.ml``) with ``lumped``."""
-    mat = sp.diags(K.ml).tocsr() if lumped else _restrict(mass_csr(K.mesh), K.free)
+    mat = sp.diags(K.ml).tocsr() if lumped else _restrict(mass_csr_coo(K.mesh), K.free)
     return ms.SparseOperator(mat, K.free, K.mesh)
 
 

@@ -20,7 +20,8 @@ kept its differences in two ring buffers and computed each Gram entry when
 its difference arrived.  The CG loop and V-cycle are the earlier ones,
 with a fresh vector for every product and update.  The sampled checks of
 ``F`` (envelope, monotonicity and domination) are the earlier ones, which
-evaluate ``g`` at every node for each sample point through ``evaluate_at``.
+evaluate ``g`` at every node for each sample point through ``evaluate_at``:
+``F.evaluate`` of a constant nodal vector.
 The inverse power is the earlier ``PowerLaw.__call__``, which put 1 in
 place of each ``s <= 0`` and multiplied by a mask of ones and infinities.
 """
@@ -588,10 +589,15 @@ class AndersonTailRing:
         return gamma
 
 
+def evaluate_at(F: Nonlinearity, s: float) -> np.ndarray:
+    """Nodal values of ``F(x, s)`` for one scalar ``s``: ``F.evaluate`` of a constant vector."""
+    return F.evaluate(np.full(F.mesh.n_nodes, float(s)))
+
+
 def check_envelope_per_node(F: Nonlinearity) -> None:
-    """``F(x, s) <= h(x) (s**-gamma + 1) (1 + 1e-12)``, with ``F.evaluate_at(s)`` per point."""
+    """``F(x, s) <= h(x) (s**-gamma + 1) (1 + 1e-12)``, with ``evaluate_at(F, s)`` per point."""
     for s in _ENVELOPE_GRID:
-        lhs = F.evaluate_at(s)
+        lhs = evaluate_at(F, s)
         rhs = F.h * (s ** (-F.gamma) + 1.0) * (1.0 + 1e-12)
         if np.any(lhs > rhs):
             i = int(np.argmax(lhs - rhs))
@@ -601,11 +607,11 @@ def check_envelope_per_node(F: Nonlinearity) -> None:
 
 
 def check_monotonicity_per_node(F: Nonlinearity) -> None:
-    """``F(x, s) - lambda_mono s`` nonincreasing, with ``F.evaluate_at(s)`` per sample point."""
+    """``F(x, s) - lambda_mono s`` nonincreasing, with ``evaluate_at(F, s)`` per sample point."""
     lam = F.lambda_mono
-    prev = F.evaluate_at(_MONO_GRID[0]) - lam * _MONO_GRID[0]
+    prev = evaluate_at(F, _MONO_GRID[0]) - lam * _MONO_GRID[0]
     for s in _MONO_GRID[1:]:
-        cur = F.evaluate_at(s) - lam * s
+        cur = evaluate_at(F, s) - lam * s
         if np.any(cur > prev + 1e-12):
             i = int(np.argmax(cur - prev))
             raise ValueError(
@@ -625,8 +631,8 @@ def nonlinearity_per_node(mesh, g, **kwargs) -> Nonlinearity:
 def check_dominated_per_node(F1: Nonlinearity, F2: Nonlinearity) -> None:
     """``F1 <= F2`` at every node, with ``evaluate_at`` on both sides per sample point."""
     for s in np.concatenate([[0.0], DEFAULT_S_GRID]):
-        a = F1.evaluate_at(s)
-        b = F2.evaluate_at(s)
+        a = evaluate_at(F1, s)
+        b = evaluate_at(F2, s)
         bad = a > b * (1.0 + 1e-12) + 1e-300
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])

@@ -150,7 +150,7 @@ def test_unknown_solver_key_is_config_error(tmp_path, capsys, section, key):
     path = write(tmp_path, "typo.ini", text)
     assert run(path, out_dir=tmp_path / "o") == 2
     assert f"[{section}] {key}: unknown" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "solution.csv").exists()  # rejected before the solve
+    assert not (tmp_path / "o").exists()  # rejected before the run directory is made
 
 
 def test_truncation_start_below_one_fails(tmp_path, capsys):
@@ -364,7 +364,7 @@ def test_bad_list_is_config_error(tmp_path, capsys, text, section, key):
     out = tmp_path / "o"
     assert run(path, out_dir=out) == 2
     assert f"[{section}] {key}: bad list" in capsys.readouterr().err
-    assert [p for p in out.rglob("*") if not p.is_dir()] == []
+    assert not out.exists()  # rejected before the run directory is made
 
 
 def test_nonuniqueness_run_records_distinct_solutions(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import mildsing as ms
 from mildsing import fem
-from mildsing.fem import lumped_mass, mass_csr, stiffness_csr
+from mildsing.fem import lumped_mass, stiffness_csr
 from mildsing.mesh import _CHUNK
 
 from conftest import mass_operator
@@ -65,14 +65,14 @@ def test_noncoercive_coefficient_rejected(unit_square_9):
 
 def test_mass_partition_of_unity():
     m = ms.build_rectangle_mesh(1.0, 1.0, 33, 33)
-    assert mass_csr(m).sum() == pytest.approx(1.0, abs=1e-13)
+    assert mass_csr_coo(m).sum() == pytest.approx(1.0, abs=1e-13)
 
 
 def test_mass_local_block_values():
     # one cell = two triangles of area t: diagonal t/6, off-diagonal t/12
     m = ms.build_rectangle_mesh(1.0, 1.0, 2, 2)
     t = m.cell[0][0]
-    M = mass_csr(m).toarray()
+    M = mass_csr_coo(m).toarray()
     assert M[1, 0] == pytest.approx(t / 12.0, rel=1e-14)
     # node 0 belongs to both triangles
     assert M[0, 0] == pytest.approx(2.0 * t / 6.0, rel=1e-14)
@@ -80,7 +80,7 @@ def test_mass_local_block_values():
 
 def test_lumped_rows_equal_consistent_rows():
     m = ms.build_rectangle_mesh(1.0, 1.0, 17, 17)
-    consistent = np.asarray(mass_csr(m).sum(axis=1)).ravel()
+    consistent = np.asarray(mass_csr_coo(m).sum(axis=1)).ravel()
     assert np.allclose(lumped_mass(m), consistent, rtol=1e-13)
 
 
@@ -97,7 +97,7 @@ def test_element_forms_match_their_matrices(mesh):
     u, v = (ms.FieldFunction(mesh, rng.standard_normal(mesh.n_nodes)) for _ in range(2))
     mats = spd_matrices(rng, mesh.n_elements, mesh.dim, antisymmetric=True)
     A = ms.Coefficient.from_matrices(mesh, mats)
-    K, M = stiffness_csr(mesh, A), mass_csr(mesh)
+    K, M = stiffness_csr(mesh, A), mass_csr_coo(mesh)
     K_I = stiffness_csr(mesh, ms.Coefficient.identity(mesh))
     assert ms.h1_seminorm(u) ** 2 == pytest.approx(u.values @ (K_I @ u.values), rel=1e-12)
     assert ms.l2_norm(u) ** 2 == pytest.approx(u.values @ (M @ u.values), rel=1e-12)
@@ -209,6 +209,19 @@ def test_eigen_scales_exactly_with_coefficient():
     lam1, _ = ms.first_eigenpair(K1, M)
     lam2, _ = ms.first_eigenpair(K2, M)
     assert lam2 == pytest.approx(2.0 * lam1, rel=1e-13)
+
+
+@pytest.mark.parametrize("pair", [(np.nextafter(-1.0, 0.0), -1.0), (np.nan, np.nan)],
+                         ids=["one_ulp", "nan_pair"])
+def test_eigen_rejects_inexactly_symmetric_operator(pair):
+    # symmetry is exact, entry for entry: a NaN equals nothing, not even the
+    # NaN at its transposed position
+    m = ms.build_rectangle_mesh(1.0, 1.0, 9, 9)
+    K = ms.assemble_stiffness(m, ms.Coefficient.identity(m))
+    mat = K.matrix.copy()
+    mat[0, 1], mat[1, 0] = pair
+    with pytest.raises(ValueError, match="operator is not symmetric"):
+        ms.first_eigenpair(ms.SparseOperator(mat, K.free, m), mass_operator(K, lumped=True))
 
 
 def test_rayleigh_quotient_lower_bound(unit_square_65, identity_65):
@@ -528,14 +541,13 @@ def test_constant_coefficient_stiffness_matches_per_element_path(mesh, kind, see
 
 
 def test_constant_coefficient_assembly_builds_no_element_gradients():
-    # a constant A, and the mass, need the geometry of one cell, not even the
-    # chunk tile.  Assembly scatters whole cells per chunk, and one tile of
-    # cells serves every chunk, so _CHUNK must stay a multiple of a cell's
-    # element count: 2 in 2-D, 1 in 1-D.
+    # a constant A needs the geometry of one cell, not even the chunk tile.
+    # Assembly scatters whole cells per chunk, and one tile of cells serves
+    # every chunk, so _CHUNK must stay a multiple of a cell's element count:
+    # 2 in 2-D, 1 in 1-D.
     assert _CHUNK % 2 == 0
     mesh = ms.build_rectangle_mesh(1.0, 1.0, 129, 129)
     stiffness_csr(mesh, ms.Coefficient.identity(mesh))
-    mass_csr(mesh)
     assert "_chunk_tile" not in mesh.__dict__
 
 
@@ -554,7 +566,7 @@ def test_assembly_matches_coo_oracle(problem):
     if mu != 0.0:
         old_op = (old_op + sp.diags(mu * op.ml)).tocsr()
     pairs = [(stiffness_csr(mesh, A), stiffness_csr_coo(mesh, A)),
-             (op.matrix, old_op), (mass_csr(mesh), mass_csr_coo(mesh))]
+             (op.matrix, old_op)]
     for new, old in pairs:
         assert np.all(new.data != 0.0)
         old = old.copy()

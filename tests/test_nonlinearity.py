@@ -10,7 +10,7 @@ from mildsing import EigenTruncation, OscillatingPower, PowerLaw, TableMap, nonl
 from mildsing.nonlinearity import Nonlinearity
 from mildsing.verification import _check_dominated
 
-from oracles import check_dominated_per_node, nonlinearity_per_node, power_law_masked
+from oracles import check_dominated_per_node, evaluate_at, nonlinearity_per_node, power_law_masked
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +43,10 @@ def test_non_finite_data_rejected(mesh, name, bad):
 
 def test_power_blows_up_only_at_zero(mesh):
     F = nonlinearity(mesh, PowerLaw(0.5), f=1.0, l=1.0)
-    at0 = F.evaluate_at(0.0)
+    at0 = evaluate_at(F, 0.0)
     assert np.all(np.isinf(at0))
-    assert np.all(np.isfinite(F.evaluate_at(1e-12)))
-    assert F.evaluate_at(4.0)[0] == pytest.approx(1.5, rel=1e-14)
+    assert np.all(np.isfinite(evaluate_at(F, 1e-12)))
+    assert evaluate_at(F, 4.0)[0] == pytest.approx(1.5, rel=1e-14)
 
 
 @settings(max_examples=300, deadline=None)
@@ -66,7 +66,7 @@ def test_power_law_is_the_masked_power(gamma, s):
 
 def test_zero_f_masks_singularity(mesh):
     F = nonlinearity(mesh, PowerLaw(1.0), f=0.0, l=3.0)
-    assert np.all(F.evaluate_at(0.0) == 3.0)
+    assert np.all(evaluate_at(F, 0.0) == 3.0)
 
 
 def test_default_envelope_covers_each_kind(mesh):

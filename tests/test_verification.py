@@ -1,3 +1,4 @@
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mildsing as ms
-from mildsing import OscillatingPower, PowerLaw, nonlinearity
+from mildsing import OscillatingPower, PowerLaw, nonlinearity, verification
 from mildsing.verification import LAMBDA_MARGIN, _lambda1
 
 
@@ -56,6 +57,23 @@ def test_uniqueness_multi_start_agreement(square_33, ident_33):
     out = ms.uniqueness_experiment(square_33, ident_33, F, n_starts=3, seed=42)
     assert out.passed
     assert out.metrics["seed"] == 42
+
+
+def test_uniqueness_starts_are_pairwise_distinct(monkeypatch):
+    # agreement of the runs shows nothing if two of them start from one field
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 9, 9)
+    starts, schedule = [], verification._schedule
+
+    def recording(op, F, cfg, u0=None, **kwargs):
+        starts.append(u0.values.copy())
+        return schedule(op, F, cfg, u0, **kwargs)
+
+    monkeypatch.setattr(verification, "_schedule", recording)
+    F = nonlinearity(mesh, PowerLaw(0.5), f=1.0)
+    out = ms.uniqueness_experiment(mesh, ms.Coefficient.identity(mesh), F, n_starts=5, seed=3)
+    assert out.passed
+    assert len(starts) == 5
+    assert all(not np.array_equal(a, b) for a, b in combinations(starts, 2))
 
 
 def test_uniqueness_zero_problem(square_33, ident_33):
