@@ -23,8 +23,12 @@ test alone would keep ``theta = 1`` and the level stall.  As ``K + D`` is an
 M-matrix and ``theta <= 1``, an exact step keeps a nonnegative iterate
 nonnegative without clamping.  An inexact step can still leave a node below
 zero, where ``s = max(x, 0) = 0``: the slope probe there reaches about
-``1e14`` and would freeze the node, so a negative node gets no slope shift,
-and ``K + D`` stays an M-matrix.  Every level of a solve runs
+``1e14`` and would freeze the node, so a negative node gets no slope shift.
+A positive node near zero freezes too: at ``s`` about ``1e-9`` the probe
+step is about ``1e-14``, across which the oscillating ``F`` swings through
+``sin(1/s)``, and ``D`` reaches ``1e11``, so ``D`` is capped at
+``_SHIFT_CAP`` times ``K``'s diagonal; any ``D >= 0`` keeps ``K + D`` an
+M-matrix.  Every level of a solve runs
 on the one operator ``assemble_stiffness(mesh, coeff, mu)``, and the schedule
 reads everything from it: its cached members give ``m``, the H1 seminorm of
 steps, iterates and level gaps, and the V-cycle that each ``K + D`` shares
@@ -39,7 +43,9 @@ step's own residual by the forcing term ``_FORCING = 1e-2`` (Dembo, Eisenstat
 near the fixed point the tolerance tightens with the residual down to
 ``_CG_TOL``, so the converged iterate is the same.  Each level reports the
 relative residual ``|K x - m min(F(x+), n)| / |m min(F(x+), n)|`` of the
-iterate it returns, at the cost of one product and one evaluation of ``F``.
+iterate it returns, at the cost of one product and one evaluation of ``F``,
+and counts as converged only when that residual is also at most
+``100 outer_tol``: a node that still froze fails loudly.
 The damping rule also accelerates a level's linear tail: after ``_TAIL_STEPS``
 consecutive steps with ``theta = 1`` and an H1 step ratio in ``_TAIL_RATIO``,
 each step is a type-II Anderson step (Walker & Ni 2011) of depth
@@ -53,10 +59,12 @@ step's ``|d|_H1``, and the step that meets it is the plain ``x + theta d``.
 An Anderson step is not a convex combination of ``x`` and ``v``, so the
 M-matrix argument above does not cover it: one with a negative entry is not
 taken, the plain step is, and nothing is clamped.  For a nonmonotone ``F`` an
-accelerated level can converge to another fixed point than the plain steps
-reach, from which a later level stalls, so a schedule that fails after taking
-Anderson steps is run again from its start with plain steps only: the one
-fallback.  A property test checks, on random small problems, that the
+Anderson step can lock a level into a cycle (the step after it grows,
+``theta`` halves and recovers, and the same Anderson step lands again) where
+plain steps converge.  So a level that does not converge after taking
+Anderson steps is solved again from its own start with plain steps only,
+inside ``solve_level``: the one fallback.  A property test checks, on random
+small problems, that the
 accelerated schedule converges and stays nonnegative wherever the plain steps
 do, and reaches the same solution when ``F`` is nonincreasing.
 Levels follow the doubling schedule ``n = 1, 2, 4, ...`` with warm starts,
@@ -115,6 +123,8 @@ _TAIL_RATIO = (0.3, 1.0)
 _TAIL_DROP = 1e-10
 #: truncation levels ``n = 1, 2, 4, ...`` allowed per solve
 _MAX_LEVELS = 24
+#: bound of the slope shift ``D``, relative to ``K``'s diagonal
+_SHIFT_CAP = 1e2
 
 
 @dataclass(frozen=True)
@@ -286,49 +296,49 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
     residual), not raised: near-degenerate right-hand sides legitimately
     stall and the caller decides.  Raises ``ValueError`` when ``n < 1``.
     """
-    return _picard(op, F, n, cfg, u0, accelerate=True)
-
-
-def _picard(op: SparseOperator, F: Nonlinearity, n: float, cfg: SolverConfig,
-            u0: FieldFunction | None, accelerate: bool) -> tuple[FieldFunction, LevelStats]:
-    """``solve_level``'s steps from ``u0``, with the Anderson tail or with plain steps only."""
     _check_level(n)
     F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # gathered once
-    x = np.zeros(op.n) if u0 is None else u0.values[op.free]
-    tail = _AndersonTail()
-
-    theta = 1.0
-    res_prev = np.inf
-    res = np.inf
-    d_prev = None
-    cg_total = 0
-    k = 0
-    converged = False
-    for k in range(1, _MAX_INNER + 1):
-        s = np.maximum(x, 0.0)
-        shift = _slope_shift(F_free, s, n, op.ml)
-        shift[x < 0.0] = 0.0  # the probe at s = 0 would freeze a negative node
-        b = op.ml * _capped(F_free, s, n) + shift * x
-        v, cg = solve_cg(op._shifted(shift), b, tol=_CG_TOL, x0=x, forcing=_FORCING)
-        cg_total += cg.iterations
-        d = v - x
-        res = op.h1(d)
-        x = x + theta * d
-        if res <= cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs:
-            converged = True
+    cap = _SHIFT_CAP * op.diagonal
+    for accelerate in (True, False):
+        x = np.zeros(op.n) if u0 is None else u0.values[op.free]
+        tail = _AndersonTail()
+        theta = 1.0
+        res_prev = np.inf
+        res = np.inf
+        d_prev = None
+        cg_total = 0
+        k = 0
+        converged = False
+        for k in range(1, _MAX_INNER + 1):
+            s = np.maximum(x, 0.0)
+            shift = _slope_shift(F_free, s, n, op.ml)
+            shift[x < 0.0] = 0.0  # the probe at s = 0 would freeze a negative node
+            np.minimum(shift, cap, out=shift)  # and a huge one would freeze a positive node
+            b = op.ml * _capped(F_free, s, n) + shift * x
+            v, cg = solve_cg(op._shifted(shift), b, tol=_CG_TOL, x0=x, forcing=_FORCING)
+            cg_total += cg.iterations
+            d = v - x
+            res = op.h1(d)
+            x = x + theta * d
+            if res <= cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs:
+                converged = True
+                break
+            # a step that grew, or one that did not shrink and turned back (a 2-cycle)
+            damp = res > 1.5 * res_prev or (res >= 0.9 * res_prev and _dot(d, d_prev) < 0.0)
+            if accelerate and theta == 1.0 and _TAIL_RATIO[0] < res / res_prev < _TAIL_RATIO[1]:
+                x = tail.step(x, d)
+            else:
+                tail.clear()
+            theta = max(0.5 * theta, 0.05) if damp else min(1.2 * theta, 1.0)
+            res_prev, d_prev = res, d
+        equation_residual = _equation_residual(op, F_free, x, n)
+        converged = converged and equation_residual <= 100.0 * cfg.outer_tol
+        if converged or not tail.accelerated:
             break
-        # a step that grew, or one that did not shrink and turned back (a 2-cycle)
-        damp = res > 1.5 * res_prev or (res >= 0.9 * res_prev and _dot(d, d_prev) < 0.0)
-        if accelerate and theta == 1.0 and _TAIL_RATIO[0] < res / res_prev < _TAIL_RATIO[1]:
-            x = tail.step(x, d)
-        else:
-            tail.clear()
-        theta = max(0.5 * theta, 0.05) if damp else min(1.2 * theta, 1.0)
-        res_prev, d_prev = res, d
 
     stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
                        theta=theta, cg_iterations=cg_total, accelerated=tail.accelerated,
-                       equation_residual=_equation_residual(op, F_free, x, n))
+                       equation_residual=equation_residual)
     return FieldFunction(op.mesh, op.scatter(x)), stats
 
 
@@ -353,19 +363,15 @@ def solve_singular(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
 
 
 def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverConfig(),
-              u0: FieldFunction | None = None, *, plain: bool = False) -> SolveReport:
+              u0: FieldFunction | None = None) -> SolveReport:
     """``solve_singular`` on its operator ``op``; norms and the energy identity are ``op``'s.
 
     Levels are measured with ``op.h1``, the seminorm the Picard loop stops
     on, and the energy identity residual is ``|x'Kx - sum m_i min(F_i, n) x_i|
-    / |x'Kx|`` on the free-node values ``x``, with ``K = op.matrix``.
-
-    The one fallback: a schedule that fails after some level took Anderson
-    steps is run again from ``u0`` with plain steps only (``plain=True``),
-    and the report is that run's.  For a nonmonotone ``F`` an accelerated
-    level can converge to another fixed point than the plain steps reach,
-    and a later level stall from there.  A schedule with no Anderson step is
-    the plain one, so its error is raised.
+    / |x'Kx|`` on the free-node values ``x``, with ``K = op.matrix``.  Each
+    level is one ``solve_level`` call, warm-started from the level before;
+    a level that reports ``converged=False`` ends the schedule with a
+    ``ConvergenceError``.
     """
     F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # for the energy identity
     u = u0
@@ -374,19 +380,16 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
     history: list[float] = []
     h1_norms: list[float] = []
     stats_list: list[LevelStats] = []
-    error = None
-    level_solver = partial(_picard, accelerate=False) if plain else solve_level
     for level in range(_MAX_LEVELS):
-        u, st = level_solver(op, F, n, cfg, u0=u)
+        u, st = solve_level(op, F, n, cfg, u0=u)
         stats_list.append(st)
         if not st.converged:
-            error = ConvergenceError(
+            raise ConvergenceError(
                 f"fixed point at truncation level {n} not reached in {_MAX_INNER} steps: "
                 f"residual {st.residual:.3e}",
                 iterations=st.iterations,
                 residual=st.residual,
             )
-            break
         x_new = u.values[op.free]
         h1_norms.append(op.h1(x_new))
         if level > 0:
@@ -396,14 +399,10 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
         x = x_new
         n *= 2.0
     else:
-        error = ConvergenceError(
+        raise ConvergenceError(
             f"truncation levels not Cauchy after {_MAX_LEVELS} levels",
             history=history,
         )
-    if error is not None:
-        if any(st.accelerated for st in stats_list):
-            return _schedule(op, F, cfg, u0, plain=True)
-        raise error
     lhs = _dot(x_new, op.matrix @ x_new)
     rhs = _dot(op.ml * _capped(F_free, np.maximum(x_new, 0.0), n), x_new)
     return SolveReport(

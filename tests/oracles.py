@@ -45,6 +45,7 @@ from mildsing.solver import (
     _CG_TOL,
     _FORCING,
     _MAX_INNER,
+    _SHIFT_CAP,
     LevelStats,
     SolverConfig,
     _capped,
@@ -467,7 +468,9 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
     """``solve_level`` with every step the plain damped step ``x + theta d``.
 
     ``theta`` follows the solver's damping rule, its 2-cycle test included,
-    and a negative node gets no slope shift, as in ``solver._picard``.
+    a negative node gets no slope shift, the shift is capped at
+    ``_SHIFT_CAP`` times ``K``'s diagonal, and a converged level also solves
+    its equation to ``100 outer_tol``, as in ``solver.solve_level``.
     """
     _check_level(n)
     F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # gathered once
@@ -484,6 +487,7 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
         s = np.maximum(x, 0.0)
         shift = _slope_shift(F_free, s, n, op.ml)
         shift[x < 0.0] = 0.0
+        np.minimum(shift, _SHIFT_CAP * op.diagonal, out=shift)
         b = op.ml * _capped(F_free, s, n) + shift * x
         v, cg = solve_cg(op._shifted(shift), b, tol=_CG_TOL, x0=x, forcing=_FORCING)
         cg_total += cg.iterations
@@ -498,9 +502,11 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
         res_prev = res
         d_prev = d
 
-    stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
+    equation_residual = _equation_residual(op, F_free, x, n)
+    stats = LevelStats(n=n, iterations=k, residual=float(res),
+                       converged=converged and equation_residual <= 100.0 * cfg.outer_tol,
                        theta=theta, cg_iterations=cg_total, accelerated=0,
-                       equation_residual=_equation_residual(op, F_free, x, n))
+                       equation_residual=equation_residual)
     return FieldFunction(op.mesh, op.scatter(x)), stats
 
 

@@ -64,17 +64,27 @@ def test_noncoercive_coefficient_rejected(unit_square_9):
 
 
 def test_mass_partition_of_unity():
+    # |1|_L2^2 = 1'M1 is the area of the unit square, in the package's norm and the oracle's
     m = ms.build_rectangle_mesh(1.0, 1.0, 33, 33)
+    assert ms.l2_norm(ms.FieldFunction(m, np.ones(m.n_nodes))) ** 2 == pytest.approx(1.0, abs=1e-13)
     assert mass_csr_coo(m).sum() == pytest.approx(1.0, abs=1e-13)
 
 
 def test_mass_local_block_values():
-    # one cell = two triangles of area t: diagonal t/6, off-diagonal t/12
+    # one cell = two triangles of area t: diagonal t/6, off-diagonal t/12,
+    # read off the package's l2_norm as e_i'M e_i and by polarization
     m = ms.build_rectangle_mesh(1.0, 1.0, 2, 2)
     t = m.cell[0][0]
+    e0, e1 = np.eye(m.n_nodes)[:2]
+
+    def sq(v):
+        return ms.l2_norm(ms.FieldFunction(m, v)) ** 2
+
     M = mass_csr_coo(m).toarray()
+    assert (sq(e0 + e1) - sq(e0 - e1)) / 4.0 == pytest.approx(t / 12.0, rel=1e-14)
     assert M[1, 0] == pytest.approx(t / 12.0, rel=1e-14)
     # node 0 belongs to both triangles
+    assert sq(e0) == pytest.approx(2.0 * t / 6.0, rel=1e-14)
     assert M[0, 0] == pytest.approx(2.0 * t / 6.0, rel=1e-14)
 
 
