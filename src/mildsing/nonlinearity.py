@@ -162,6 +162,28 @@ def _evaluate(g: ScalarMap, f: np.ndarray, l: np.ndarray, s: np.ndarray) -> np.n
     return out
 
 
+def _at_nodes(F: Nonlinearity, nodes: np.ndarray):
+    """``s -> F`` at ``nodes``, for vectors ``s`` over them: ``_evaluate``'s values, bit for bit.
+
+    ``f``, ``l`` and the ``f = 0`` nodes are gathered once.  A call takes no
+    mask of ``s``: it computes ``f g(s) + l`` everywhere, then resets the
+    ``f = 0`` nodes, where ``0 * inf`` at ``s = 0`` is NaN, to ``l``.  The
+    sums round as ``_evaluate``'s do, since addition commutes and ``l``
+    holds no ``-0.0``.
+    """
+    f, l, g = F.f[nodes], F.l[nodes], F.g
+    zero = np.flatnonzero(f <= 0.0)
+
+    def evaluate(s: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            out = f * g(s)
+        out += l
+        out[zero] = l[zero]
+        return out
+
+    return evaluate
+
+
 def _as_nodal(mesh: Mesh, data, name: str) -> np.ndarray:
     if isinstance(data, FieldFunction):
         data = data.values

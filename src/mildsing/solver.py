@@ -33,19 +33,27 @@ on the one operator ``assemble_stiffness(mesh, coeff, mu)``, and the schedule
 reads everything from it: its cached members give ``m``, the H1 seminorm of
 steps, iterates and level gaps, and the V-cycle that each ``K + D`` shares
 (``SparseOperator._shifted``), and its own quadratic form ``x'Kx`` is the
-energy side of the energy identity ``x'Kx = sum m_i min(F_i, n) x_i``.  ``f``
-and ``l`` are gathered at the free nodes once per level, so ``F`` never runs
-at a Dirichlet or hole node.  The Picard step is inexact: each CG solve starts
-from the current iterate ``u`` and stops once its residual is at most
-``max(_CG_TOL |b|, _FORCING |b - (K + D) u|)``, i.e. once it has reduced the
-step's own residual by the forcing term ``_FORCING = 1e-2`` (Dembo, Eisenstat
-& Steihaug 1982).  Early steps, far from the fixed point, get cheap solves;
-near the fixed point the tolerance tightens with the residual down to
-``_CG_TOL``, so the converged iterate is the same.  Each level reports the
-relative residual ``|K x - m min(F(x+), n)| / |m min(F(x+), n)|`` of the
-iterate it returns, at the cost of one product and one evaluation of ``F``,
-and counts as converged only when that residual is also at most
-``100 outer_tol``: a node that still froze fails loudly.
+energy side of the energy identity ``x'Kx = sum m_i min(F_i, n) x_i``.
+``f``, ``l`` and the ``f = 0`` nodes are gathered at the free nodes once per
+level (``nonlinearity._at_nodes``), so ``F`` never runs at a Dirichlet or hole
+node.  The Picard step is inexact (Dembo, Eisenstat & Steihaug 1982): each CG
+solve starts from the current iterate ``u`` and stops once its residual is at
+most ``max(_CG_TOL |b|, eta |b - (K + D) u|)``, i.e. once it has reduced the
+step's own residual by the forcing term ``eta``.  ``eta`` follows the level's
+own contraction (Eisenstat & Walker 1996): the first two steps of each pass
+use ``_FORCING = 1e-2``, and step ``k`` then uses ``_FORCING min(max(10 rho,
+1), 10)`` with ``rho = |d_(k-1)|_H1 / |d_(k-2)|_H1``.  An outer step that only
+contracts by ``rho`` cannot use an inner solve much sharper than ``rho``; the
+power-law levels contract by ``rho <= 0.1`` and keep ``eta = _FORCING``, the
+slowly contracting oscillating levels get cheaper solves, and ``_FORCING =
+0`` still means exact ones.  Early steps, far from the fixed point, get cheap
+solves; near the fixed point the tolerance tightens with the residual down to
+``_CG_TOL``, so a converged level meets the same stopping test.  Outside the
+uniqueness regime a different forcing can land on a different fixed point.
+Each level reports the relative residual ``|K x - m min(F(x+), n)| / |m
+min(F(x+), n)|`` of the iterate it returns, at the cost of one product and one
+evaluation of ``F``, and counts as converged only when that residual is also
+at most ``100 outer_tol``: a node that still froze fails loudly.
 The damping rule also accelerates a level's linear tail: after ``_TAIL_STEPS``
 consecutive steps with ``theta = 1`` and an H1 step ratio in ``_TAIL_RATIO``,
 each step is a type-II Anderson step (Walker & Ni 2011) of depth
@@ -79,7 +87,6 @@ limit problem ``-div A Du + mu u = F(x, u)`` of shrinking perforations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -94,7 +101,7 @@ from .fem import (
     solve_cg,
 )
 from .mesh import FieldFunction, Mesh, element_energy, h1_seminorm
-from .nonlinearity import Nonlinearity, _evaluate
+from .nonlinearity import Nonlinearity, _at_nodes
 
 __all__ = [
     "SolverConfig",
@@ -107,7 +114,8 @@ __all__ = [
 ]
 
 #: forcing term of the inexact Picard step: each CG solve reduces the step's
-#: own residual ``|b - K x|`` by this factor (floored at ``_CG_TOL``)
+#: own residual ``|b - K x|`` by this factor, times ``min(max(10 rho, 1), 10)``
+#: after a pass's first two steps (floored at ``_CG_TOL``)
 _FORCING = 1e-2
 #: floor of each Picard step's CG tolerance, relative to ``|b|``
 _CG_TOL = 1e-11
@@ -297,12 +305,13 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
     stall and the caller decides.  Raises ``ValueError`` when ``n < 1``.
     """
     _check_level(n)
-    F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # gathered once
+    F_free = _at_nodes(F, op.free)
     cap = _SHIFT_CAP * op.diagonal
     for accelerate in (True, False):
         x = np.zeros(op.n) if u0 is None else u0.values[op.free]
         tail = _AndersonTail()
         theta = 1.0
+        forcing = _FORCING
         res_prev = np.inf
         res = np.inf
         d_prev = None
@@ -315,7 +324,7 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
             shift[x < 0.0] = 0.0  # the probe at s = 0 would freeze a negative node
             np.minimum(shift, cap, out=shift)  # and a huge one would freeze a positive node
             b = op.ml * _capped(F_free, s, n) + shift * x
-            v, cg = solve_cg(op._shifted(shift), b, tol=_CG_TOL, x0=x, forcing=_FORCING)
+            v, cg = solve_cg(op._shifted(shift), b, tol=_CG_TOL, x0=x, forcing=forcing)
             cg_total += cg.iterations
             d = v - x
             res = op.h1(d)
@@ -323,13 +332,16 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
             if res <= cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs:
                 converged = True
                 break
+            rho = res / res_prev
             # a step that grew, or one that did not shrink and turned back (a 2-cycle)
             damp = res > 1.5 * res_prev or (res >= 0.9 * res_prev and _dot(d, d_prev) < 0.0)
-            if accelerate and theta == 1.0 and _TAIL_RATIO[0] < res / res_prev < _TAIL_RATIO[1]:
+            if accelerate and theta == 1.0 and _TAIL_RATIO[0] < rho < _TAIL_RATIO[1]:
                 x = tail.step(x, d)
             else:
                 tail.clear()
             theta = max(0.5 * theta, 0.05) if damp else min(1.2 * theta, 1.0)
+            # a slow outer contraction cannot use a sharper inner solve
+            forcing = _FORCING * min(max(10.0 * rho, 1.0), 10.0)
             res_prev, d_prev = res, d
         equation_residual = _equation_residual(op, F_free, x, n)
         converged = converged and equation_residual <= 100.0 * cfg.outer_tol
@@ -373,7 +385,7 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
     a level that reports ``converged=False`` ends the schedule with a
     ``ConvergenceError``.
     """
-    F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # for the energy identity
+    F_free = _at_nodes(F, op.free)  # for the energy identity
     u = u0
     x = None
     n = 1.0
@@ -385,8 +397,9 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
         stats_list.append(st)
         if not st.converged:
             raise ConvergenceError(
-                f"fixed point at truncation level {n} not reached in {_MAX_INNER} steps: "
-                f"residual {st.residual:.3e}",
+                f"fixed point at truncation level {n} not reached in {st.iterations} steps: "
+                f"step residual {st.residual:.3e}, "
+                f"equation residual {st.equation_residual:.3e}",
                 iterations=st.iterations,
                 residual=st.residual,
             )

@@ -469,14 +469,17 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
 
     ``theta`` follows the solver's damping rule, its 2-cycle test included,
     a negative node gets no slope shift, the shift is capped at
-    ``_SHIFT_CAP`` times ``K``'s diagonal, and a converged level also solves
-    its equation to ``100 outer_tol``, as in ``solver.solve_level``.
+    ``_SHIFT_CAP`` times ``K``'s diagonal, the CG forcing of each step after
+    the second follows the ratio of its two predecessors' H1 steps, and a
+    converged level also solves its equation to ``100 outer_tol``, as in
+    ``solver.solve_level``.
     """
     _check_level(n)
     F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # gathered once
     x = np.zeros(op.n) if u0 is None else u0.values[op.free]
 
     theta = 1.0
+    forcing = _FORCING
     res_prev = np.inf
     res = np.inf
     d_prev = None
@@ -489,7 +492,7 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
         shift[x < 0.0] = 0.0
         np.minimum(shift, _SHIFT_CAP * op.diagonal, out=shift)
         b = op.ml * _capped(F_free, s, n) + shift * x
-        v, cg = solve_cg(op._shifted(shift), b, tol=_CG_TOL, x0=x, forcing=_FORCING)
+        v, cg = solve_cg(op._shifted(shift), b, tol=_CG_TOL, x0=x, forcing=forcing)
         cg_total += cg.iterations
         d = v - x
         res = op.h1(d)
@@ -499,6 +502,7 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
             break
         cycle = res >= 0.9 * res_prev and _dot(d, d_prev) < 0.0
         theta = max(0.5 * theta, 0.05) if res > 1.5 * res_prev or cycle else min(1.2 * theta, 1.0)
+        forcing = _FORCING * min(max(10.0 * res / res_prev, 1.0), 10.0)
         res_prev = res
         d_prev = d
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mildsing as ms
 from mildsing import EigenTruncation, OscillatingPower, PowerLaw, TableMap, nonlinearity
-from mildsing.nonlinearity import Nonlinearity
+from mildsing.nonlinearity import Nonlinearity, _at_nodes
 from mildsing.verification import _check_dominated
 
 from oracles import check_dominated_per_node, evaluate_at, nonlinearity_per_node, power_law_masked
@@ -155,6 +155,9 @@ def test_evaluate_is_l_plus_f_g_where_f_is_positive(g, support):
         full = F.l + F.f * F.g(s)
     assert got[pos].tobytes() == full[pos].tobytes()
     assert got[~pos].tobytes() == F.l[~pos].tobytes()
+    # the form gathered once for a node subset, the solver's free nodes, agrees
+    nodes = np.flatnonzero(rng.random(n) < 0.7)
+    assert _at_nodes(F, nodes)(s[nodes]).tobytes() == got[nodes].tobytes()
     singular = (s == 0.0) & pos
     assert singular.any() == (support != "nowhere")
     assert np.all(np.isinf(got[singular]) == (not isinstance(g, TableMap)))

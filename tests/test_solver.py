@@ -498,15 +498,22 @@ def test_level_stalled_without_anderson_steps_is_solved_once(monkeypatch, interv
     assert len(tails) == 1
 
 
-def test_level_stalled_after_anderson_steps_is_solved_again_plain(monkeypatch):
-    # 12**2, gamma = 0.1, zero start, level 4 from level 2's solution: an
-    # Anderson step lands, the next step grows, theta halves and recovers, and
-    # a dozen steps later the same Anderson step lands again, until the steps
-    # run out; plain steps from the same start converge
-    mesh, A, F, u0 = level_problem(12, ms.OscillatingPower(0.1), seed=5, random_start=False)
+def stalled_level():
+    """``(op, F, u0)`` of a level that stalls under Anderson steps; ``u0`` is level 2's solution.
+
+    16**2, gamma = 0.15, zero start, level 4: the accelerated pass takes 44
+    Anderson steps and runs out of its ``_MAX_INNER`` steps; plain steps from
+    the same start converge in 194.
+    """
+    mesh, A, F, u0 = level_problem(16, ms.OscillatingPower(0.15), seed=8, random_start=False)
     op = ms.assemble_stiffness(mesh, A)
     for n in (1.0, 2.0):
         u0, _ = ms.solve_level(op, F, n, u0=u0)
+    return op, F, u0
+
+
+def test_level_stalled_after_anderson_steps_is_solved_again_plain(monkeypatch):
+    op, F, u0 = stalled_level()
     tails = counted_tails(monkeypatch)
     u, st = ms.solve_level(op, F, 4.0, u0=u0)
     ref, ref_st = solve_level_plain(op, F, 4.0, u0=u0)
@@ -515,15 +522,47 @@ def test_level_stalled_after_anderson_steps_is_solved_again_plain(monkeypatch):
     assert np.array_equal(u.values, ref.values)
 
 
+def test_cg_forcing_follows_the_step_ratio(monkeypatch):
+    # each pass of a level, the plain retry included, solves its first two
+    # steps with _FORCING; every later step loosens it by ten times the H1
+    # ratio of its two predecessors, between 1 and 10 times _FORCING
+    op, F, u0 = stalled_level()
+    passes = []
+
+    def recorded(A, b, tol, x0, forcing, _original=solver.solve_cg):
+        v, cg = _original(A, b, tol=tol, x0=x0, forcing=forcing)
+        if np.array_equal(x0, u0.values[op.free]):
+            passes.append([])
+        passes[-1].append((forcing, op.h1(v - x0)))
+        return v, cg
+
+    monkeypatch.setattr(solver, "solve_cg", recorded)
+    ms.solve_level(op, F, 4.0, u0=u0)
+    assert len(passes) == 2
+    for steps in passes:
+        forcing, res = zip(*steps)
+        assert forcing[:2] == (solver._FORCING,) * 2
+        for k in range(2, len(steps)):
+            rho = res[k - 1] / res[k - 2]
+            assert forcing[k] == solver._FORCING * min(max(10.0 * rho, 1.0), 10.0)
+        assert solver._FORCING < max(forcing) <= 10.0 * solver._FORCING
+
+
 def test_schedule_stalled_level_raises_with_its_level(monkeypatch, interval, interval_A):
     # a level whose equation residual misses 100 outer_tol is not converged,
-    # whatever its steps did, and ends the schedule at that level
+    # whatever its steps did, and ends the schedule at that level; its steps
+    # met their tolerance long before _MAX_INNER, so the error names the steps
+    # taken and the equation residual that failed
     def frozen_at_2(op, F_free, x, n, _original=solver._equation_residual):
         return 1.0 if n == 2.0 else _original(op, F_free, x, n)
 
     monkeypatch.setattr(solver, "_equation_residual", frozen_at_2)
-    with pytest.raises(ms.ConvergenceError, match="truncation level 2.0"):
+    with pytest.raises(ms.ConvergenceError, match="truncation level 2.0") as info:
         ms.solve_singular(interval, interval_A, nonlinearity(interval, PowerLaw(0.5), f=1.0))
+    k = info.value.iterations
+    assert 0 < k < solver._MAX_INNER
+    assert f"not reached in {k} steps" in str(info.value)
+    assert "equation residual 1.000e+00" in str(info.value)
 
 
 #: zero-start problems whose levels all reported convergence with a frozen
