@@ -150,26 +150,18 @@ class Nonlinearity:
 
     def evaluate(self, s: np.ndarray) -> np.ndarray:
         """Nodal ``F(x, s(x))`` for a full nodal vector ``s`` (``+inf`` allowed where ``s = 0``)."""
-        return _evaluate(self.g, self.f, self.l, s)
+        return _at_nodes(self, slice(None))(s)
 
 
-def _evaluate(g: ScalarMap, f: np.ndarray, l: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``F = l + f g(s)`` where ``f > 0``, else ``l``, on any nodes: ``f``, ``l``, ``s`` at them."""
-    out = l.copy()
-    pos = f > 0.0
-    if pos.any():
-        out[pos] += f[pos] * g(s[pos])
-    return out
+def _at_nodes(F: Nonlinearity, nodes):
+    """``s -> F`` at ``nodes``, for ``s`` over them: ``l + f g(s)`` where ``f > 0``, else ``l``.
 
-
-def _at_nodes(F: Nonlinearity, nodes: np.ndarray):
-    """``s -> F`` at ``nodes``, for vectors ``s`` over them: ``_evaluate``'s values, bit for bit.
-
-    ``f``, ``l`` and the ``f = 0`` nodes are gathered once.  A call takes no
-    mask of ``s``: it computes ``f g(s) + l`` everywhere, then resets the
-    ``f = 0`` nodes, where ``0 * inf`` at ``s = 0`` is NaN, to ``l``.  The
-    sums round as ``_evaluate``'s do, since addition commutes and ``l``
-    holds no ``-0.0``.
+    ``f``, ``l`` and the ``f = 0`` nodes are gathered once; the solver builds
+    one per level on its free nodes.  A call takes no mask of ``s``: it
+    computes ``f g(s) + l`` everywhere, then resets the ``f = 0`` nodes,
+    where ``0 * inf`` at ``s = 0`` is NaN, to ``l``.  At ``f > 0`` the sum
+    rounds as ``l + f g(s)`` does, since addition commutes and ``l`` holds
+    no ``-0.0``.
     """
     f, l, g = F.f[nodes], F.l[nodes], F.g
     zero = np.flatnonzero(f <= 0.0)
@@ -235,9 +227,10 @@ def _sampled(F: Nonlinearity, grid: np.ndarray):
     """``(s, F(x, s) at every node)`` for each ``s`` of ``grid``, ``g`` evaluated once on ``grid``.
 
     One node vector per ``s``; never a nodes x grid matrix.  Each rounds as
-    ``_evaluate`` does.  For a finite ``g(s)`` that is ``l + f g(s)`` at every
-    node, since ``l >= +0`` and ``0 * g(s)`` adds nothing at the ``f = 0``
-    nodes; at ``g(s) = inf`` those nodes keep ``l``, as ``0 * inf`` is NaN.
+    ``Nonlinearity.evaluate`` does.  For a finite ``g(s)`` that is ``l + f
+    g(s)`` at every node, since ``l >= +0`` and ``0 * g(s)`` adds nothing at
+    the ``f = 0`` nodes; at ``g(s) = inf`` those nodes keep ``l``, as ``0 *
+    inf`` is NaN.
     """
     pos = F.f > 0.0
     for s, g_s in zip(grid, F.g(grid)):

@@ -41,15 +41,20 @@ solve starts from the current iterate ``u`` and stops once its residual is at
 most ``max(_CG_TOL |b|, eta |b - (K + D) u|)``, i.e. once it has reduced the
 step's own residual by the forcing term ``eta``.  ``eta`` follows the level's
 own contraction (Eisenstat & Walker 1996): the first two steps of each pass
-use ``_FORCING = 1e-2``, and step ``k`` then uses ``_FORCING min(max(10 rho,
-1), 10)`` with ``rho = |d_(k-1)|_H1 / |d_(k-2)|_H1``.  An outer step that only
-contracts by ``rho`` cannot use an inner solve much sharper than ``rho``; the
-power-law levels contract by ``rho <= 0.1`` and keep ``eta = _FORCING``, the
-slowly contracting oscillating levels get cheaper solves, and ``_FORCING =
-0`` still means exact ones.  Early steps, far from the fixed point, get cheap
-solves; near the fixed point the tolerance tightens with the residual down to
-``_CG_TOL``, so a converged level meets the same stopping test.  Outside the
-uniqueness regime a different forcing can land on a different fixed point.
+use ``_FORCING = 1e-2``, and step ``k`` then uses ``_FORCING max(10 rho, 1)``
+with ``rho = |d_(k-1)|_H1 / |d_(k-2)|_H1``, as long as ``rho < 0.95``.  An
+outer step that only contracts by ``rho`` cannot use an inner solve much
+sharper than ``rho``; the power-law levels contract by ``rho <= 0.1`` and
+keep ``eta = _FORCING``, the slowly contracting oscillating levels get
+cheaper solves, and ``_FORCING = 0`` still means exact ones.  A step that
+hardly contracted or grew (``rho >= 0.95``) gets ``_FORCING`` again: the
+loose inner error then costs more contraction than the outer step has, and
+loose solves there sent oscillating levels (16^2, ``gamma = 0.08`` and
+``0.067``) onto paths that ran out of steps.  Early steps, far from the
+fixed point, get cheap solves; near the fixed point the tolerance tightens
+with the residual down to ``_CG_TOL``, so a converged level meets the same
+stopping test.  Outside the uniqueness regime a different forcing can land
+on a different fixed point.
 Each level reports the relative residual ``|K x - m min(F(x+), n)| / |m
 min(F(x+), n)|`` of the iterate it returns, at the cost of one product and one
 evaluation of ``F``, and counts as converged only when that residual is also
@@ -114,8 +119,9 @@ __all__ = [
 ]
 
 #: forcing term of the inexact Picard step: each CG solve reduces the step's
-#: own residual ``|b - K x|`` by this factor, times ``min(max(10 rho, 1), 10)``
-#: after a pass's first two steps (floored at ``_CG_TOL``)
+#: own residual ``|b - K x|`` by this factor, times ``max(10 rho, 1)`` after a
+#: pass's first two steps while the steps contract by ``rho < 0.95`` (floored
+#: at ``_CG_TOL``)
 _FORCING = 1e-2
 #: floor of each Picard step's CG tolerance, relative to ``|b|``
 _CG_TOL = 1e-11
@@ -340,8 +346,9 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
             else:
                 tail.clear()
             theta = max(0.5 * theta, 0.05) if damp else min(1.2 * theta, 1.0)
-            # a slow outer contraction cannot use a sharper inner solve
-            forcing = _FORCING * min(max(10.0 * rho, 1.0), 10.0)
+            # a slow outer contraction cannot use a sharper inner solve; one
+            # that hardly contracts, or grows, gets the sharp one again
+            forcing = _FORCING * max(10.0 * rho, 1.0) if rho < 0.95 else _FORCING
             res_prev, d_prev = res, d
         equation_residual = _equation_residual(op, F_free, x, n)
         converged = converged and equation_residual <= 100.0 * cfg.outer_tol

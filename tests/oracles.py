@@ -40,7 +40,7 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from mildsing import solver
 from mildsing.fem import CGStats, SparseOperator, _dot, solve_cg
 from mildsing.mesh import CLASS_NAMES, FLOAT_FMT, HOLE, OUTER_BOUNDARY, FieldFunction
-from mildsing.nonlinearity import _ENVELOPE_GRID, _MONO_GRID, Nonlinearity, _evaluate
+from mildsing.nonlinearity import _ENVELOPE_GRID, _MONO_GRID, Nonlinearity
 from mildsing.solver import (
     _CG_TOL,
     _FORCING,
@@ -449,7 +449,7 @@ def solve_level_weighted(op: SparseOperator, F: Nonlinearity, n: float,
         res_prev = res
         d_prev = d
 
-    F_free = partial(_evaluate, F.g, F.f[free], F.l[free])
+    F_free = partial(evaluate_masked, F.g, F.f[free], F.l[free])
     stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
                        theta=theta, cg_iterations=cg_total, accelerated=0,
                        equation_residual=_equation_residual(op, F_free, x, n))
@@ -470,12 +470,13 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
     ``theta`` follows the solver's damping rule, its 2-cycle test included,
     a negative node gets no slope shift, the shift is capped at
     ``_SHIFT_CAP`` times ``K``'s diagonal, the CG forcing of each step after
-    the second follows the ratio of its two predecessors' H1 steps, and a
+    the second loosens with the ratio ``rho < 0.95`` of its two
+    predecessors' H1 steps, and a
     converged level also solves its equation to ``100 outer_tol``, as in
     ``solver.solve_level``.
     """
     _check_level(n)
-    F_free = partial(_evaluate, F.g, F.f[op.free], F.l[op.free])  # gathered once
+    F_free = partial(evaluate_masked, F.g, F.f[op.free], F.l[op.free])  # gathered once
     x = np.zeros(op.n) if u0 is None else u0.values[op.free]
 
     theta = 1.0
@@ -502,7 +503,8 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
             break
         cycle = res >= 0.9 * res_prev and _dot(d, d_prev) < 0.0
         theta = max(0.5 * theta, 0.05) if res > 1.5 * res_prev or cycle else min(1.2 * theta, 1.0)
-        forcing = _FORCING * min(max(10.0 * res / res_prev, 1.0), 10.0)
+        rho = res / res_prev
+        forcing = _FORCING * max(10.0 * rho, 1.0) if rho < 0.95 else _FORCING
         res_prev = res
         d_prev = d
 
@@ -597,6 +599,15 @@ class AndersonTailRing:
             later = sum(rows[i][j] * gamma[j] for j in range(i + 1, m))
             gamma[i] = (rows[i][m] - later) / rows[i][i]
         return gamma
+
+
+def evaluate_masked(g, f: np.ndarray, l: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``F = l + f g(s)`` where ``f > 0``, else ``l``; ``g`` runs only at the ``f > 0`` nodes."""
+    out = l.copy()
+    pos = f > 0.0
+    if pos.any():
+        out[pos] += f[pos] * g(s[pos])
+    return out
 
 
 def evaluate_at(F: Nonlinearity, s: float) -> np.ndarray:
