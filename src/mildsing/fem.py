@@ -71,7 +71,11 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration failed to reach its tolerance; carries diagnostics."""
+    """An iteration failed to reach its tolerance; ``history`` is the trajectory behind it.
+
+    Rayleigh quotients (:func:`first_eigenpair`), level gaps (a schedule not
+    Cauchy) or every solved level's ``LevelStats``, the failing one last.
+    """
 
     def __init__(self, message: str, *, iterations: int = 0, residual: float = float("nan"),
                  history: list | None = None):
@@ -548,10 +552,11 @@ def _is_symmetric(mat: sp.csr_matrix) -> bool:
     return not (mat != mat.T).nnz
 
 
-def first_eigenpair(K: SparseOperator, M: SparseOperator, tol: float = 1e-10,
+def first_eigenpair(K: SparseOperator, M: sp.csr_matrix, tol: float = 1e-10,
                     maxit: int = 500) -> tuple[float, FieldFunction]:
     """Smallest eigenpair of ``K x = lambda M x`` by inverse power iteration.
 
+    ``M`` is a mass matrix over ``K``'s free nodes, e.g. ``sp.diags(K.ml)``.
     The eigenvector is normalized to ``x' M x = 1`` with its sign fixed so the
     largest-magnitude entry is positive.  Non-convergence raises
     ``ConvergenceError`` carrying the Rayleigh-quotient history.
@@ -559,13 +564,13 @@ def first_eigenpair(K: SparseOperator, M: SparseOperator, tol: float = 1e-10,
     if not _is_symmetric(K.matrix):
         raise ValueError("operator is not symmetric")
     x = np.ones(K.n)
-    x /= math.sqrt(_dot(x, M.matrix @ x))
+    x /= math.sqrt(_dot(x, M @ x))
     lam = _dot(x, K.matrix @ x)
     history = [lam]
     y = x / lam
     for _ in range(maxit):
-        y, _ = solve_cg(K, M.matrix @ x, tol=1e-12, x0=y)
-        y /= math.sqrt(_dot(y, M.matrix @ y))
+        y, _ = solve_cg(K, M @ x, tol=1e-12, x0=y)
+        y /= math.sqrt(_dot(y, M @ y))
         lam_new = _dot(y, K.matrix @ y)
         history.append(lam_new)
         done = abs(lam_new - lam) <= tol * abs(lam_new)

@@ -270,7 +270,7 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=min(threads, len(specs))) as pool:
             entries = list(pool.map(solve_one, specs))
-    else:
+    else:  # in this thread: a one-worker pool raised the sweep's peak memory by 10%
         entries = [solve_one(spec) for spec in specs]
     detail.entries = [e for e in entries if e is not None]
     rows = [e.row for e in detail.entries]

@@ -13,8 +13,8 @@ custom shapes.  Every ``Nonlinearity`` carries
 Construction validates all of this on a sampled log grid and fails loudly,
 so downstream code can rely on the invariants.  ``F`` depends on ``s`` only
 through the scalar ``g(s)``, so validation evaluates ``g`` once per sample
-point and checks every node by arithmetic: ``l + f g(s)`` where ``f > 0``,
-else ``l``, rounded exactly as ``Nonlinearity.evaluate`` rounds it.
+point and checks every node with the combiner that ``Nonlinearity.evaluate``
+uses: ``l + f g(s)`` where ``f > 0``, else ``l``.
 """
 
 from __future__ import annotations
@@ -153,27 +153,31 @@ class Nonlinearity:
         return _at_nodes(self, slice(None))(s)
 
 
-def _at_nodes(F: Nonlinearity, nodes):
-    """``s -> F`` at ``nodes``, for ``s`` over them: ``l + f g(s)`` where ``f > 0``, else ``l``.
+def _combiner(F: Nonlinearity, nodes):
+    """``g(s) -> F`` at ``nodes``: ``l + f g(s)`` where ``f > 0``, else ``l``.
 
-    ``f``, ``l`` and the ``f = 0`` nodes are gathered once; the solver builds
-    one per level on its free nodes.  A call takes no mask of ``s``: it
-    computes ``f g(s) + l`` everywhere, then resets the ``f = 0`` nodes,
-    where ``0 * inf`` at ``s = 0`` is NaN, to ``l``.  At ``f > 0`` the sum
-    rounds as ``l + f g(s)`` does, since addition commutes and ``l`` holds
-    no ``-0.0``.
+    ``g(s)`` is a vector over ``nodes`` or one scalar.  A call computes ``f
+    g(s) + l`` everywhere, then resets the ``f = 0`` nodes, where ``0 * inf``
+    is NaN, to ``l``; at ``f > 0`` that rounds as ``l + f g(s)``, since ``l``
+    holds no ``-0.0``.
     """
-    f, l, g = F.f[nodes], F.l[nodes], F.g
+    f, l = F.f[nodes], F.l[nodes]
     zero = np.flatnonzero(f <= 0.0)
 
-    def evaluate(s: np.ndarray) -> np.ndarray:
+    def combine(g_s) -> np.ndarray:
         with np.errstate(invalid="ignore"):
-            out = f * g(s)
+            out = f * g_s
         out += l
         out[zero] = l[zero]
         return out
 
-    return evaluate
+    return combine
+
+
+def _at_nodes(F: Nonlinearity, nodes):
+    """``s -> F`` at ``nodes``, for ``s >= 0`` over them; the solver builds one per level."""
+    combine, g = _combiner(F, nodes), F.g
+    return lambda s: combine(g(s))
 
 
 def _as_nodal(mesh: Mesh, data, name: str) -> np.ndarray:
@@ -226,20 +230,11 @@ def nonlinearity(mesh: Mesh, g: ScalarMap, f=0.0, l=0.0, gamma: float | None = N
 def _sampled(F: Nonlinearity, grid: np.ndarray):
     """``(s, F(x, s) at every node)`` for each ``s`` of ``grid``, ``g`` evaluated once on ``grid``.
 
-    One node vector per ``s``; never a nodes x grid matrix.  Each rounds as
-    ``Nonlinearity.evaluate`` does.  For a finite ``g(s)`` that is ``l + f
-    g(s)`` at every node, since ``l >= +0`` and ``0 * g(s)`` adds nothing at
-    the ``f = 0`` nodes; at ``g(s) = inf`` those nodes keep ``l``, as ``0 *
-    inf`` is NaN.
+    One node vector per ``s``, never a nodes x grid matrix.
     """
-    pos = F.f > 0.0
+    combine = _combiner(F, slice(None))
     for s, g_s in zip(grid, F.g(grid)):
-        if np.isfinite(g_s):
-            yield s, F.l + F.f * g_s
-        else:
-            out = F.l.copy()
-            out[pos] += F.f[pos] * g_s
-            yield s, out
+        yield s, combine(g_s)
 
 
 def _check_envelope(F: Nonlinearity) -> None:

@@ -173,7 +173,9 @@ class SolverConfig:
 
 @dataclass
 class LevelStats:
-    n: float
+    """One truncation level ``n`` (``level``) of a solve: a ``solver_stats.jsonl`` line as is."""
+
+    level: float
     iterations: int
     residual: float
     converged: bool
@@ -355,7 +357,7 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
         if converged or not tail.accelerated:
             break
 
-    stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
+    stats = LevelStats(level=n, iterations=k, residual=float(res), converged=converged,
                        theta=theta, cg_iterations=cg_total, accelerated=tail.accelerated,
                        equation_residual=equation_residual)
     return FieldFunction(op.mesh, op.scatter(x)), stats
@@ -390,7 +392,7 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
     / |x'Kx|`` on the free-node values ``x``, with ``K = op.matrix``.  Each
     level is one ``solve_level`` call, warm-started from the level before;
     a level that reports ``converged=False`` ends the schedule with a
-    ``ConvergenceError``.
+    ``ConvergenceError`` whose ``history`` is every level's ``LevelStats``.
     """
     F_free = _at_nodes(F, op.free)  # for the energy identity
     u = u0
@@ -405,10 +407,8 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
         if not st.converged:
             raise ConvergenceError(
                 f"fixed point at truncation level {n} not reached in {st.iterations} steps: "
-                f"step residual {st.residual:.3e}, "
-                f"equation residual {st.equation_residual:.3e}",
-                iterations=st.iterations,
-                residual=st.residual,
+                f"step residual {st.residual:.3e}, equation residual {st.equation_residual:.3e}",
+                iterations=st.iterations, residual=st.residual, history=stats_list,
             )
         x_new = u.values[op.free]
         h1_norms.append(op.h1(x_new))

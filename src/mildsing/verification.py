@@ -96,8 +96,7 @@ def _lambda1(op: SparseOperator) -> tuple[float, FieldFunction]:
     exactly symmetric ``K`` is its own symmetric part, so ``op`` itself, and
     the V-cycle hierarchy it caches, serve the eigenpair and later solves alike.
     """
-    K = op.matrix
-    M = SparseOperator(sp.diags(op.ml).tocsr(), op.free, op.mesh)
+    K, M = op.matrix, sp.diags(op.ml).tocsr()
     if not _is_symmetric(K):
         op = SparseOperator((0.5 * (K + K.T)).tocsr(), op.free, op.mesh)
     return first_eigenpair(op, M, tol=1e-12)

@@ -30,9 +30,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def mass_operator(K, lumped=False):
-    """The mass over ``K``'s free nodes: consistent, or lumped (``K.ml``) with ``lumped``."""
-    mat = sp.diags(K.ml).tocsr() if lumped else _restrict(mass_csr_coo(K.mesh), K.free)
-    return ms.SparseOperator(mat, K.free, K.mesh)
+    """The mass matrix over ``K``'s free nodes: consistent, or lumped (``K.ml``) with ``lumped``."""
+    return sp.diags(K.ml).tocsr() if lumped else _restrict(mass_csr_coo(K.mesh), K.free)
 
 
 @pytest.fixture

@@ -450,7 +450,7 @@ def solve_level_weighted(op: SparseOperator, F: Nonlinearity, n: float,
         d_prev = d
 
     F_free = partial(evaluate_masked, F.g, F.f[free], F.l[free])
-    stats = LevelStats(n=n, iterations=k, residual=float(res), converged=converged,
+    stats = LevelStats(level=n, iterations=k, residual=float(res), converged=converged,
                        theta=theta, cg_iterations=cg_total, accelerated=0,
                        equation_residual=_equation_residual(op, F_free, x, n))
     return FieldFunction(op.mesh, op.scatter(x)), stats
@@ -509,7 +509,7 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
         d_prev = d
 
     equation_residual = _equation_residual(op, F_free, x, n)
-    stats = LevelStats(n=n, iterations=k, residual=float(res),
+    stats = LevelStats(level=n, iterations=k, residual=float(res),
                        converged=converged and equation_residual <= 100.0 * cfg.outer_tol,
                        theta=theta, cg_iterations=cg_total, accelerated=0,
                        equation_residual=equation_residual)

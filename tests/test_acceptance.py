@@ -106,10 +106,12 @@ def test_criterion_03_singular_vs_shooting():
         oracle = shooting_solution(gamma, interval.nodes[:, 0])
         assert abs(oracle.max() - peak) <= 2e-5  # oracle self-check (closed form)
         linf = float(np.abs(rep.u.values - oracle).max())
-        ok &= linf <= 1e-3 and rep.energy_identity_residual <= 1e-6
+        min_u = float(rep.u.values.min())
+        ok &= linf <= 1e-3 and rep.energy_identity_residual <= 1e-6 and min_u >= -1e-12
         details.append(f"g={gamma}: Linf={linf:.1e}, Eres={rep.energy_identity_residual:.1e}")
         assert linf <= 1e-3
         assert rep.energy_identity_residual <= 1e-6
+        assert min_u >= -1e-12
     wall = time.perf_counter() - t0
     ok &= wall < 30.0
     record_criterion(3, "singular solves match the shooting oracle", ok,

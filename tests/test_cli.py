@@ -312,8 +312,8 @@ def test_solver_stats_report_the_equation_residual(tmp_path):
 
 
 def test_solver_stats_lines_are_the_level_stats(tmp_path):
-    # one line per level: every LevelStats field, n under the name level,
-    # and nothing else
+    # one line per level: every LevelStats field under its own name, and
+    # nothing else
     path = write(tmp_path, "solve.ini", SOLVE_CONFIG)
     out = tmp_path / "out"
     reports = []
@@ -329,7 +329,6 @@ def test_solver_stats_lines_are_the_level_stats(tmp_path):
     assert len(levels) == len(report.level_stats) > 1
     for line, st in zip(levels, report.level_stats):
         want = {f.name: json.loads(json.dumps(getattr(st, f.name))) for f in fields(LevelStats)}
-        want["level"] = want.pop("n")
         assert line == want
 
 

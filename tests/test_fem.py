@@ -88,6 +88,31 @@ def test_mass_local_block_values():
     assert M[0, 0] == pytest.approx(2.0 * t / 6.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("mesh,area,diagonal", [
+    (ms.build_interval_mesh(2.0, 17), 2.0, 2.0 * 0.125 / 3.0),
+    (ms.build_rectangle_mesh(2.0, 1.0, 17, 9), 2.0, 0.125 ** 2 / 2.0),
+], ids=["interval", "rectangle"])
+def test_l2_norm_is_the_consistent_mass(mesh, area, diagonal):
+    # fem.l2_norm is the package's consistent mass M: |1|^2 = 1'M1 is the
+    # area, |e_i|^2 is M's diagonal (2 h / 3 at an interior 1-D node, h^2 / 2
+    # at an interior node of a square 2-D grid), and every off-diagonal entry
+    # follows by polarization; all of it matches the oracle's matrix
+    def sq(v):
+        return ms.l2_norm(ms.FieldFunction(mesh, v)) ** 2
+
+    assert ms.l2_norm(ms.FieldFunction(mesh, np.ones(mesh.n_nodes))) == pytest.approx(
+        math.sqrt(area), rel=1e-14)
+    M = mass_csr_coo(mesh).toarray()
+    e = np.eye(mesh.n_nodes)
+    norms = np.array([sq(v) for v in e])
+    assert np.allclose(norms, M.diagonal(), rtol=1e-14, atol=0.0)
+    i = int(np.argmin(np.abs(mesh.nodes - mesh.nodes.mean(axis=0)).sum(axis=1)))
+    assert norms[i] == pytest.approx(diagonal, rel=1e-14)
+    polar = [(sq(e[i] + v) - norms[i] - nv) / 2.0 for v, nv in zip(e, norms)]
+    assert np.allclose(polar, M[i], rtol=0.0, atol=1e-12 * diagonal)
+    assert np.count_nonzero(M[i]) == (3 if mesh.dim == 1 else 7)
+
+
 def test_lumped_rows_equal_consistent_rows():
     m = ms.build_rectangle_mesh(1.0, 1.0, 17, 17)
     consistent = np.asarray(mass_csr_coo(m).sum(axis=1)).ravel()
@@ -241,7 +266,7 @@ def test_rayleigh_quotient_lower_bound(unit_square_65, identity_65):
     rng = np.random.default_rng(3)
     for _ in range(5):
         v = rng.standard_normal(K.n)
-        rq = float(v @ (K.matrix @ v)) / float(v @ (M.matrix @ v))
+        rq = float(v @ (K.matrix @ v)) / float(v @ (M @ v))
         assert rq >= lam * (1.0 - 1e-10)
 
 

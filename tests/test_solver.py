@@ -11,10 +11,7 @@ from mildsing import FieldFunction, PowerLaw, nonlinearity, solver
 from mildsing.solver import _capped
 
 from oracles import (
-    PEAK_GAMMA_1,
-    PEAK_GAMMA_HALF,
     AndersonTailRing,
-    shooting_solution,
     solve_level_plain,
     solve_singular_plain,
     solve_singular_weighted,
@@ -110,18 +107,6 @@ def test_level_linear_problem_independent_of_level(interval, interval_A):
     assert np.abs(results[0] - results[2]).max() <= 1e-9
 
 
-@pytest.mark.parametrize("gamma,peak", [(1.0, PEAK_GAMMA_1), (0.5, PEAK_GAMMA_HALF)])
-def test_singular_solve_matches_shooting_oracle(interval, interval_A, gamma, peak):
-    F = nonlinearity(interval, PowerLaw(gamma), f=1.0)
-    rep = ms.solve_singular(interval, interval_A, F)
-    oracle = shooting_solution(gamma, interval.nodes[:, 0])
-    # the oracle itself is cross-checked against the closed-form peak
-    assert abs(oracle.max() - peak) <= 2e-5
-    assert np.abs(rep.u.values - oracle).max() <= 1e-3
-    assert rep.energy_identity_residual <= 1e-6
-    assert rep.u.values.min() >= -1e-12
-
-
 def test_singular_solve_zero_data(unit_square_9):
     A = ms.Coefficient.identity(unit_square_9)
     F = nonlinearity(unit_square_9, PowerLaw(1.0), f=0.0, l=0.0)
@@ -146,7 +131,7 @@ def test_warm_started_levels_match_report_history(interval, interval_A):
     rep = ms.solve_singular(interval, interval_A, F)
     assert rep.outer_iters == len(rep.h1_norms)
     assert len(rep.history) == rep.outer_iters - 1
-    assert rep.level_stats[-1].n == rep.n_final
+    assert rep.level_stats[-1].level == rep.n_final
     assert all(st.converged for st in rep.level_stats)
 
 
@@ -162,7 +147,7 @@ def test_schedule_solves_every_level_through_solve_level(monkeypatch, interval, 
     monkeypatch.setattr(solver, "solve_level", counted)
     rep = ms.solve_singular(interval, interval_A, nonlinearity(interval, PowerLaw(0.5), f=1.0))
     assert len(calls) == rep.outer_iters > 1
-    assert calls == [level.n for level in rep.level_stats]
+    assert calls == [st.level for st in rep.level_stats]
 
 
 @pytest.mark.parametrize("mu", [-1.0, float("nan")])
@@ -356,7 +341,7 @@ def test_anderson_tail_lands_on_the_plain_solution(unit_square_65, identity_65):
     ref = solve_singular_plain(unit_square_65, identity_65, F, cfg)
     assert ms.h1_seminorm(rep.u - ref.u) <= cfg.outer_tol * ms.h1_seminorm(ref.u)
     assert rep.inner_iters < ref.inner_iters
-    accelerated = {st.n: st.accelerated for st in rep.level_stats}
+    accelerated = {st.level: st.accelerated for st in rep.level_stats}
     assert accelerated[64.0] > 0 and accelerated[128.0] > 0
     assert all(st.accelerated == 0 for st in ref.level_stats)
     assert rep.u.values.min() >= -1e-12
@@ -567,7 +552,8 @@ def test_schedule_stalled_level_raises_with_its_level(monkeypatch, interval, int
     # a level whose equation residual misses 100 outer_tol is not converged,
     # whatever its steps did, and ends the schedule at that level; its steps
     # met their tolerance long before _MAX_INNER, so the error names the steps
-    # taken and the equation residual that failed
+    # taken and the equation residual that failed, and carries the stats of
+    # every level solved, the failing one last
     def frozen_at_2(op, F_free, x, n, _original=solver._equation_residual):
         return 1.0 if n == 2.0 else _original(op, F_free, x, n)
 
@@ -578,6 +564,11 @@ def test_schedule_stalled_level_raises_with_its_level(monkeypatch, interval, int
     assert 0 < k < solver._MAX_INNER
     assert f"not reached in {k} steps" in str(info.value)
     assert "equation residual 1.000e+00" in str(info.value)
+    history = info.value.history
+    assert len(history) == 2
+    assert history[-1].equation_residual == 1.0
+    assert history[-1].converged is False
+    assert history[-1].iterations == k and history[0].converged
 
 
 #: zero-start problems whose levels all reported convergence with a frozen
@@ -684,18 +675,65 @@ def test_converged_level_solves_the_capped_equation(seed):
     assert stats.equation_residual == pytest.approx(residual, rel=1e-6, abs=1e-14)
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1))
-def test_oscillating_levels_solve_the_capped_equation(seed):
-    # the capped slope shift freezes no positive node, so every level of a
-    # returned oscillating solve solves its equation; even seeds start from zero
-    mesh, F, u0 = random_data(seed, ms.OscillatingPower)
-    try:
-        rep = ms.solve_singular(mesh, ms.Coefficient.identity(mesh), F,
-                                u0=u0 if seed % 2 else None)
-    except ms.ConvergenceError:
-        return
-    assert max(st.equation_residual for st in rep.level_stats) <= 1e-6
+def test_oscillating_levels_solve_the_capped_equation():
+    # the capped slope shift freezes no positive node, so every level of an
+    # oscillating solve solves its equation; a solve that raises fails too,
+    # as an uncapped shift turns frozen levels into raises.  Even draws start
+    # from zero, odd ones from the drawn u0.
+    worst = 0.0
+    for i in range(200):
+        mesh, F, u0 = random_data(30000 + i, ms.OscillatingPower)
+        rep = ms.solve_singular(mesh, ms.Coefficient.identity(mesh), F, u0=u0 if i % 2 else None)
+        worst = max(worst, *(st.equation_residual for st in rep.level_stats))
+    assert worst <= 1e-6
+
+
+def test_negative_node_rule_keeps_level_headroom():
+    # a random-start draw whose worst level takes 128 Picard steps; with a
+    # slope shift probed at s = 0 on its negative nodes, its first takes 498
+    mesh, A, F, u0 = level_problem(12, ms.OscillatingPower(0.10846609534288743), 2209618199, True)
+    rep = ms.solve_singular(mesh, A, F, u0=u0)
+    assert all(st.converged for st in rep.level_stats)
+    assert max(st.iterations for st in rep.level_stats) <= solver._MAX_INNER // 4
+
+
+def stability_gaps(seed):
+    """``gamma`` and ``|u_delta - u|_H1`` for ``delta = 1e-1, 1e-2, 1e-3``, by ``default_rng(seed)``.
+
+    A 5**2 to 11**2 unit square and ``PowerLaw(gamma)``, ``gamma`` in ``[0.05,
+    1]``; ``f`` uniform on ``[0, 2]`` with 20% zero nodes, ``l`` uniform on
+    ``[0, 1]`` on half the nodes.  ``u_delta`` solves the problem with ``f``
+    and ``l`` raised by ``delta`` times two fixed fields uniform on ``[0, 1]``.
+    """
+    rng = np.random.default_rng(seed)
+    nx = int(rng.integers(5, 12))
+    gamma = float(rng.uniform(0.05, 1.0))
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, nx, nx)
+    n = mesh.n_nodes
+    f = rng.uniform(0.0, 2.0, n) * (rng.random(n) >= 0.2)
+    l = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.5)
+    df, dl = rng.random((2, n))
+    A = ms.Coefficient.identity(mesh)
+
+    def solve(delta):
+        F = nonlinearity(mesh, PowerLaw(gamma), f=f + delta * df, l=l + delta * dl)
+        return ms.solve_singular(mesh, A, F).u
+
+    u = solve(0.0)
+    return gamma, [ms.h1_seminorm(solve(delta) - u) for delta in (1e-1, 1e-2, 1e-3)]
+
+
+def test_solution_is_stable_in_the_data():
+    # the paper's stability result: solutions converge as the data f and l
+    # do.  Here u moves in H1 at the rate of the perturbation, so each tenfold
+    # smaller one moves it at least fivefold less (0.100-0.106 per decade on
+    # these draws); a solve accurate only to 100 outer_tol floors the gap
+    gammas = []
+    for seed in range(100):
+        gamma, gaps = stability_gaps(seed)
+        gammas.append(gamma)
+        assert gaps[1] <= 0.2 * gaps[0] and gaps[2] <= 0.2 * gaps[1], (seed, gaps)
+    assert min(gammas) <= 0.2
 
 
 def test_oscillating_two_cycles_are_damped():

@@ -301,7 +301,7 @@ def test_lambda1_of_symmetric_operator_is_bit_identical(case):
     op = _symmetric_operator(case)
     K = op.matrix
     sym = ms.SparseOperator((0.5 * (K + K.T)).tocsr(), op.free, op.mesh)
-    M = ms.SparseOperator(sp.diags(op.ml).tocsr(), op.free, op.mesh)
+    M = sp.diags(op.ml).tocsr()
     lam_sym, phi_sym = ms.first_eigenpair(sym, M, tol=1e-12)
     lam, phi = _lambda1(op)
     assert lam == lam_sym
