@@ -295,7 +295,7 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
         "eL2_decreasing": decreasing,
         "finest_defect": finest["defect"],
         "mu_times_mass": mass_mu,
-        "defect_rel_error": abs(finest["defect"] - mass_mu) / mass_mu,
+        "defect_rel_error": abs(finest["defect"] - mass_mu) / mass_mu if mass_mu else float("nan"),
         "defect_tol": defect_tol,
         "eL2_vs_naive_limit": e_l2_naive,
         "beats_naive_limit": beats_naive,

@@ -70,8 +70,9 @@ steps before the switch only keep references.  An Anderson step that
 overshoots is damped like any other step.  The stopping test reads the plain
 step's ``|d|_H1``, and the step that meets it is the plain ``x + theta d``.
 An Anderson step is not a convex combination of ``x`` and ``v``, so the
-M-matrix argument above does not cover it: one with a negative entry is not
-taken, the plain step is, and nothing is clamped.  For a nonmonotone ``F`` an
+M-matrix argument above does not cover it: a node that it leaves below zero
+is treated like one that an inexact step leaves there, with no slope shift,
+and nothing is clamped.  For a nonmonotone ``F`` an
 Anderson step can lock a level into a cycle (the step after it grows,
 ``theta`` halves and recovers, and the same Anderson step lands again) where
 plain steps converge.  So a level that does not converge after taking
@@ -243,7 +244,6 @@ class _AndersonTail:
     the plain steps.  ``history`` keeps those records, newest first; the
     differences are formed only by an Anderson attempt, so a record costs no
     arithmetic and no memory beyond the two arrays it holds.
-    An Anderson step with a negative entry is not taken: ``g`` is returned.
     ``clear`` forgets the tail; ``accelerated`` counts the Anderson steps.
     """
 
@@ -265,8 +265,6 @@ class _AndersonTail:
         out = g.copy()
         for dg, gamma in zip(dG, _coefficients(dD, d)):
             out -= gamma * dg
-        if out.min(initial=0.0) < 0.0:
-            return g  # not a convex combination: only a nonnegative one is taken
         self.accelerated += 1
         return out
 

@@ -536,7 +536,6 @@ class AndersonTailRing:
     entry a ``_dot`` computed once when its difference arrives, and drop the
     differences that are nearly combinations of newer ones: a tail ruled by
     one mode makes ``dD`` nearly collinear, and on a 5**2 grid exactly so.
-    An Anderson step with a negative entry is not taken: ``g`` is returned.
     ``clear`` forgets the tail; ``accelerated`` counts the Anderson steps.
     """
 
@@ -569,8 +568,6 @@ class AndersonTailRing:
         out = g.copy()
         for i, gamma in zip(newest_first, self._coefficients(newest_first, d)):
             out -= gamma * self.dG[i]
-        if out.min(initial=0.0) < 0.0:
-            return g  # not a convex combination: only a nonnegative one is taken
         self.accelerated += 1
         return out
 

@@ -413,6 +413,34 @@ rel_tol = 0.02
     assert run(path, out_dir=tmp_path / "out") == 0
 
 
+ZERO_DATA = "g = power\ngamma = 1.0\nf = 0.0\nl = 0.0\n"
+SWEEP_KINDS = ("homogenization", "corrector")
+
+
+@pytest.mark.parametrize("kind", ["solve", "comparison", "uniqueness", "stability", *SWEEP_KINDS])
+def test_zero_data_run_ends_in_a_verdict(tmp_path, capsys, kind):
+    # f = l = 0 gives u = 0, and mu |u_0|**2 = 0 with it: every kind that
+    # takes data returns a verdict or rejects the data, never a traceback.
+    # The sweeps run on 65**2: on 17**2 the epsilon = 1/8 row is dropped as
+    # unresolved, and the sweep stops before it compares its defect with mu |u_0|**2
+    nx = 65 if kind in SWEEP_KINDS else 17
+    text = f"[experiment]\nkind = {kind}\n\n[mesh]\nnx = {nx}\nny = {nx}\n\n[nonlinearity]\n{ZERO_DATA}"
+    if kind == "comparison":
+        text += f"\n[nonlinearity2]\n{ZERO_DATA}"
+    if kind in SWEEP_KINDS:
+        text += "\n[homogenization]\nmu = 100\nepsilons = 0.25,0.125\n"
+    out = tmp_path / "out"
+    code = run(write(tmp_path, f"{kind}.ini", text), out_dir=out)
+    if not (out / "results.jsonl").exists():
+        assert code == 1 and "experiment failed" in capsys.readouterr().err
+        return
+    assert code in (0, 1)
+    record = json.loads((out / "results.jsonl").read_text())
+    if kind == "homogenization":
+        assert record["pass"] is False  # eL2 = 0 at every epsilon does not decrease
+        assert record["metrics"]["defect_rel_error"] == "nan"
+
+
 def test_suite_empty_manifest(tmp_path):
     manifest = write(tmp_path, "empty.txt", "# nothing here\n")
     assert suite(manifest, out_dir=tmp_path / "suite") == 0
