@@ -70,7 +70,6 @@ from .solver import (
 from .verification import (
     ExperimentOutcome,
     comparison_experiment,
-    estimate_lambda_mono,
     nonuniqueness_experiment,
     stability_experiment,
     uniqueness_experiment,

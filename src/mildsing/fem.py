@@ -73,8 +73,8 @@ __all__ = [
 class ConvergenceError(RuntimeError):
     """An iteration failed to reach its tolerance; ``history`` is the trajectory behind it.
 
-    Rayleigh quotients (:func:`first_eigenpair`), level gaps (a schedule not
-    Cauchy) or every solved level's ``LevelStats``, the failing one last.
+    Rayleigh quotients (:func:`first_eigenpair`) or, from a solve's schedule,
+    every solved level's ``LevelStats``, the last one solved last.
     """
 
     def __init__(self, message: str, *, iterations: int = 0, residual: float = float("nan"),

@@ -310,15 +310,19 @@ def corrector_experiment(h_outcome: ExperimentOutcome) -> ExperimentOutcome:
     Consumes a finished homogenization sweep.  Pass requires, at every
     ``epsilon``, ``|u_eps - w u0|_H1 < |u_eps - u0|_H1``, a decreasing
     corrector error along the sweep, profiles inside ``[0, 1]``, and profile
-    zeros exactly on the hole nodes.
+    zeros exactly on the hole nodes.  A sweep that kept fewer than 2
+    ``epsilon`` rows fails, as in ``homogenization_experiment``.
     """
     detail: HomogenizationDetail = h_outcome.detail
-    if detail is None or not detail.entries:
+    if detail is None:
         raise ValueError("corrector experiment needs a completed homogenization sweep")
     if not detail.coeff.is_symmetric:
         raise ValueError("the corrector bound needs a symmetric coefficient")
     if any(entry.corrector is None for entry in detail.entries):
         raise ValueError("the corrector profile needs resolved holes")
+    if len(detail.entries) < 2:
+        metrics = {"rows_kept": len(detail.entries), "mu": detail.mu}
+        return ExperimentOutcome("corrector", False, metrics, detail=detail)
 
     in_range = True
     zeros_match = True

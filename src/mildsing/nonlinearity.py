@@ -11,10 +11,11 @@ custom shapes.  Every ``Nonlinearity`` carries
   ``F(x, s) - lam * s`` nonincreasing in ``s`` (``inf`` when none is known).
 
 Construction validates all of this on a sampled log grid and fails loudly,
-so downstream code can rely on the invariants.  ``F`` depends on ``s`` only
-through the scalar ``g(s)``, so validation evaluates ``g`` once per sample
-point and checks every node with the combiner that ``Nonlinearity.evaluate``
-uses: ``l + f g(s)`` where ``f > 0``, else ``l``.
+so downstream code can rely on the invariants; ``_check_dominated`` samples
+the comparison experiment's ``F1 <= F2`` the same way.  ``F`` depends on
+``s`` only through the scalar ``g(s)``, so each check evaluates ``g`` once
+per sample point and checks every node with the combiner that
+``Nonlinearity.evaluate`` uses: ``l + f g(s)`` where ``f > 0``, else ``l``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
 
 _ENVELOPE_GRID = np.logspace(-8.0, 3.0, 56)
 _MONO_GRID = np.concatenate([[0.0], np.logspace(-8.0, 3.0, 56)])
+_DOMINATION_GRID = np.concatenate([[0.0], np.logspace(-6.0, 3.0, 200)])
 
 
 class ScalarMap(Protocol):
@@ -260,3 +262,14 @@ def _check_monotonicity(F: Nonlinearity) -> None:
                 f"F - lambda*s increases at node {i} near s={s!r} with lambda={lam!r}"
             )
         prev = cur
+
+
+def _check_dominated(F1: Nonlinearity, F2: Nonlinearity) -> None:
+    """Sampled ``F1(x, s) <= F2(x, s) (1 + 1e-12)`` at every node, along ``_DOMINATION_GRID``."""
+    for (s, a), (_, b) in zip(_sampled(F1, _DOMINATION_GRID), _sampled(F2, _DOMINATION_GRID)):
+        bad = a > b * (1.0 + 1e-12) + 1e-300
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"F1 <= F2 fails at node {i}, s={s!r}: F1={a[i]!r} > F2={b[i]!r}"
+            )

@@ -389,8 +389,9 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
     on, and the energy identity residual is ``|x'Kx - sum m_i min(F_i, n) x_i|
     / |x'Kx|`` on the free-node values ``x``, with ``K = op.matrix``.  Each
     level is one ``solve_level`` call, warm-started from the level before;
-    a level that reports ``converged=False`` ends the schedule with a
-    ``ConvergenceError`` whose ``history`` is every level's ``LevelStats``.
+    a level that reports ``converged=False``, or ``_MAX_LEVELS`` levels
+    that are not Cauchy, end the schedule with a ``ConvergenceError`` whose
+    ``history`` is every level's ``LevelStats``.
     """
     F_free = _at_nodes(F, op.free)  # for the energy identity
     u = u0
@@ -418,8 +419,8 @@ def _schedule(op: SparseOperator, F: Nonlinearity, cfg: SolverConfig = SolverCon
         n *= 2.0
     else:
         raise ConvergenceError(
-            f"truncation levels not Cauchy after {_MAX_LEVELS} levels",
-            history=history,
+            f"truncation levels not Cauchy after {_MAX_LEVELS} levels: last gap {history[-1]:.3e}",
+            history=stats_list,
         )
     lhs = _dot(x_new, op.matrix @ x_new)
     rhs = _dot(op.ml * _capped(F_free, np.maximum(x_new, 0.0), n), x_new)

@@ -24,20 +24,16 @@ from .fem import (
     lumped_mass,
 )
 from .mesh import FieldFunction, Mesh, h1_seminorm
-from .nonlinearity import EigenTruncation, Nonlinearity, _sampled, nonlinearity
+from .nonlinearity import EigenTruncation, Nonlinearity, _check_dominated, nonlinearity
 from .solver import SolverConfig, _schedule, solve_level
 
 __all__ = [
     "ExperimentOutcome",
-    "estimate_lambda_mono",
     "comparison_experiment",
     "uniqueness_experiment",
     "nonuniqueness_experiment",
     "stability_experiment",
 ]
-
-#: log grid approximating the "for a.e. s" monotonicity condition
-DEFAULT_S_GRID = np.logspace(-6.0, 3.0, 200)
 
 #: discrete eigenvalues overestimate slightly; keep this margin below lambda_1
 LAMBDA_MARGIN = 0.9
@@ -70,24 +66,6 @@ class ExperimentOutcome:
         }
 
 
-def estimate_lambda_mono(F: Nonlinearity) -> float:
-    """Smallest ``lam >= 0`` with ``F(x, s) - lam s`` nonincreasing along ``DEFAULT_S_GRID``.
-
-    Computed as the largest positive difference quotient of ``F`` in ``s``
-    over all nodes and adjacent grid pairs (0 when all are nonpositive,
-    ``inf`` when ``F`` is not finite on the grid).
-    """
-    gv = np.asarray(F.g(DEFAULT_S_GRID), dtype=float)
-    if not np.all(np.isfinite(gv)):
-        return float("inf")
-    fmax = float(F.f.max()) if F.f.size else 0.0
-    if fmax == 0.0:
-        return 0.0
-    q = np.diff(gv) / np.diff(DEFAULT_S_GRID)
-    qmax = float(q.max())
-    return max(0.0, fmax * qmax)
-
-
 def _lambda1(op: SparseOperator) -> tuple[float, FieldFunction]:
     """First eigenpair of the operator's symmetric part ``(K + K') / 2`` with lumped mass.
 
@@ -102,27 +80,17 @@ def _lambda1(op: SparseOperator) -> tuple[float, FieldFunction]:
     return first_eigenpair(op, M, tol=1e-12)
 
 
-def _check_dominated(F1: Nonlinearity, F2: Nonlinearity) -> None:
-    grid = np.concatenate([[0.0], DEFAULT_S_GRID])
-    for (s, a), (_, b) in zip(_sampled(F1, grid), _sampled(F2, grid)):
-        bad = a > b * (1.0 + 1e-12) + 1e-300
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"F1 <= F2 fails at node {i}, s={s!r}: F1={a[i]!r} > F2={b[i]!r}"
-            )
+def _uniqueness_regime(mesh: Mesh, coeff: Coefficient, Fs):
+    """``(op, lambda_1, [lambda_mono of each F])``, each ``lambda_mono`` as declared.
 
-
-def _uniqueness_regime(mesh: Mesh, coeff: Coefficient, Fs, enforce_margin: bool = True):
-    """``(op, lambda_1, [lambda_mono of each F])``, each estimated where not declared finite.
-
-    Raises unless the smallest ``lambda_mono <= LAMBDA_MARGIN * lambda_1``;
-    ``enforce_margin=False`` skips only the raise.
+    ``nonlinearity()`` validates every finite ``lambda_mono``; an ``inf`` one
+    (none known, as for ``OscillatingPower``) is outside the regime.  Raises
+    unless the smallest ``lambda_mono <= LAMBDA_MARGIN * lambda_1``.
     """
     op = assemble_stiffness(mesh, coeff)
     lam1, _ = _lambda1(op)
-    lams = [F.lambda_mono if np.isfinite(F.lambda_mono) else estimate_lambda_mono(F) for F in Fs]
-    if enforce_margin and not min(lams) <= LAMBDA_MARGIN * lam1:
+    lams = [F.lambda_mono for F in Fs]
+    if not min(lams) <= LAMBDA_MARGIN * lam1:
         raise ValueError(f"no lambda_mono in {lams!r} is within the margin "
                          f"{LAMBDA_MARGIN} * lambda1={LAMBDA_MARGIN * lam1!r}")
     return op, lam1, lams
@@ -158,19 +126,17 @@ def comparison_experiment(mesh: Mesh, coeff: Coefficient, F1: Nonlinearity,
 
 def uniqueness_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
                           n_starts: int = 3, cfg: SolverConfig = SolverConfig(),
-                          seed: int = 0, enforce_margin: bool = True) -> ExperimentOutcome:
+                          seed: int = 0) -> ExperimentOutcome:
     """Multi-start agreement under the almost-nonincreasing condition.
 
-    Starts are the zero field, a large constant, and seeded random
-    nonnegative fields.  All runs must land on the same solution within ten
-    outer tolerances.  ``enforce_margin=False`` skips the precondition that
-    ``lambda_mono`` sits below the first eigenvalue, turning the experiment
-    into the purely empirical agreement check (the oscillating model
-    violates the condition near 0, yet its runs still coincide).
+    Precondition (a violation raises): the declared ``lambda_mono`` sits
+    below ``LAMBDA_MARGIN`` times the first eigenvalue.  Starts are the zero
+    field, a large constant, and seeded random nonnegative fields.  All runs
+    must land on the same solution within ten outer tolerances.
     """
     if n_starts < 2:
         raise ValueError("need at least 2 starts")
-    op, lam1, (lam,) = _uniqueness_regime(mesh, coeff, (F,), enforce_margin)
+    op, lam1, (lam,) = _uniqueness_regime(mesh, coeff, (F,))
     big = 1.0 + 2.0 * float(F.h.max()) / coeff.alpha
     rng = np.random.default_rng(seed)
     starts = [FieldFunction.zeros(mesh), FieldFunction(mesh, np.full(mesh.n_nodes, big))]

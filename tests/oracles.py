@@ -40,7 +40,7 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from mildsing import solver
 from mildsing.fem import CGStats, SparseOperator, _dot, solve_cg
 from mildsing.mesh import CLASS_NAMES, FLOAT_FMT, HOLE, OUTER_BOUNDARY, FieldFunction
-from mildsing.nonlinearity import _ENVELOPE_GRID, _MONO_GRID, Nonlinearity
+from mildsing.nonlinearity import _DOMINATION_GRID, _ENVELOPE_GRID, _MONO_GRID, Nonlinearity
 from mildsing.solver import (
     _CG_TOL,
     _FORCING,
@@ -56,7 +56,6 @@ from mildsing.solver import (
     _check_level,
     _slope_shift,
 )
-from mildsing.verification import DEFAULT_S_GRID
 
 #: the module, which the package's ``nonlinearity`` function shadows as an attribute
 nonlinearity_module = importlib.import_module("mildsing.nonlinearity")
@@ -648,7 +647,7 @@ def nonlinearity_per_node(mesh, g, **kwargs) -> Nonlinearity:
 
 def check_dominated_per_node(F1: Nonlinearity, F2: Nonlinearity) -> None:
     """``F1 <= F2`` at every node, with ``evaluate_at`` on both sides per sample point."""
-    for s in np.concatenate([[0.0], DEFAULT_S_GRID]):
+    for s in _DOMINATION_GRID:
         a = evaluate_at(F1, s)
         b = evaluate_at(F2, s)
         bad = a > b * (1.0 + 1e-12) + 1e-300

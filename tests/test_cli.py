@@ -181,6 +181,20 @@ def _matrix_config(a11, a12, a21, a22, extra=""):
 MATRIX_SOLVE_CONFIG = SOLVE_CONFIG.replace("dim = 1\nnx = 129", "nx = 17\nny = 17")
 
 
+def test_isotropic_coefficient_is_the_diagonal_matrix(tmp_path):
+    # kind = isotropic with a = 2.5 is kind = matrix with a11 = a22 = 2.5
+    iso = MATRIX_SOLVE_CONFIG + "\n[coefficient]\nkind = isotropic\na = 2.5\n"
+    mat = _matrix_config(2.5, 0.0, 0.0, 2.5, extra=MATRIX_SOLVE_CONFIG + "\n")
+    mesh = mildsing.build_rectangle_mesh(1.0, 1.0, 17, 17)
+    coeffs = [build_coefficient(parse_config(text), mesh) for text in (iso, mat)]
+    assert np.array_equal(coeffs[0].matrices, coeffs[1].matrices)
+    csvs = []
+    for name, text in (("iso", iso), ("mat", mat)):
+        assert run(write(tmp_path, f"{name}.ini", text), out_dir=tmp_path / name) == 0
+        csvs.append((tmp_path / name / "solution.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 @pytest.mark.parametrize("a", [(1.0, -0.5, -0.5, 1.0), (1.0, 1.2, 1.2, 2.0)],
                          ids=["negative_coupling", "coupling_above_diagonal"])
 def test_non_m_matrix_coefficient_is_config_error(tmp_path, capsys, a):
@@ -350,6 +364,20 @@ l = 1.0
 mu = 10
 epsilons = 0.25,0.125
 """
+
+
+def test_table_nonlinearity_runs(tmp_path):
+    assert run(write(tmp_path, "table.ini", TABLE_CONFIG + "table_g = 1,0.5\n"),
+               out_dir=tmp_path / "o") == 0
+    assert (tmp_path / "o" / "solution.csv").exists()
+
+
+def test_table_of_unequal_lengths_is_config_error(tmp_path, capsys):
+    path = write(tmp_path, "table.ini", TABLE_CONFIG + "table_g = 1,0.5,0.25\n")
+    assert run(path, out_dir=tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "[nonlinearity] table_s: table_s and table_g need equal length" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text, section, key", [
@@ -552,6 +580,23 @@ epsilons = 0.25,0.125
     assert record["artifacts"] == [str(out / "sweep.csv")]
     assert record["metrics"]["improves_everywhere"] is True
     assert code in (0, 1)  # the strict trend needs the resolving mesh
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_sweep_that_keeps_one_epsilon_fails(tmp_path, kind):
+    # on 17**2 the epsilon = 1/8 holes are unresolved (h > r/2) and dropped;
+    # one row left cannot show a trend, so both sweep kinds fail on it
+    text = (f"[experiment]\nkind = {kind}\n\n[mesh]\nnx = 17\nny = 17\n\n"
+            "[nonlinearity]\ng = power\ngamma = 1.0\nf = 1.0\n\n"
+            "[homogenization]\nmu = 100\nepsilons = 0.25,0.125\n")
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="dropping epsilon"):
+        code = run(write(tmp_path, f"{kind}.ini", text), out_dir=out)
+    assert code == 1
+    record = json.loads((out / "results.jsonl").read_text())
+    assert record["name"] == kind
+    assert record["pass"] is False
+    assert record["metrics"]["rows_kept"] == 1
 
 
 def test_field_data_from_csv(tmp_path):

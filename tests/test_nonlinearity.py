@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +5,7 @@ from hypothesis import strategies as st
 
 import mildsing as ms
 from mildsing import EigenTruncation, OscillatingPower, PowerLaw, TableMap, nonlinearity
-from mildsing.nonlinearity import Nonlinearity, _at_nodes
-from mildsing.verification import _check_dominated
+from mildsing.nonlinearity import Nonlinearity, _at_nodes, _check_dominated
 
 from oracles import check_dominated_per_node, evaluate_at, nonlinearity_per_node, power_law_masked
 
@@ -106,32 +103,6 @@ def test_young_scalar_inequality():
         lhs = u ** (1.0 - gamma)
         rhs = (1.0 - gamma) * u + gamma
         assert np.all(lhs <= rhs + 1e-12)
-
-
-def test_estimate_lambda_mono_registry_values(mesh):
-    F_pow = nonlinearity(mesh, PowerLaw(0.5), f=1.0, l=2.0)
-    assert ms.estimate_lambda_mono(F_pow) == 0.0
-
-    lam1 = 19.739
-    F_eig = nonlinearity(mesh, EigenTruncation(lam1, 1.0), f=1.0, gamma=1.0)
-    assert ms.estimate_lambda_mono(F_eig) == pytest.approx(lam1, rel=1e-10)
-
-    F_lin = nonlinearity(mesh, TableMap((0.0, 2000.0), (0.0, 1000.0)), f=1.0, gamma=1.0,
-                         lambda_mono=0.5)
-    assert ms.estimate_lambda_mono(F_lin) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_estimate_lambda_mono_scales_with_f(mesh):
-    lam1 = 10.0
-    F = nonlinearity(mesh, EigenTruncation(lam1, 1.0), f=3.0, gamma=1.0)
-    assert ms.estimate_lambda_mono(F) == pytest.approx(3.0 * lam1, rel=1e-10)
-
-
-def test_estimate_lambda_mono_infinite_on_blowup(mesh):
-    # a g that is infinite at points of the sampling grid
-    F = replace(nonlinearity(mesh, PowerLaw(0.5), f=1.0),
-                g=lambda s: np.where(s < 1e-3, np.inf, s ** -0.5))
-    assert ms.estimate_lambda_mono(F) == np.inf
 
 
 @pytest.mark.parametrize("g", [PowerLaw(0.5), OscillatingPower(1.0),

@@ -556,6 +556,27 @@ def test_schedule_stalled_level_raises_with_its_level(monkeypatch, interval, int
     assert history[-1].iterations == k and history[0].converged
 
 
+def test_schedule_not_cauchy_raises_with_every_level(monkeypatch, unit_square_9):
+    # PowerLaw(0.5) with f = 1 on 9**2 needs 5 levels; with room for 2 the
+    # schedule is not Cauchy and raises with both converged levels' stats and
+    # the last gap, |u_2 - u_1|_H1, in its message
+    F = nonlinearity(unit_square_9, PowerLaw(0.5), f=1.0)
+    A = ms.Coefficient.identity(unit_square_9)
+    assert ms.solve_singular(unit_square_9, A, F).outer_iters == 5
+    monkeypatch.setattr(solver, "_MAX_LEVELS", 2)
+    with pytest.raises(ms.ConvergenceError, match="not Cauchy after 2 levels") as info:
+        ms.solve_singular(unit_square_9, A, F)
+    history = info.value.history
+    assert [st.level for st in history] == [1.0, 2.0]
+    assert all(st.converged for st in history)
+    op = ms.assemble_stiffness(unit_square_9, A)
+    u1, _ = ms.solve_level(op, F, 1.0)
+    u2, _ = ms.solve_level(op, F, 2.0, u0=u1)
+    gap = op.h1(u2.values[op.free] - u1.values[op.free])
+    assert gap == pytest.approx(0.1828, abs=1e-4)
+    assert f"last gap {gap:.3e}" in str(info.value)
+
+
 #: zero-start problems whose levels all reported convergence with a frozen
 #: positive node before the slope shift was capped, at equation residuals up to
 #: 0.70, 1.1 and 1.1; in the first, a node at 6.2e-10 got a shift of 1.5e11
