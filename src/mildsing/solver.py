@@ -85,7 +85,17 @@ Levels follow the doubling schedule ``n = 1, 2, 4, ...`` with warm starts,
 at most ``_MAX_LEVELS`` of them; the outer iteration stops when consecutive
 levels are Cauchy in the H1 seminorm to ``SolverConfig.outer_tol``.  That is
 the one accuracy setting: each level's Picard loop, at most ``_MAX_INNER``
-steps, stops at a residual 100 times smaller.
+steps, stops at a step ``|v - u|_H1`` 100 times smaller (``inner_tol``).  A
+level that contracts at Newton's rate stops one step sooner, without the step
+that would only confirm it: a map that contracts by ``rho`` leaves the iterate
+within ``|d| rho / (1 - rho)`` of its fixed point (Ortega & Rheinboldt 1970,
+ch. 12), so an undamped step whose H1 ratio ``rho``, and its predecessor's,
+lie below ``_TAIL_RATIO[0]`` (a pass's first step, with no predecessor, has
+ratio 0) ends the level once that bound meets the step tolerance and the
+iterate's equation residual is at most ``outer_tol``
+(``LevelStats.estimated``).  The residual gate keeps a lucky ratio from
+stopping a level short of its equation; where it passes, the level makes no
+evaluation of ``F`` beyond the one it reports.
 ``solve_singular(mu=...)`` adds the lumped absorption ``mu u``: that is the
 limit problem ``-div A Du + mu u = F(x, u)`` of shrinking perforations.
 """
@@ -132,7 +142,8 @@ _MAX_INNER = 800
 _TAIL_DEPTH = 3
 #: consecutive tail steps (``theta = 1``, H1 step ratio in ``_TAIL_RATIO``) before acceleration
 _TAIL_STEPS = 8
-#: open interval of ``res / res_prev`` that marks a linearly converging tail
+#: open interval of ``res / res_prev`` that marks a linearly converging tail;
+#: below it, a level contracts fast enough to stop on its contraction estimate
 _TAIL_RATIO = (0.3, 1.0)
 #: a tail difference this close to the span of newer ones (squared sine) is dropped
 _TAIL_DROP = 1e-10
@@ -174,7 +185,11 @@ class SolverConfig:
 
 @dataclass
 class LevelStats:
-    """One truncation level ``n`` (``level``) of a solve: a ``solver_stats.jsonl`` line as is."""
+    """One truncation level ``n`` (``level``) of a solve: a ``solver_stats.jsonl`` line as is.
+
+    ``estimated`` says whether the level stopped on its contraction estimate
+    rather than on a step below ``inner_tol``.
+    """
 
     level: float
     iterations: int
@@ -184,6 +199,7 @@ class LevelStats:
     cg_iterations: int
     accelerated: int
     equation_residual: float
+    estimated: bool
 
 
 @dataclass
@@ -305,7 +321,11 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
 
     ``op`` is the assembled operator from ``assemble_stiffness(mesh, coeff,
     mu)``; the steps start from ``u0`` (zero when None) and accelerate the
-    level's linear tail.  Non-convergence within ``_MAX_INNER`` steps is
+    level's linear tail.  It stops at a step ``|d|_H1 <= inner_tol |x|_H1 +
+    inner_tol_abs``, or, after two undamped steps with H1 ratios below
+    ``_TAIL_RATIO[0]``, at the step whose contraction estimate ``|d| rho / (1
+    - rho)`` meets that bound while ``x`` solves its equation to ``outer_tol``
+    (``estimated=True``).  Non-convergence within ``_MAX_INNER`` steps is
     reported in the returned stats (``converged=False`` with the last step's
     residual), not raised: near-degenerate right-hand sides legitimately
     stall and the caller decides.  Raises ``ValueError`` when ``n < 1``.
@@ -319,11 +339,12 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
         theta = 1.0
         forcing = _FORCING
         res_prev = np.inf
+        rho_prev = np.inf
         res = np.inf
         d_prev = None
         cg_total = 0
         k = 0
-        converged = False
+        converged = estimated = False
         for k in range(1, _MAX_INNER + 1):
             s = np.maximum(x, 0.0)
             shift = _slope_shift(F_free, s, n, op.ml)
@@ -335,10 +356,18 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
             d = v - x
             res = op.h1(d)
             x = x + theta * d
-            if res <= cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs:
+            tol = cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs
+            if res <= tol:
                 converged = True
                 break
             rho = res / res_prev
+            # a contraction by rho leaves x within res rho / (1 - rho) of the fixed point
+            if (theta == 1.0 and max(rho, rho_prev) < _TAIL_RATIO[0]
+                    and res * rho / (1.0 - rho) <= tol):
+                equation_residual = _equation_residual(op, F_free, x, n)
+                if equation_residual <= cfg.outer_tol:
+                    converged = estimated = True
+                    break
             # a step that grew, or one that did not shrink and turned back (a 2-cycle)
             damp = res > 1.5 * res_prev or (res >= 0.9 * res_prev and _dot(d, d_prev) < 0.0)
             if accelerate and theta == 1.0 and _TAIL_RATIO[0] < rho < _TAIL_RATIO[1]:
@@ -349,15 +378,16 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
             # a slow outer contraction cannot use a sharper inner solve; one
             # that hardly contracts, or grows, gets the sharp one again
             forcing = _FORCING * max(10.0 * rho, 1.0) if rho < 0.95 else _FORCING
-            res_prev, d_prev = res, d
-        equation_residual = _equation_residual(op, F_free, x, n)
+            res_prev, rho_prev, d_prev = res, rho, d
+        if not estimated:
+            equation_residual = _equation_residual(op, F_free, x, n)
         converged = converged and equation_residual <= 100.0 * cfg.outer_tol
         if converged or not tail.accelerated:
             break
 
     stats = LevelStats(level=n, iterations=k, residual=float(res), converged=converged,
                        theta=theta, cg_iterations=cg_total, accelerated=tail.accelerated,
-                       equation_residual=equation_residual)
+                       equation_residual=equation_residual, estimated=estimated)
     return FieldFunction(op.mesh, op.scatter(x)), stats
 
 

@@ -52,6 +52,7 @@ from mildsing.solver import (
     _equation_residual,
     _TAIL_DEPTH,
     _TAIL_DROP,
+    _TAIL_RATIO,
     _TAIL_STEPS,
     _check_level,
     _slope_shift,
@@ -451,7 +452,7 @@ def solve_level_weighted(op: SparseOperator, F: Nonlinearity, n: float,
     F_free = partial(evaluate_masked, F.g, F.f[free], F.l[free])
     stats = LevelStats(level=n, iterations=k, residual=float(res), converged=converged,
                        theta=theta, cg_iterations=cg_total, accelerated=0,
-                       equation_residual=_equation_residual(op, F_free, x, n))
+                       equation_residual=_equation_residual(op, F_free, x, n), estimated=False)
     return FieldFunction(op.mesh, op.scatter(x)), stats
 
 
@@ -463,16 +464,20 @@ def solve_singular_weighted(mesh, coeff, F, cfg=SolverConfig(), mu=0.0):
 
 def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
                       cfg: SolverConfig = SolverConfig(),
-                      u0: FieldFunction | None = None) -> tuple[FieldFunction, LevelStats]:
+                      u0: FieldFunction | None = None,
+                      estimate: bool = True) -> tuple[FieldFunction, LevelStats]:
     """``solve_level`` with every step the plain damped step ``x + theta d``.
 
     ``theta`` follows the solver's damping rule, its 2-cycle test included,
     a negative node gets no slope shift, the shift is capped at
     ``_SHIFT_CAP`` times ``K``'s diagonal, the CG forcing of each step after
     the second loosens with the ratio ``rho < 0.95`` of its two
-    predecessors' H1 steps, and a
-    converged level also solves its equation to ``100 outer_tol``, as in
-    ``solver.solve_level``.
+    predecessors' H1 steps, a level also stops on the contraction estimate
+    of two undamped steps with ratios below ``_TAIL_RATIO[0]`` once its
+    iterate solves the equation to ``outer_tol``, and a converged level also
+    solves its equation to ``100 outer_tol``, as in ``solver.solve_level``.
+    With ``estimate=False`` every level stops on a step below ``inner_tol``,
+    the confirming step included: the stop rule before the estimate.
     """
     _check_level(n)
     F_free = partial(evaluate_masked, F.g, F.f[op.free], F.l[op.free])  # gathered once
@@ -481,11 +486,12 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
     theta = 1.0
     forcing = _FORCING
     res_prev = np.inf
+    rho_prev = np.inf
     res = np.inf
     d_prev = None
     cg_total = 0
     k = 0
-    converged = False
+    converged = estimated = False
     for k in range(1, _MAX_INNER + 1):
         s = np.maximum(x, 0.0)
         shift = _slope_shift(F_free, s, n, op.ml)
@@ -497,27 +503,36 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
         d = v - x
         res = op.h1(d)
         x = x + theta * d
-        if res <= cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs:
+        tol = cfg.inner_tol * op.h1(x) + cfg.inner_tol_abs
+        if res <= tol:
             converged = True
             break
+        rho = res / res_prev
+        if estimate and theta == 1.0 and rho < _TAIL_RATIO[0] and rho_prev < _TAIL_RATIO[0] \
+                and res * rho / (1.0 - rho) <= tol:
+            equation_residual = _equation_residual(op, F_free, x, n)
+            if equation_residual <= cfg.outer_tol:
+                converged = estimated = True
+                break
         cycle = res >= 0.9 * res_prev and _dot(d, d_prev) < 0.0
         theta = max(0.5 * theta, 0.05) if res > 1.5 * res_prev or cycle else min(1.2 * theta, 1.0)
-        rho = res / res_prev
         forcing = _FORCING * max(10.0 * rho, 1.0) if rho < 0.95 else _FORCING
         res_prev = res
+        rho_prev = rho
         d_prev = d
 
-    equation_residual = _equation_residual(op, F_free, x, n)
+    if not estimated:
+        equation_residual = _equation_residual(op, F_free, x, n)
     stats = LevelStats(level=n, iterations=k, residual=float(res),
                        converged=converged and equation_residual <= 100.0 * cfg.outer_tol,
                        theta=theta, cg_iterations=cg_total, accelerated=0,
-                       equation_residual=equation_residual)
+                       equation_residual=equation_residual, estimated=estimated)
     return FieldFunction(op.mesh, op.scatter(x)), stats
 
 
-def solve_singular_plain(mesh, coeff, F, cfg=SolverConfig(), u0=None, mu=0.0):
+def solve_singular_plain(mesh, coeff, F, cfg=SolverConfig(), u0=None, mu=0.0, estimate=True):
     """``solve_singular``, with every truncation level solved by :func:`solve_level_plain`."""
-    with mock.patch.object(solver, "solve_level", solve_level_plain):
+    with mock.patch.object(solver, "solve_level", partial(solve_level_plain, estimate=estimate)):
         return solver.solve_singular(mesh, coeff, F, cfg, u0=u0, mu=mu)
 
 

@@ -30,7 +30,9 @@ start]``.  The fields:
 - ``worst_level``: the most Picard steps one level reported, its level and
   its problem;
 - ``steps`` and ``cg_iterations``: totals over every level reported, those
-  of solves that raised included.  A retried level reports its plain pass.
+  of solves that raised included.  A retried level reports its plain pass;
+- ``estimated``: how many of those levels stopped on their contraction
+  estimate (``LevelStats.estimated``).
 
 ``wall_s`` and ``environment`` are the only fields that depend on the
 machine.
@@ -88,7 +90,7 @@ def scan(family):
     record = {"family": family, "problems": 0, "raises": [], "frozen": [], "negative": [],
               "retries": {"fired": 0, "rescued": 0},
               "worst_level": {"iterations": 0, "level": None, "problem": None},
-              "steps": 0, "cg_iterations": 0}
+              "steps": 0, "cg_iterations": 0, "estimated": 0}
 
     class Counted(solver._AndersonTail):
         def __init__(self):
@@ -122,6 +124,7 @@ def scan(family):
             for st in levels:
                 record["steps"] += st.iterations
                 record["cg_iterations"] += st.cg_iterations
+                record["estimated"] += st.estimated
                 if st.iterations > record["worst_level"]["iterations"]:
                     record["worst_level"] = {"iterations": st.iterations, "level": st.level,
                                              "problem": problem}

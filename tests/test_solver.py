@@ -360,6 +360,39 @@ def test_levels_without_a_linear_tail_are_plain_steps():
     assert all(st.accelerated == 0 for st in rep.level_stats)
 
 
+def test_newton_rate_levels_stop_on_the_contraction_estimate():
+    # the power-law levels contract at Newton's rate, so a level whose last
+    # two step ratios lie below _TAIL_RATIO[0] stops on its contraction
+    # estimate instead of taking the step that would only confirm it; a
+    # level stopped so still solves its equation to outer_tol, and the solve
+    # lands where the confirm-step rule does
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 129, 129)
+    A = ms.Coefficient.identity(mesh)
+    F = nonlinearity(mesh, PowerLaw(0.5), f=1.0)
+    cfg = ms.SolverConfig()
+    rep = ms.solve_singular(mesh, A, F, cfg, mu=50.0)
+    ref = solve_singular_plain(mesh, A, F, cfg, mu=50.0, estimate=False)
+    assert [st.iterations for st in rep.level_stats] == [3, 3, 4, 4, 4, 3, 1]
+    assert [st.iterations for st in ref.level_stats] == [4, 4, 5, 5, 4, 4, 1]
+    estimated = [st for st in rep.level_stats if st.estimated]
+    assert len(estimated) == 5 and not any(st.estimated for st in ref.level_stats)
+    assert all(st.equation_residual <= cfg.outer_tol for st in estimated)
+    gap = ms.h1_seminorm(rep.u - ref.u)
+    assert gap <= 10.0 * (cfg.outer_tol * ms.h1_seminorm(ref.u) + cfg.outer_tol_abs)
+
+
+def test_slow_tails_take_the_confirm_step_rule_steps(unit_square_65, identity_65):
+    # the benchmark's model: from level 8 on its levels contract slowly
+    # (rho > _TAIL_RATIO[0]), where the estimate never holds, so they take
+    # the steps they took before levels could stop on it
+    F = nonlinearity(unit_square_65, ms.OscillatingPower(1.0), f=1.0)
+    rep = ms.solve_singular(unit_square_65, identity_65, F)
+    late = [st for st in rep.level_stats if st.level >= 8.0]
+    assert [(st.level, st.iterations) for st in late] == [
+        (8.0, 11), (16.0, 13), (32.0, 24), (64.0, 41), (128.0, 41), (256.0, 1)]
+    assert not any(st.estimated for st in late)
+
+
 def test_anderson_tail_drops_parallel_differences():
     # x <- x/2 + b contracts every mode at the same rate, so the tail's
     # differences are exactly parallel: the Gram matrix is singular, and the
@@ -686,12 +719,34 @@ def test_oscillating_levels_solve_the_capped_equation():
     # oscillating solve solves its equation; a solve that raises fails too,
     # as an uncapped shift turns frozen levels into raises.  Even draws start
     # from zero, odd ones from the drawn u0.
-    worst = 0.0
+    # The energy identity x'Kx = sum m_i min(F_i, n) x_i of the returned
+    # solve holds to the same bound (at most 7.3e-9 on these draws).
+    worst = worst_identity = 0.0
     for i in range(200):
         mesh, F, u0 = random_data(30000 + i, ms.OscillatingPower)
         rep = ms.solve_singular(mesh, ms.Coefficient.identity(mesh), F, u0=u0 if i % 2 else None)
         worst = max(worst, *(st.equation_residual for st in rep.level_stats))
+        worst_identity = max(worst_identity, rep.energy_identity_residual)
     assert worst <= 1e-6
+    assert worst_identity <= 1e-6
+
+
+def test_returned_solve_is_a_fixed_point_to_the_step_tolerance():
+    # one more Picard step on the last level, from the returned u, is below
+    # the step tolerance: solve_level takes 1 step, of H1 size at most 0.08 of
+    # 10 (inner_tol |u| + inner_tol_abs) on these draws.  A Picard stop 100
+    # times looser fails 44 of them.  The draws oscillate: power-law levels
+    # contract at Newton's rate, so even that looser stop leaves a next step
+    # of at most 0.0013 of the bound on the same seeds.  Even draws start
+    # from zero, odd ones from the drawn u0.
+    cfg = ms.SolverConfig()
+    for i in range(100):
+        mesh, F, u0 = random_data(50000 + i, ms.OscillatingPower)
+        A = ms.Coefficient.identity(mesh)
+        rep = ms.solve_singular(mesh, A, F, cfg, u0=u0 if i % 2 else None)
+        _, st = ms.solve_level(ms.assemble_stiffness(mesh, A), F, rep.n_final, cfg, u0=rep.u)
+        bound = 10.0 * (cfg.inner_tol * ms.h1_seminorm(rep.u) + cfg.inner_tol_abs)
+        assert st.iterations == 1 and st.residual <= bound, (i, st.iterations, st.residual / bound)
 
 
 def test_negative_node_rule_keeps_level_headroom():
