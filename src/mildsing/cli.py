@@ -71,6 +71,11 @@ KINDS = (
     "capacity",
 )
 
+#: a solve passes when its energy identity holds to this relative residual
+_ENERGY_TOL = 1e-6
+#: a capacity run passes within this relative error of the annulus formula
+_CAPACITY_TOL = 0.02
+
 
 class ConfigError(Exception):
     """Invalid configuration; carries the offending section/key."""
@@ -264,11 +269,11 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
         raise ConfigError("solver", key, message) from None
 
 
-def _solve_outcome(op, coeff, F, scfg, energy_tol, out_dir) -> ExperimentOutcome:
+def _solve_outcome(op, coeff, F, scfg, out_dir) -> ExperimentOutcome:
     report = _schedule(op, F, scfg)
     nn = norms(report.u, coeff)
     min_u = float(report.u.values.min())
-    passed = bool(min_u >= -1e-12 and report.energy_identity_residual <= energy_tol)
+    passed = bool(min_u >= -1e-12 and report.energy_identity_residual <= _ENERGY_TOL)
     metrics = {
         "n_final": report.n_final,
         "outer_iters": report.outer_iters,
@@ -298,15 +303,14 @@ def _prepare(cfg: RunConfig, kind: str, out_dir: str, seed: int, threads: int):
         r_outer = cfg.get_float("capacity", "r_outer", required=True, positive=True)
         r_inner = cfg.get_float("capacity", "r_inner", required=True, positive=True)
         h = cfg.get_float("capacity", "h", required=True, positive=True)
-        tol = cfg.get_float("capacity", "rel_tol", 0.02, positive=True)
 
         def capacity() -> ExperimentOutcome:
             value = discrete_capacity(r_outer, r_inner, h)
             exact = 2.0 * np.pi / np.log(r_outer / r_inner)
             rel = abs(value - exact) / exact
-            return ExperimentOutcome("capacity", bool(rel <= tol), {
-                "capacity": value, "annulus_formula": exact, "rel_error": rel, "rel_tol": tol,
-            })
+            return ExperimentOutcome("capacity", bool(rel <= _CAPACITY_TOL), {
+                "capacity": value, "annulus_formula": exact, "rel_error": rel,
+                "rel_tol": _CAPACITY_TOL})
         return capacity
 
     mesh = build_mesh(cfg)
@@ -317,8 +321,7 @@ def _prepare(cfg: RunConfig, kind: str, out_dir: str, seed: int, threads: int):
         # one operator for lambda_1 (rate = auto) and the solve
         op = assemble_stiffness(mesh, coeff)
         F = build_nonlinearity(cfg, mesh, coeff, op=op)
-        energy_tol = cfg.get_float("solve", "energy_tol", 1e-6, positive=True)
-        return lambda: _solve_outcome(op, coeff, F, scfg, energy_tol, out_dir)
+        return lambda: _solve_outcome(op, coeff, F, scfg, out_dir)
     if kind == "comparison":
         F1 = build_nonlinearity(cfg, mesh, coeff, "nonlinearity")
         F2 = build_nonlinearity(cfg, mesh, coeff, "nonlinearity2")
@@ -329,8 +332,7 @@ def _prepare(cfg: RunConfig, kind: str, out_dir: str, seed: int, threads: int):
         return lambda: uniqueness_experiment(mesh, coeff, F, n_starts, scfg, seed=seed)
     if kind == "nonuniqueness":
         k = cfg.get_float("nonuniqueness", "k", 1.0, positive=True)
-        ray_tol = cfg.get_float("nonuniqueness", "ray_tol", 1e-4, positive=True)
-        return lambda: nonuniqueness_experiment(mesh, coeff, k, scfg, ray_tol=ray_tol)
+        return lambda: nonuniqueness_experiment(mesh, coeff, k, scfg)
     if kind == "stability":
         F = build_nonlinearity(cfg, mesh, coeff)
         levels = cfg.get_floats("stability", "levels", [1.0, 2.0, 4.0, 8.0, 16.0])
@@ -340,7 +342,6 @@ def _prepare(cfg: RunConfig, kind: str, out_dir: str, seed: int, threads: int):
     F = build_nonlinearity(cfg, mesh, coeff)
     mu = cfg.get_float("homogenization", "mu", required=True, positive=True)
     strategy = cfg.get("homogenization", "strategy", "resolved")
-    defect_tol = cfg.get_float("homogenization", "defect_tol", 0.25, positive=True)
     epsilons = cfg.get_floats("homogenization", "epsilons", required=True)
     if len(epsilons) < 2:
         raise ConfigError("homogenization", "epsilons", "sweep needs at least 2 epsilons")
@@ -350,8 +351,7 @@ def _prepare(cfg: RunConfig, kind: str, out_dir: str, seed: int, threads: int):
         raise ConfigError("homogenization", "epsilons", str(exc)) from None
 
     def sweep() -> ExperimentOutcome:
-        h_out = homogenization_experiment(mesh, coeff, F, specs, scfg,
-                                          defect_tol=defect_tol, threads=threads)
+        h_out = homogenization_experiment(mesh, coeff, F, specs, scfg, threads=threads)
         path = _atomic(os.path.join(out_dir, "sweep.csv"), write_sweep_csv,
                        [e.row for e in h_out.detail.entries])
         outcome = h_out if kind == "homogenization" else corrector_experiment(h_out)

@@ -58,6 +58,9 @@ __all__ = [
     "SWEEP_COLUMNS",
 ]
 
+#: the finest energy defect must match ``mu int u0**2`` to this relative error
+DEFECT_TOL = 0.25
+
 
 def prescribed_mu_radius(epsilon: float, C0: float) -> float:
     """Radius ``eps * exp(-C0 / eps**2)`` of the resolvable prescribed-``mu`` family.
@@ -137,14 +140,13 @@ def discrete_capacity(R_outer: float, r_inner: float, mesh_h: float) -> float:
     return energy_product(w, coeff)
 
 
-def corrector_field(mesh_eps: Mesh, spec: PerforationSpec,
-                    rho: float | None = None) -> FieldFunction:
-    """Oscillating test profile: 0 on the holes, log ramp to 1 at distance ``rho``.
+def corrector_field(mesh_eps: Mesh) -> FieldFunction:
+    """Oscillating test profile: 0 on the holes, log ramp to 1 at distance ``epsilon``.
 
-    ``w = ln(d_i / r) / ln(rho / r)`` in the annulus ``r <= d_i <= rho``
+    ``w = ln(d_i / r) / ln(epsilon / r)`` in the annulus ``r <= d_i <= epsilon``
     around each hole (``d_i`` = distance to the nearest hole center), clamped
-    to ``[0, 1]``; ``rho`` defaults to ``epsilon`` so annuli stay inside
-    their cells.
+    to ``[0, 1]``, with the ``epsilon``, ``r`` and strategy that ``perforate``
+    recorded in ``mesh_eps.perforation``: the annuli are the cells' inscribed disks.
     """
     if mesh_eps.perforation is None:
         raise ValueError("mesh has no perforation")
@@ -152,13 +154,9 @@ def corrector_field(mesh_eps: Mesh, spec: PerforationSpec,
     if report.strategy != "resolved":
         raise ValueError("the corrector profile needs resolved holes")
     r = report.radius
-    if rho is None:
-        rho = spec.epsilon
-    if not (r < rho < spec.epsilon * math.sqrt(2.0)):
-        raise ValueError(f"annulus needs r < rho < eps*sqrt(2), got r={r!r}, rho={rho!r}")
-    d = np.sqrt(_lattice(mesh_eps, spec.epsilon)[2])
+    d = np.sqrt(_lattice(mesh_eps, report.epsilon)[2])
     with np.errstate(divide="ignore"):
-        prof = np.log(np.maximum(d, 0.0) / r) / math.log(rho / r)
+        prof = np.log(np.maximum(d, 0.0) / r) / math.log(report.epsilon / r)
     w = np.clip(prof, 0.0, 1.0)
     w[mesh_eps.node_class == HOLE] = 0.0
     return FieldFunction(mesh_eps, w)
@@ -209,14 +207,13 @@ class HomogenizationDetail:
 
 def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
                               spec_list, cfg: SolverConfig = SolverConfig(),
-                              defect_tol: float = 0.25,
                               threads: int = 1) -> ExperimentOutcome:
     """Shrinking-holes sweep against the limit problem with the absorption term.
 
     For each ``epsilon``: perforate, solve with hole nodes Dirichlet, extend
     by zero, and compare with the limit solution ``u0``.  Pass requires the
     L2 error to decrease along the sweep, the finest energy defect
-    ``int A Du_eps . Du_eps - int A Du0 . Du0`` to land within ``defect_tol``
+    ``int A Du_eps . Du_eps - int A Du0 . Du0`` to land within ``DEFECT_TOL``
     of ``mu int u0**2``, and the finest extension to sit closer to ``u0``
     than to the absorption-free solution.  ``threads > 1`` solves the
     epsilon problems concurrently (one worker per epsilon); aggregation is
@@ -247,8 +244,8 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
         energy_eps = energy_product(FieldFunction(mesh, tilde.values), coeff)
         corrector = None
         eh1_corr = float("nan")
-        if coeff.is_symmetric and spec.strategy == "resolved":
-            corrector = corrector_field(mesh_eps, spec)
+        if coeff.is_symmetric and mesh_eps.perforation.strategy == "resolved":
+            corrector = corrector_field(mesh_eps)
             eh1_corr = h1_seminorm(
                 FieldFunction(mesh, tilde.values - corrector.values * limit.u.values)
             )
@@ -282,7 +279,7 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
     e_l2 = [row["eL2"] for row in rows]
     decreasing = all(b < a for a, b in zip(e_l2, e_l2[1:]))
     finest = rows[-1]
-    defect_ok = abs(finest["defect"] - mass_mu) <= defect_tol * mass_mu
+    defect_ok = abs(finest["defect"] - mass_mu) <= DEFECT_TOL * mass_mu
     naive_diff = FieldFunction(mesh, detail.entries[-1].tilde_u.values - naive.u.values)
     e_l2_naive = l2_norm(naive_diff)
     beats_naive = finest["eL2"] < e_l2_naive
@@ -296,7 +293,7 @@ def homogenization_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
         "finest_defect": finest["defect"],
         "mu_times_mass": mass_mu,
         "defect_rel_error": abs(finest["defect"] - mass_mu) / mass_mu if mass_mu else float("nan"),
-        "defect_tol": defect_tol,
+        "defect_tol": DEFECT_TOL,
         "eL2_vs_naive_limit": e_l2_naive,
         "beats_naive_limit": beats_naive,
         "linf_u0": float(np.abs(limit.u.values).max()),

@@ -64,8 +64,9 @@ _CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class PerforationReport:
-    """What ``perforate`` actually did: hole count, radii in grid units."""
+    """What ``perforate`` did: the lattice's ``epsilon``, hole count, radii in grid units."""
 
+    epsilon: float
     n_holes: int
     radius: float
     strategy: str
@@ -355,6 +356,7 @@ def perforate(mesh: Mesh, spec) -> Mesh:
     per_hole = np.zeros(n_holes)
     np.maximum.at(per_hole, nearest[hole_mask], np.sqrt(d2[hole_mask]) / h)
     report = PerforationReport(
+        epsilon=eps,
         n_holes=n_holes,
         radius=r,
         strategy=strategy,

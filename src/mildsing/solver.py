@@ -89,13 +89,13 @@ steps, stops at a step ``|v - u|_H1`` 100 times smaller (``inner_tol``).  A
 level that contracts at Newton's rate stops one step sooner, without the step
 that would only confirm it: a map that contracts by ``rho`` leaves the iterate
 within ``|d| rho / (1 - rho)`` of its fixed point (Ortega & Rheinboldt 1970,
-ch. 12), so an undamped step whose H1 ratio ``rho``, and its predecessor's,
-lie below ``_TAIL_RATIO[0]`` (a pass's first step, with no predecessor, has
-ratio 0) ends the level once that bound meets the step tolerance and the
-iterate's equation residual is at most ``outer_tol``
-(``LevelStats.estimated``).  The residual gate keeps a lucky ratio from
-stopping a level short of its equation; where it passes, the level makes no
-evaluation of ``F`` beyond the one it reports.
+ch. 12), so a step whose H1 ratio ``rho``, and its predecessor's, lie below
+``_TAIL_RATIO[0]`` (a pass's first step, with no predecessor, has ratio 0)
+ends the level once that bound meets the step tolerance and the iterate's
+equation residual is at most ``outer_tol`` (``LevelStats.estimated``).  The
+residual gate keeps a lucky ratio from stopping a level short of its
+equation; where it passes, the level makes no evaluation of ``F`` beyond the
+one it reports.
 ``solve_singular(mu=...)`` adds the lumped absorption ``mu u``: that is the
 limit problem ``-div A Du + mu u = F(x, u)`` of shrinking perforations.
 """
@@ -322,7 +322,7 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
     ``op`` is the assembled operator from ``assemble_stiffness(mesh, coeff,
     mu)``; the steps start from ``u0`` (zero when None) and accelerate the
     level's linear tail.  It stops at a step ``|d|_H1 <= inner_tol |x|_H1 +
-    inner_tol_abs``, or, after two undamped steps with H1 ratios below
+    inner_tol_abs``, or, after two steps with H1 ratios below
     ``_TAIL_RATIO[0]``, at the step whose contraction estimate ``|d| rho / (1
     - rho)`` meets that bound while ``x`` solves its equation to ``outer_tol``
     (``estimated=True``).  Non-convergence within ``_MAX_INNER`` steps is
@@ -362,8 +362,7 @@ def solve_level(op: SparseOperator, F: Nonlinearity, n: float,
                 break
             rho = res / res_prev
             # a contraction by rho leaves x within res rho / (1 - rho) of the fixed point
-            if (theta == 1.0 and max(rho, rho_prev) < _TAIL_RATIO[0]
-                    and res * rho / (1.0 - rho) <= tol):
+            if max(rho, rho_prev) < _TAIL_RATIO[0] and res * rho / (1.0 - rho) <= tol:
                 equation_residual = _equation_residual(op, F_free, x, n)
                 if equation_residual <= cfg.outer_tol:
                     converged = estimated = True
@@ -471,15 +470,16 @@ def singular_mass_certificate(report: SolveReport, F: Nonlinearity, coeff: Coeff
     lhs: nodal quadrature of ``F(x, u) phi`` over the nodes with ``u <= delta``
     (``F`` capped at the solve's final truncation level).  rhs: elementwise
     ``int A Du . Dphi z_delta(u_bar)`` with ``u_bar`` the element mean.
-    The continuum statement is ``lhs <= rhs``; the discrete gap is the
-    caller's discretization slack.
+    The continuum statement is ``lhs <= rhs`` for ``phi >= 0`` in ``H1_0``
+    (``ValueError`` unless ``phi`` is nonnegative and 0 off the free nodes);
+    the discrete gap is the caller's discretization slack.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if np.any(phi.values < 0.0):
-        raise ValueError("phi must be nonnegative")
     u = report.u
     mesh = u.mesh
+    if np.any(phi.values < 0.0) or np.any(np.delete(phi.values, mesh.free_nodes)):
+        raise ValueError("phi must be nonnegative and vanish on the boundary and the holes")
     ml = lumped_mass(mesh)
     mask = u.values <= delta
     capped = _capped(F.evaluate, np.maximum(u.values, 0.0), report.n_final)

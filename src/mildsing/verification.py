@@ -37,6 +37,8 @@ __all__ = [
 
 #: discrete eigenvalues overestimate slightly; keep this margin below lambda_1
 LAMBDA_MARGIN = 0.9
+#: each nonuniqueness solution must sit within this relative L2 distance of the ray
+RAY_TOL = 1e-4
 
 
 @dataclass
@@ -162,15 +164,14 @@ def uniqueness_experiment(mesh: Mesh, coeff: Coefficient, F: Nonlinearity,
 
 
 def nonuniqueness_experiment(mesh: Mesh, coeff: Coefficient, k: float = 1.0,
-                             cfg: SolverConfig = SolverConfig(),
-                             ray_tol: float = 1e-4) -> ExperimentOutcome:
+                             cfg: SolverConfig = SolverConfig()) -> ExperimentOutcome:
     """Degenerate family for ``F = lambda_1 * min(s, k)``: distinct starts must persist.
 
     The fixed-point map leaves the ray ``t * phi_1`` (``0 <= t <= k/|phi_1|_inf``)
     invariant, so different starting heights should converge to different
     solutions on the ray.  Which ``t`` each start selects is recorded, not
     prescribed.  Pass requires at least two converged solutions differing by
-    ``>= 0.1 k`` in L-infinity, each within ``ray_tol`` of the ray.
+    ``>= 0.1 k`` in L-infinity, each within ``RAY_TOL`` of the ray.
     """
     if not coeff.is_symmetric:
         raise ValueError("the degenerate-family construction needs a symmetric coefficient")
@@ -200,7 +201,7 @@ def nonuniqueness_experiment(mesh: Mesh, coeff: Coefficient, k: float = 1.0,
 
     max_sep = max(float(np.abs(a.values - b.values).max()) for a, b in combinations(solutions, 2))
     distinct = max_sep >= 0.1 * k
-    on_ray = all(r <= ray_tol for r in residuals)
+    on_ray = all(r <= RAY_TOL for r in residuals)
     passed = bool(all(convs) and distinct and on_ray)
     metrics = {
         "lambda1": lam1,
@@ -210,7 +211,7 @@ def nonuniqueness_experiment(mesh: Mesh, coeff: Coefficient, k: float = 1.0,
         "ray_residuals": residuals,
         "max_linf_separation": max_sep,
         "separation_required": 0.1 * k,
-        "ray_tol": ray_tol,
+        "ray_tol": RAY_TOL,
         "converged": convs,
         "cap_level": n0,
     }

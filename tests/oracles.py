@@ -473,7 +473,7 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
     ``_SHIFT_CAP`` times ``K``'s diagonal, the CG forcing of each step after
     the second loosens with the ratio ``rho < 0.95`` of its two
     predecessors' H1 steps, a level also stops on the contraction estimate
-    of two undamped steps with ratios below ``_TAIL_RATIO[0]`` once its
+    of two steps with ratios below ``_TAIL_RATIO[0]`` once its
     iterate solves the equation to ``outer_tol``, and a converged level also
     solves its equation to ``100 outer_tol``, as in ``solver.solve_level``.
     With ``estimate=False`` every level stops on a step below ``inner_tol``,
@@ -508,7 +508,7 @@ def solve_level_plain(op: SparseOperator, F: Nonlinearity, n: float,
             converged = True
             break
         rho = res / res_prev
-        if estimate and theta == 1.0 and rho < _TAIL_RATIO[0] and rho_prev < _TAIL_RATIO[0] \
+        if estimate and rho < _TAIL_RATIO[0] and rho_prev < _TAIL_RATIO[0] \
                 and res * rho / (1.0 - rho) <= tol:
             equation_residual = _equation_residual(op, F_free, x, n)
             if equation_residual <= cfg.outer_tol:

@@ -53,6 +53,35 @@ def test_mass_certificate_rejects_bad_inputs(solved_square):
         ms.singular_mass_certificate(rep, F, A, neg, 0.1)
 
 
+def test_mass_certificate_takes_phi_in_H1_0():
+    # phi = 1 on the boundary adds m_i n_final at every boundary node, a
+    # spurious violation (3.883 > 0 at delta = 0.1); phi = 1 on the free nodes
+    # only is a test function of the bound, and the bound holds
+    mesh = ms.build_rectangle_mesh(1.0, 1.0, 33, 33)
+    A = ms.Coefficient.identity(mesh)
+    F = nonlinearity(mesh, PowerLaw(0.5), f=1.0)
+    rep = ms.solve_singular(mesh, A, F)
+    with pytest.raises(ValueError, match="vanish"):
+        ms.singular_mass_certificate(rep, F, A, FieldFunction(mesh, np.ones(mesh.n_nodes)), 0.1)
+    inside = np.zeros(mesh.n_nodes)
+    inside[mesh.free_nodes] = 1.0
+    for delta in (0.1, 0.01):
+        lhs, rhs = ms.singular_mass_certificate(rep, F, A, FieldFunction(mesh, inside), delta)
+        assert 0.0 <= lhs <= rhs + 1e-12
+
+
+def test_mass_certificate_rejects_phi_on_a_hole():
+    spec = ms.PerforationSpec(epsilon=0.25, target_mu=10.0, strategy="collapsed")
+    mesh = ms.perforate(ms.build_rectangle_mesh(1.0, 1.0, 17, 17), spec)
+    A = ms.Coefficient.identity(mesh)
+    F = nonlinearity(mesh, PowerLaw(0.5), f=1.0)
+    rep = ms.solve_singular(mesh, A, F)
+    phi = np.zeros(mesh.n_nodes)
+    phi[mesh.node_class == ms.HOLE] = 1.0
+    with pytest.raises(ValueError, match="vanish"):
+        ms.singular_mass_certificate(rep, F, A, FieldFunction(mesh, phi), 0.1)
+
+
 def test_mass_certificate_takes_A_Du_dot_Dphi():
     # sum_T |T| (A Du) . Dphi z_delta(u_bar) by hand, from each element's own
     # geometry.  For this nonsymmetric A the orientation Du . (A Dphi) differs

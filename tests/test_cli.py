@@ -426,8 +426,11 @@ def test_failed_run_writes_its_fields(tmp_path):
     assert not list(out.glob("*.tmp.*"))
 
 
-def test_capacity_run(tmp_path):
-    text = """\
+ZERO_DATA = "g = power\ngamma = 1.0\nf = 0.0\nl = 0.0\n"
+SWEEP_KINDS = ("homogenization", "corrector")
+
+
+CAPACITY_CONFIG = """\
 [experiment]
 kind = capacity
 
@@ -435,14 +438,47 @@ kind = capacity
 r_outer = 0.5
 r_inner = 0.05
 h = 0.00390625
-rel_tol = 0.02
 """
-    path = write(tmp_path, "cap.ini", text)
+
+
+def test_capacity_run(tmp_path):
+    path = write(tmp_path, "cap.ini", CAPACITY_CONFIG)
     assert run(path, out_dir=tmp_path / "out") == 0
 
 
-ZERO_DATA = "g = power\ngamma = 1.0\nf = 0.0\nl = 0.0\n"
-SWEEP_KINDS = ("homogenization", "corrector")
+# one valid config of each kind that had a verdict tolerance key
+TOLERANCE_KIND_CONFIGS = {
+    "solve": SOLVE_CONFIG,
+    "capacity": CAPACITY_CONFIG,
+    "nonuniqueness": "[experiment]\nkind = nonuniqueness\n\n[mesh]\nnx = 9\n\n"
+                     "[nonuniqueness]\nk = 1.0\n",
+    "homogenization": "[experiment]\nkind = homogenization\n\n[mesh]\nnx = 17\n\n"
+                      f"[nonlinearity]\n{ZERO_DATA}\n"
+                      "[homogenization]\nmu = 100\nepsilons = 0.25,0.125\n",
+}
+
+
+@pytest.mark.parametrize("kind, section, key, why", [
+    ("solve", "solve", "energy_tol", "unknown section"),
+    ("capacity", "capacity", "rel_tol", "unknown key (choose from r_outer, r_inner, h)"),
+    ("nonuniqueness", "nonuniqueness", "ray_tol", "unknown key (choose from k)"),
+    ("homogenization", "homogenization", "defect_tol",
+     "unknown key (choose from mu, strategy, epsilons)"),
+])
+def test_verdict_tolerance_key_is_config_error(tmp_path, capsys, kind, section, key, why):
+    # verdict thresholds are module constants: a config that sets one is
+    # refused before the run directory is made
+    text = TOLERANCE_KIND_CONFIGS[kind]
+    cfg = parse_config(text)
+    cfg.get("experiment", "kind"), cfg.get("experiment", "name")  # as run reads them
+    cli._prepare(cfg, kind, str(tmp_path / "unused"), seed=0, threads=1)
+    cfg.reject_unread()  # the config without the key is valid
+    header = f"[{section}]\n"
+    text = (text.replace(header, f"{header}{key} = 0.5\n") if header in text
+            else f"{text}\n{header}{key} = 0.5\n")
+    assert run(write(tmp_path, f"{kind}.ini", text), out_dir=tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"config error: [{section}] {key}: {why}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("kind", ["solve", "comparison", "uniqueness", "stability", *SWEEP_KINDS])

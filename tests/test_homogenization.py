@@ -95,9 +95,9 @@ def corrector_setup():
 
 def test_corrector_profile_values(corrector_setup):
     mesh_eps, spec = corrector_setup
-    w = ms.corrector_field(mesh_eps, spec)
+    w = ms.corrector_field(mesh_eps)
     assert np.all((w.values >= 0.0) & (w.values <= 1.0))
-    # zero at the lattice centers (grid nodes), 1 at distance rho from all
+    # zero at the lattice centers (grid nodes), 1 at distance epsilon from all
     centers = mesh_eps.perforation.centers
     d2 = np.full(mesh_eps.n_nodes, np.inf)
     for c in centers:
@@ -111,13 +111,13 @@ def test_corrector_profile_values(corrector_setup):
 
 def test_corrector_profile_energy(corrector_setup):
     mesh_eps, spec = corrector_setup
-    w = ms.corrector_field(mesh_eps, spec)
+    w = ms.corrector_field(mesh_eps)
     energy = h1_seminorm(w) ** 2
     target = 16.0 * 2.0 * math.pi / math.log(spec.epsilon / spec.radius)
     assert abs(energy - target) <= 0.05 * target
 
 
-def test_corrector_rejects_collapsed_and_bad_annulus():
+def test_corrector_rejects_collapsed():
     mesh = ms.build_rectangle_mesh(1.0, 1.0, 65, 65)
 
     class Tiny:
@@ -127,11 +127,9 @@ def test_corrector_rejects_collapsed_and_bad_annulus():
 
     p = ms.perforate(mesh, Tiny())
     with pytest.raises(ValueError, match="resolved"):
-        ms.corrector_field(p, Tiny())
-    spec = PerforationSpec(epsilon=0.125, target_mu=50.0)
-    p2 = ms.perforate(ms.build_rectangle_mesh(1.0, 1.0, 257, 257), spec)
-    with pytest.raises(ValueError, match="annulus"):
-        ms.corrector_field(p2, spec, rho=0.2)  # > eps * sqrt(2) / ... outside (r, eps*sqrt2)
+        ms.corrector_field(p)
+    with pytest.raises(ValueError, match="no perforation"):
+        ms.corrector_field(mesh)
 
 
 @pytest.fixture(scope="module")

@@ -199,12 +199,12 @@ def _lattice_mesh(width, height, nx):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=hole_lattices(), rho_frac=st.floats(0.0, 1.0))
+@given(case=hole_lattices())
 # rounding ties: centers halfway between nodes, and radii a rounding below epsilon
-@example(case=(1.0, 1.0, 13, 4, "collapsed", 0.0), rho_frac=0.5)
-@example(case=(1.0, 1.0, 19, 3, "resolved", 0.16666666666666663), rho_frac=0.9)
-@example(case=(2.0, 2.0, 65, 10, "resolved", 0.0625), rho_frac=0.5)
-def test_perforation_matches_search_over_holes(case, rho_frac):
+@example(case=(1.0, 1.0, 13, 4, "collapsed", 0.0))
+@example(case=(1.0, 1.0, 19, 3, "resolved", 0.16666666666666663))
+@example(case=(2.0, 2.0, 65, 10, "resolved", 0.0625))
+def test_perforation_matches_search_over_holes(case):
     width, height, nx, k, strategy, radius = case
     mesh = _lattice_mesh(width, height, nx)
     holes = Holes(epsilon=min(width, height) / (2 * k), radius=radius, strategy=strategy)
@@ -220,13 +220,12 @@ def test_perforation_matches_search_over_holes(case, rho_frac):
     assert np.array_equal(p.node_class, node_class)
     assert np.array_equal(p.perforation.centers, centers)
     assert np.array_equal(p.perforation.nodes_per_hole, counts)
+    assert p.perforation.epsilon == holes.epsilon
     assert p.perforation.min_resolved_radius_h == radius_h.min()
     assert p.perforation.max_resolved_radius_h == radius_h.max()
     if strategy == "resolved":
-        for rho in (holes.epsilon, radius + rho_frac * (holes.epsilon * math.sqrt(2.0) - radius)):
-            if radius < rho < holes.epsilon * math.sqrt(2.0):
-                w = ms.corrector_field(p, holes, rho=rho).values
-                assert np.array_equal(w, corrector_by_search(p, holes.epsilon, radius, rho))
+        w = ms.corrector_field(p).values
+        assert np.array_equal(w, corrector_by_search(p, holes.epsilon, radius, holes.epsilon))
 
 
 def test_extension_zero_and_identity_cases():
